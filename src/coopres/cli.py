@@ -103,7 +103,6 @@ def _cmd_run(args) -> int:
     config = parse_scenario_config(args.config)
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
-    config.validate()
     result = run_scenario(config)
     out_dir = Path(args.out)
     _emit_all(result, out_dir, args.format)

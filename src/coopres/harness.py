@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import configparser
 import csv
+import functools
 import json
 import os
 import random
@@ -25,11 +26,11 @@ from .indicators import (
     INDICATOR_NAMES,
     EpisodeTrace,
     IndicatorConfig,
-    IndicatorSet,
     compute_indicators,
+    write_indicator_csv,
 )
 from .resilience import CurvePair, ResilienceReport, resilience_pipeline
-from .timeseries import pointwise_std
+from .timeseries import TimeSeries, pointwise_std
 from .world import (
     DEFAULT_MAP,
     DEFAULT_REGROWTH_TABLE,
@@ -51,15 +52,11 @@ DEFAULT_POLICIES = (PolicyKind.SUSTAINABLE, PolicyKind.SUSTAINABLE,
                     PolicyKind.SUSTAINABLE, PolicyKind.GREEDY, PolicyKind.GREEDY)
 DEFAULT_SEED = 42
 
-_GRID_CACHE: dict[str, GridMap] = {}
 
-
+@functools.lru_cache(maxsize=1)
 def _grid_for(map_text: str) -> GridMap:
-    grid = _GRID_CACHE.get(map_text)
-    if grid is None:
-        grid = load_map(map_text)
-        _GRID_CACHE[map_text] = grid
-    return grid
+    # One entry suffices: every command runs scenarios on a single map.
+    return load_map(map_text)
 
 
 @dataclass(frozen=True)
@@ -111,10 +108,10 @@ class ScenarioConfig:
 @dataclass
 class ScenarioResult:
     scenario_id: str
-    performance: IndicatorSet
-    reference: IndicatorSet
-    per_episode_performance: list[IndicatorSet]
-    per_episode_reference: list[IndicatorSet]
+    performance: dict[str, TimeSeries]
+    reference: dict[str, TimeSeries]
+    per_episode_performance: list[dict[str, TimeSeries]]
+    per_episode_reference: list[dict[str, TimeSeries]]
     report: ResilienceReport
     per_episode_j: list[float | None]
 
@@ -137,7 +134,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool) -> Episode
     # Events draw from their own stream so that the with/without-events twin
     # runs keep identical agent stochasticity wherever the world state agrees.
     event_rng = random.Random(f"coopres-events-{seed}")
-    state = make_world(grid, config.n_agents, config.regrowth_table, seed)
+    state = make_world(grid, config.n_agents, config.regrowth_table)
     engine = EventEngine(config.schedule) if with_events else None
 
     h = config.episode_length
@@ -178,11 +175,13 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool) -> Episode
         step_world(state, actions, rng)
 
     fired = tuple(engine.fired_triggers()) if engine is not None else ()
-    return EpisodeTrace(n_agents=n, apples_per_tree=apples, consumed=consumed,
-                        hunger_ticks=hunger, ledger_consumed=led_consumed,
-                        ledger_regrown=led_regrown, ledger_event_vanished=led_vanished,
-                        fired_triggers=fired, positions=positions,
-                        bot_records=bot_records)
+    trace = EpisodeTrace(n_agents=n, apples_per_tree=apples, consumed=consumed,
+                         hunger_ticks=hunger, ledger_consumed=led_consumed,
+                         ledger_regrown=led_regrown, ledger_event_vanished=led_vanished,
+                         fired_triggers=fired, positions=positions,
+                         bot_records=bot_records)
+    trace.validate()
+    return trace
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -202,9 +201,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     # Events that fired in any episode define the scenario's window layout;
     # with p_s = 1 this is simply the schedule.
     triggers = sorted({t for trace in perf_traces for t in trace.fired_triggers})
-    pairs = {name: CurvePair(performance=performance.curves()[name],
-                             reference=reference.curves()[name])
-             for name in performance.curves()}
+    pairs = {name: CurvePair(performance=curve, reference=reference[name])
+             for name, curve in performance.items()}
     report = resilience_pipeline(pairs, triggers)
 
     per_episode_j: list[float | None] = []
@@ -213,9 +211,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         if not ep_triggers:
             per_episode_j.append(None)
             continue
-        ep_pairs = {name: CurvePair(performance=per_ep_perf[k].curves()[name],
-                                    reference=per_ep_ref[k].curves()[name])
-                    for name in per_ep_perf[k].curves()}
+        ep_pairs = {name: CurvePair(performance=curve, reference=per_ep_ref[k][name])
+                    for name, curve in per_ep_perf[k].items()}
         per_episode_j.append(resilience_pipeline(ep_pairs, ep_triggers).assembled)
 
     return ScenarioResult(scenario_id=config.scenario_id, performance=performance,
@@ -277,9 +274,15 @@ def run_grid(grid: ExperimentGrid, workers: int | None = None) -> GridResult:
     ``workers`` defaults to the COOPRES_THREADS environment variable
     (sequential when unset).
     """
-    grid.validate()
     if workers is None:
-        workers = int(os.environ.get("COOPRES_THREADS", "1"))
+        raw = os.environ.get("COOPRES_THREADS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(f"COOPRES_THREADS must be a positive integer, got {raw!r}")
+    grid.validate()
     items = grid.sorted_cells()
     results: dict[tuple[int, int], ScenarioResult] = {}
     if workers > 1:
@@ -515,11 +518,10 @@ def emit_report(results: GridResult | ScenarioResult, format: str,
 def export_indicators(result: ScenarioResult, out_dir: str | Path) -> None:
     """Per-scenario indicator CSVs: averaged curves plus dispersion companions."""
     out = Path(out_dir)
-    result.performance.to_csv(out / f"{result.scenario_id}_performance.csv")
-    result.reference.to_csv(out / f"{result.scenario_id}_reference.csv")
-    for label, sets in (("performance", result.per_episode_performance),
-                        ("reference", result.per_episode_reference)):
-        std = IndicatorSet()
-        for name in sets[0].curves():
-            setattr(std, name, pointwise_std([s.curves()[name] for s in sets]))
-        std.to_csv(out / f"{result.scenario_id}_{label}_std.csv")
+    write_indicator_csv(result.performance, out / f"{result.scenario_id}_performance.csv")
+    write_indicator_csv(result.reference, out / f"{result.scenario_id}_reference.csv")
+    for label, episodes in (("performance", result.per_episode_performance),
+                            ("reference", result.per_episode_reference)):
+        std = {name: pointwise_std([curves[name] for curves in episodes])
+               for name in episodes[0]}
+        write_indicator_csv(std, out / f"{result.scenario_id}_{label}_std.csv")

@@ -9,13 +9,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .timeseries import TimeSeries, pointwise_mean
-
-INDICATOR_NAMES = ("apples_pc", "trees_pc", "gini_equality", "hunger_index")
 
 DEFAULT_H_MAX = 100
 
@@ -66,110 +64,27 @@ class EpisodeTrace:
             raise ValueError("hunger ticks must reset exactly at consumption ticks")
 
 
-@dataclass
-class IndicatorSet:
-    """The consolidated well-being curves for one run.
+def gini(values: Sequence[float] | np.ndarray) -> np.ndarray | float:
+    """Gini index over the last axis, by the sorted-rank form.
 
-    Any subset of the four canonical indicators may be present, but at
-    least one must be.
+    G = sum_ij |x_i - x_j| / (2 n^2 mu), where
+    sum_ij |x_i - x_j| = 2 sum_i (2i - n - 1) x_(i) over the ascending
+    order statistics x_(1..n); the rank form is exact on integer inputs.
+    Zero-total rows give 0 by convention (nothing to distribute is
+    trivially equal).  A 1-D input gives a scalar, a matrix one value
+    per row.
     """
-
-    apples_pc: TimeSeries | None = None
-    trees_pc: TimeSeries | None = None
-    gini_equality: TimeSeries | None = None
-    hunger_index: TimeSeries | None = None
-
-    def curves(self) -> dict[str, TimeSeries]:
-        """Present indicators, in canonical order."""
-        out = {name: getattr(self, name) for name in INDICATOR_NAMES}
-        return {k: v for k, v in out.items() if v is not None}
-
-    @property
-    def k(self) -> int:
-        return len(self.curves())
-
-    @property
-    def horizon(self) -> int:
-        return len(next(iter(self.curves().values())))
-
-    def validate(self) -> None:
-        curves = self.curves()
-        if not curves:
-            raise ValueError("indicator set must contain at least one curve")
-        horizons = {len(c) for c in curves.values()}
-        if len(horizons) != 1:
-            raise ValueError(f"indicator curves disagree on horizon: {horizons}")
-        for name in ("gini_equality", "hunger_index"):
-            c = getattr(self, name)
-            if c is not None and (np.any(c.values < -1e-12) or np.any(c.values > 1 + 1e-12)):
-                raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("apples_pc", "trees_pc"):
-            c = getattr(self, name)
-            if c is not None and np.any(c.values < 0):
-                raise ValueError(f"{name} must be non-negative")
-
-    def to_csv(self, path: str | Path) -> None:
-        curves = self.curves()
-        names = list(curves)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tick"] + names)
-            for i in range(self.horizon):
-                writer.writerow([i] + [repr(float(curves[n].values[i])) for n in names])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "IndicatorSet":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "tick":
-                raise ValueError(f"{path}: expected a 'tick' first column")
-            names = header[1:]
-            unknown = set(names) - set(INDICATOR_NAMES)
-            if unknown:
-                raise ValueError(f"{path}: unknown indicator columns {sorted(unknown)}")
-            cols: list[list[float]] = [[] for _ in names]
-            for row in reader:
-                if not row:
-                    continue
-                for i, cell in enumerate(row[1:]):
-                    cols[i].append(float(cell))
-        kwargs = {name: TimeSeries(col) for name, col in zip(names, cols)}
-        return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class IndicatorConfig:
-    names: tuple[str, ...] = INDICATOR_NAMES
-    h_max: int = DEFAULT_H_MAX
-
-    def __post_init__(self):
-        if not self.names:
-            raise ValueError("at least one indicator must be selected")
-        unknown = set(self.names) - set(INDICATOR_NAMES)
-        if unknown:
-            raise ValueError(f"unknown indicators: {sorted(unknown)}")
-        if self.h_max < 1:
-            raise ValueError("h_max must be >= 1")
-
-
-def gini(values: Sequence[float]) -> float:
-    """Mean-absolute-difference Gini index.
-
-    G = sum_ij |x_i - x_j| / (2 n^2 mu).  Zero-total inputs return 0 by
-    convention (nothing to distribute is trivially equal).
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("gini of an empty sequence is undefined")
-    if np.any(arr < 0):
+    if np.any(x < 0):
         raise ValueError("gini requires non-negative values")
-    total = arr.sum()
-    if total == 0:
-        return 0.0
-    n = arr.size
-    diff_sum = np.abs(arr[:, None] - arr[None, :]).sum()
-    return float(diff_sum / (2 * n * total))  # 2 n^2 mu == 2 n total
+    n = x.shape[-1]
+    ranks = 2 * np.arange(1, n + 1) - n - 1
+    # Rounding can leave a tiny negative sum where all values are equal.
+    rank_sum = np.maximum((np.sort(x, axis=-1) * ranks).sum(axis=-1), 0.0)
+    total = x.sum(axis=-1)
+    return np.where(total > 0, rank_sum / (n * np.where(total > 0, total, 1.0)), 0.0)[()]
 
 
 def apples_per_capita(trace: EpisodeTrace) -> TimeSeries:
@@ -191,13 +106,7 @@ def gini_equality(trace: EpisodeTrace) -> TimeSeries:
     """1 - Gini of the cumulative consumption vector, per tick."""
     if trace.n_agents <= 0:
         raise ValueError("gini_equality needs at least one agent")
-    x = trace.consumed.astype(np.float64)
-    totals = x.sum(axis=1)
-    n = trace.n_agents
-    diff = np.abs(x[:, :, None] - x[:, None, :]).sum(axis=(1, 2))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g = np.where(totals > 0, diff / (2 * n * np.maximum(totals, 1e-300)), 0.0)
-    return TimeSeries(1.0 - g)
+    return TimeSeries(1.0 - gini(trace.consumed))
 
 
 def hunger_index(trace: EpisodeTrace, h_max: int = DEFAULT_H_MAX) -> TimeSeries:
@@ -212,36 +121,59 @@ def hunger_index(trace: EpisodeTrace, h_max: int = DEFAULT_H_MAX) -> TimeSeries:
     return TimeSeries(1.0 - hunger.mean(axis=1))
 
 
-def _indicators_for(trace: EpisodeTrace, config: IndicatorConfig) -> IndicatorSet:
-    out = IndicatorSet()
-    if "apples_pc" in config.names:
-        out.apples_pc = apples_per_capita(trace)
-    if "trees_pc" in config.names:
-        out.trees_pc = trees_per_capita(trace)
-    if "gini_equality" in config.names:
-        out.gini_equality = gini_equality(trace)
-    if "hunger_index" in config.names:
-        out.hunger_index = hunger_index(trace, config.h_max)
-    return out
+INDICATORS: dict[str, Callable[[EpisodeTrace, int], TimeSeries]] = {
+    "apples_pc": lambda trace, h_max: apples_per_capita(trace),
+    "trees_pc": lambda trace, h_max: trees_per_capita(trace),
+    "gini_equality": lambda trace, h_max: gini_equality(trace),
+    "hunger_index": hunger_index,
+}
+"""Indicator name -> its curve for one trace and ``h_max``, in canonical order."""
+
+INDICATOR_NAMES = tuple(INDICATORS)
+
+
+@dataclass(frozen=True)
+class IndicatorConfig:
+    names: tuple[str, ...] = INDICATOR_NAMES
+    h_max: int = DEFAULT_H_MAX
+
+    def __post_init__(self):
+        if not self.names:
+            raise ValueError("at least one indicator must be selected")
+        unknown = set(self.names) - set(INDICATOR_NAMES)
+        if unknown:
+            raise ValueError(f"unknown indicators: {sorted(unknown)}")
+        if self.h_max < 1:
+            raise ValueError("h_max must be >= 1")
 
 
 def compute_indicators(
     traces: Sequence[EpisodeTrace],
     config: IndicatorConfig = IndicatorConfig(),
-) -> tuple[IndicatorSet, list[IndicatorSet]]:
-    """Per-episode indicator sets plus their tick-wise mean consolidation.
+) -> tuple[dict[str, TimeSeries], list[dict[str, TimeSeries]]]:
+    """Per-episode indicator curves plus their tick-wise mean consolidation.
 
-    Returns ``(consolidated, per_episode)``; the consolidated set is the
-    element-wise mean curve across episodes for each selected indicator.
+    Returns ``(consolidated, per_episode)``.  Each maps the selected
+    indicator names, in canonical order, to curves; a consolidated curve
+    is the element-wise mean of that indicator across episodes.
     """
     if not traces:
         raise ValueError("need at least one episode trace")
     horizons = {t.horizon for t in traces}
     if len(horizons) != 1:
         raise ValueError(f"episode traces disagree on horizon: {sorted(horizons)}")
-    per_episode = [_indicators_for(t, config) for t in traces]
-    consolidated = IndicatorSet()
-    for name in config.names:
-        setattr(consolidated, name,
-                pointwise_mean([getattr(s, name) for s in per_episode]))
+    selected = {name: fn for name, fn in INDICATORS.items() if name in config.names}
+    per_episode = [{name: fn(t, config.h_max) for name, fn in selected.items()}
+                   for t in traces]
+    consolidated = {name: pointwise_mean([curves[name] for curves in per_episode])
+                    for name in selected}
     return consolidated, per_episode
+
+
+def write_indicator_csv(curves: Mapping[str, TimeSeries], path: str | Path) -> None:
+    """Write aligned curves as a ``tick`` column plus one column per indicator."""
+    columns = [c.values.tolist() for c in curves.values()]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tick"] + list(curves))
+        writer.writerows([i] + [repr(v) for v in row] for i, row in enumerate(zip(*columns)))

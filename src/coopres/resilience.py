@@ -75,12 +75,6 @@ class EventResilience:
                 "t_i": m.t_i, "t_f": m.t_f, "t_r": m.t_r,
                 "window_start": m.window_start}
 
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "EventResilience":
-        return cls(j_value=d["J_jl"], f_profile=d["F"], g_profile=d["G"],
-                   milestones=Milestones(t_i=d["t_i"], t_f=d["t_f"], t_r=d["t_r"],
-                                         window_start=d["window_start"]))
-
 
 @dataclass
 class VariableResilience:
@@ -109,44 +103,20 @@ class ResilienceReport:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "ResilienceReport":
-        per_variable = {
-            name: VariableResilience(
-                events=[EventResilience.from_json_dict(e) for e in entry["events"]],
-                folded=entry["J_j"])
-            for name, entry in d["per_variable"].items()
-        }
-        return cls(per_variable=per_variable, assembled=d["J"],
-                   event_count=d["L"], variable_count=d["K"])
-
     def to_json(self, path: str | Path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2)
             fh.write("\n")
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ResilienceReport":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
-
-def _trigger_ticks(schedule: Iterable) -> list[int]:
-    """Accept plain ints or objects exposing ``trigger_tick``."""
-    ticks = []
-    for ev in schedule:
-        ticks.append(int(getattr(ev, "trigger_tick", ev)))
-    return ticks
-
-
-def partition_windows(schedule: Iterable, horizon: int) -> list[Window]:
+def partition_windows(schedule: Iterable[int], horizon: int) -> list[Window]:
     """Split ``[0, horizon)`` into one window per event.
 
     Window l runs from the previous window's end (0 for the first) to the
     next event's trigger (the horizon for the last), so each window
     contains exactly one trigger.
     """
-    triggers = _trigger_ticks(schedule)
+    triggers = [int(t) for t in schedule]
     if not triggers:
         return []
     for prev, cur in zip(triggers, triggers[1:]):
@@ -175,9 +145,7 @@ def detect_milestones(pair: CurvePair, trigger: int, window: Window,
     t_r = window.end - 1
     p = pair.performance.slice_values(trigger, t_r)
     r = pair.reference.slice_values(trigger, t_r)
-    ratios = np.array([guarded_ratio(float(pv), float(rv), eps, cap)
-                       for pv, rv in zip(p, r)])
-    t_f = trigger + int(np.argmin(ratios))
+    t_f = trigger + int(np.argmin(guarded_ratio(p, r, eps, cap)))
     return Milestones(t_i=trigger, t_f=t_f, t_r=t_r, window_start=window.start)
 
 
@@ -273,9 +241,7 @@ def detect_triggers(pair: CurvePair, threshold: float = 0.95,
     Returns the ticks where the per-tick performance/reference ratio
     crosses from ``>= threshold`` to ``< threshold``.
     """
-    p, r = pair.performance.values, pair.reference.values
-    ratios = np.array([guarded_ratio(float(pv), float(rv), eps, cap)
-                       for pv, rv in zip(p, r)])
+    ratios = guarded_ratio(pair.performance.values, pair.reference.values, eps, cap)
     below = ratios < threshold
     crossings = np.flatnonzero(below[1:] & ~below[:-1]) + 1
     triggers = list(int(t) for t in crossings)
@@ -284,12 +250,12 @@ def detect_triggers(pair: CurvePair, threshold: float = 0.95,
     return triggers
 
 
-def resilience_pipeline(pairs: Mapping[str, CurvePair], schedule: Iterable,
+def resilience_pipeline(pairs: Mapping[str, CurvePair], schedule: Iterable[int],
                         eps: float = DEFAULT_EPS, cap: float = DEFAULT_CAP) -> ResilienceReport:
     """Run window partitioning, event scoring, folding and assembly.
 
     ``schedule`` is the ordered trigger ticks of the events that actually
-    occurred (ints, or objects with a ``trigger_tick`` attribute).
+    occurred.
     """
     if not pairs:
         raise ValueError("resilience_pipeline needs at least one variable")
@@ -297,7 +263,7 @@ def resilience_pipeline(pairs: Mapping[str, CurvePair], schedule: Iterable,
     if len(horizons) != 1:
         raise ValueError(f"curve pairs disagree on horizon: {sorted(horizons)}")
     horizon = horizons.pop()
-    triggers = _trigger_ticks(schedule)
+    triggers = [int(t) for t in schedule]
     if not triggers:
         raise ValueError("no disruptive events: the pipeline needs at least one trigger")
     windows = partition_windows(triggers, horizon)

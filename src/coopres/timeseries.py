@@ -31,29 +31,20 @@ class TimeSeries:
             raise ValueError("time series needs a non-empty 1-D value sequence")
         if t0 < 0:
             raise ValueError(f"t0 must be >= 0, got {t0}")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"time series values must be finite, got {arr[bad[0]]} "
+                             f"at tick {t0 + bad[0]}")
         self.t0 = int(t0)
         self.values = arr
 
-    @property
-    def dt(self) -> int:
-        return 1
-
     def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def horizon(self) -> int:
         return self.values.size
 
     @property
     def end_tick(self) -> int:
         """Tick index of the last sample."""
         return self.t0 + self.values.size - 1
-
-    def value_at(self, tick: int) -> float:
-        if not self.t0 <= tick <= self.end_tick:
-            raise ValueError(f"tick {tick} outside series range [{self.t0}, {self.end_tick}]")
-        return float(self.values[tick - self.t0])
 
     def slice_values(self, start_tick: int, end_tick: int) -> np.ndarray:
         """Values for ticks ``start_tick..end_tick`` inclusive."""
@@ -102,7 +93,10 @@ class TimeSeries:
         for prev, cur in zip(ticks, ticks[1:]):
             if cur != prev + 1:
                 raise ValueError(f"{path}: ticks must be consecutive, got {prev} then {cur}")
-        return cls(values, t0=ticks[0])
+        try:
+            return cls(values, t0=ticks[0])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -161,11 +155,12 @@ def pointwise_std(series: Sequence[TimeSeries]) -> TimeSeries:
     return TimeSeries(stacked.std(axis=0), t0=series[0].t0)
 
 
-def guarded_ratio(num: float, den: float, eps: float = DEFAULT_EPS,
-                  cap: float = DEFAULT_CAP) -> float:
+def guarded_ratio(num: float | np.ndarray, den: float | np.ndarray,
+                  eps: float = DEFAULT_EPS, cap: float = DEFAULT_CAP) -> float | np.ndarray:
     """Quotient ``num/den`` with defined behavior for a vanishing denominator.
 
-    If the denominator falls below ``eps``: both tiny -> 1.0 (no evidence of
+    Elementwise over arrays; two scalars give a Python float.  Where the
+    denominator falls below ``eps``: both tiny -> 1.0 (no evidence of
     deviation); numerator alive -> ``cap`` (bounded exceeding-expectation).
     Total on all finite inputs; never returns NaN or infinity.
     """
@@ -173,8 +168,8 @@ def guarded_ratio(num: float, den: float, eps: float = DEFAULT_EPS,
         raise ValueError("eps must be positive")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if den >= eps:
-        return num / den
-    if num < eps:
-        return 1.0
-    return cap
+    num = np.asarray(num, dtype=np.float64)
+    den = np.asarray(den, dtype=np.float64)
+    live = den >= eps
+    out = np.where(live, num / np.where(live, den, 1.0), np.where(num < eps, 1.0, cap))
+    return float(out) if out.ndim == 0 else out

@@ -213,7 +213,6 @@ class WorldState:
     trees: list[Tree]
     agents: dict[int, AgentState]
     regrowth_table: tuple[float, ...]
-    rng_seed: int
     tick: int = 0
     live_apples: dict[Cell, int] = field(default_factory=dict)  # cell -> tree index
     occupied: dict[Cell, int] = field(default_factory=dict)     # cell -> agent id
@@ -302,8 +301,8 @@ def load_map(ascii_text: str) -> GridMap:
                    trees=trees, spawn_points=spawns)
 
 
-def make_world(grid: GridMap, n_agents: int, regrowth_table: tuple[float, ...],
-               seed: int) -> WorldState:
+def make_world(grid: GridMap, n_agents: int,
+               regrowth_table: tuple[float, ...]) -> WorldState:
     """Fresh episode state: pristine trees, agents on the first spawn points."""
     if n_agents < 0 or n_agents > len(grid.spawn_points):
         raise ValueError(
@@ -312,8 +311,7 @@ def make_world(grid: GridMap, n_agents: int, regrowth_table: tuple[float, ...],
         raise ValueError("regrowth table must be non-empty probabilities in [0, 1]")
     trees = [t.copy() for t in grid.trees]
     state = WorldState(grid=grid, trees=trees, agents={},
-                       regrowth_table=tuple(regrowth_table), rng_seed=seed,
-                       next_agent_id=n_agents)
+                       regrowth_table=tuple(regrowth_table), next_agent_id=n_agents)
     for idx, tree in enumerate(trees):
         for cell, alive in zip(tree.apple_cells, tree.alive):
             if alive:

@@ -8,6 +8,7 @@ dynamics are expected to reproduce qualitatively.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -16,7 +17,15 @@ import numpy as np
 import pytest
 
 from coopres.disruptions import apply_apple_vanish
-from coopres.harness import ScenarioConfig, bots_preset, run_episode, run_grid, table2_preset
+from coopres.harness import (
+    ScenarioConfig,
+    bots_preset,
+    emit_report,
+    export_indicators,
+    run_episode,
+    run_grid,
+    table2_preset,
+)
 from coopres.resilience import (
     CurvePair,
     Milestones,
@@ -136,7 +145,7 @@ def test_criterion_4_harmonic_assembly():
 def test_criterion_5_vanish_event_constraint():
     start = time.perf_counter()
     rng = random.Random(99)
-    state = make_world(load_map("########\n#AAAAAA#\n#S.....#\n########"), 0, (0.0,), seed=1)
+    state = make_world(load_map("########\n#AAAAAA#\n#S.....#\n########"), 0, (0.0,))
     tree = state.trees[0]
     total_survivors = 0
     trials = 10_000
@@ -206,3 +215,31 @@ def test_criterion_9_determinism(table2_result, bots_result):
     ok &= grid_json_dict(again_bots) == grid_json_dict(bots_result[0])
     elapsed = time.perf_counter() - start
     report_line(9, "re-running both grids reproduces bit-identical reports", elapsed, ok)
+
+
+# sha256 of every output file of the default-seed grids, as written by
+# CPython 3.11.7 with numpy 2.4.6: report.json alone, then all files
+# concatenated in sorted name order.  A change to any reported number or
+# output byte shows here.
+OUTPUT_DIGESTS = {
+    "table2": (39, "ec86698f9b3bf7ddb0f9b2f4765575ff45bd5c78802ea71ac1b2df8bd005eb4e",
+               "26e2a09b23fd56d8742d3fbe130dd2b29938fe39e2ba81373aed43cd5a7305eb"),
+    "bots": (15, "450d4cd8fc0ab5cda5ed5dc733df9474c08c6b42e4b2c725044e2eb0af113883",
+             "6ba4d4a41068b217724680bec6976f91b7e7587c1c4b86e4e5fb14cc23fc8f92"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(OUTPUT_DIGESTS))
+def test_output_bytes_pinned(preset, request, tmp_path):
+    result, _ = request.getfixturevalue(f"{preset}_result")
+    for kind, name in (("csv", "report.csv"), ("json", "report.json"),
+                       ("svg_heatmap", "heatmap.svg")):
+        emit_report(result, kind, tmp_path / name)
+    for scenario in result.scenario_results():
+        export_indicators(scenario, tmp_path)
+    files = sorted(p.name for p in tmp_path.iterdir())
+    everything = hashlib.sha256(b"".join((tmp_path / f).read_bytes() for f in files))
+    count, report_digest, all_digest = OUTPUT_DIGESTS[preset]
+    assert len(files) == count
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == report_digest
+    assert everything.hexdigest() == all_digest

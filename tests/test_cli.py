@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
 
+import coopres.harness
 from coopres.cli import main
 from coopres.timeseries import TimeSeries
 
@@ -29,6 +31,11 @@ def write_curves(tmp_path, p_values, r_values):
     TimeSeries(p_values).to_csv(p_path)
     TimeSeries(r_values).to_csv(r_path)
     return p_path, r_path
+
+
+def write_raw_curve(path, values):
+    path.write_text("tick,value\n" + "".join(f"{t},{v}\n" for t, v in enumerate(values)))
+    return path
 
 
 class TestValidate:
@@ -82,6 +89,23 @@ class TestMeasure:
         report = json.loads(out.read_text())
         assert report["per_variable"]["value"]["events"][0]["t_i"] == 30
 
+    # Each of these once scored silently (J = 0.875, J = 1.0) or failed late.
+    @pytest.mark.parametrize("tick, bad", [(10, "nan"), (30, "nan"), (30, "inf")])
+    def test_non_finite_curve_rejected_up_front(self, tmp_path, capsys, tick, bad):
+        p = ["1.0"] * 20 + ["0.5"] * 20
+        p[tick] = bad
+        p_path = write_raw_curve(tmp_path / "p.csv", p)
+        r_path = write_raw_curve(tmp_path / "r.csv", ["1.0"] * 40)
+        sched = tmp_path / "sched.txt"
+        sched.write_text("20\n")
+        out = tmp_path / "report.json"
+        code = main(["measure", "--performance", str(p_path), "--reference", str(r_path),
+                     "--schedule", str(sched), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:input:") and "finite" in err and "p.csv" in err
+        assert not out.exists()
+
     def test_quiet_curves_without_schedule_fail(self, tmp_path, capsys):
         p_path, r_path = write_curves(tmp_path, [1.0] * 50, [1.0] * 50)
         code = main(["measure", "--performance", str(p_path), "--reference", str(r_path),
@@ -122,11 +146,40 @@ class TestRun:
         assert a == (out_b / "report.json").read_text()
         assert a != (out_c / "report.json").read_text()
 
+    def test_indicator_columns_in_canonical_order(self, tmp_path):
+        path = tmp_path / "subset.ini"
+        path.write_text(TINY_CONFIG + "indicators = hunger_index, apples_pc\n")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert list(report["cells"][0]["per_variable"]) == ["apples_pc", "hunger_index"]
+        for name in ("subset_performance.csv", "subset_reference_std.csv"):
+            with open(out / name, newline="") as fh:
+                assert next(csv.reader(fh)) == ["tick", "apples_pc", "hunger_index"]
+        with open(out / "report.csv", newline="") as fh:
+            variables = [row["variable"] for row in csv.DictReader(fh)]
+        assert variables == ["apples_pc", "hunger_index"]
+
     def test_unknown_format_rejected(self, tiny_config, tmp_path, capsys):
         code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
                      "--format", "pdf"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:config:")
+
+
+class TestGrid:
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_thread_count_rejected_before_any_episode(self, tmp_path, capsys,
+                                                          monkeypatch, value):
+        episodes = []
+        monkeypatch.setattr(coopres.harness, "run_episode",
+                            lambda *args, **kwargs: episodes.append(args))
+        monkeypatch.setenv("COOPRES_THREADS", value)
+        code = main(["grid", "--preset", "bots", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error:config: COOPRES_THREADS must be a positive integer, got {value!r}\n")
+        assert episodes == []
 
 
 class TestPreset:

@@ -19,7 +19,7 @@ SIX_APPLE_MAP = "########\n#AAAAAA#\n#S.S.S.#\n########"
 
 
 def fresh_state(n_agents=0, map_text=SIX_APPLE_MAP):
-    return make_world(load_map(map_text), n_agents, (0.0,), seed=1)
+    return make_world(load_map(map_text), n_agents, (0.0,))
 
 
 class TestEventValidation:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import replace
 
@@ -21,7 +22,6 @@ from coopres.harness import (
     run_scenario,
     table2_preset,
 )
-from coopres.indicators import IndicatorSet
 from coopres.world import PolicyKind
 
 
@@ -180,8 +180,7 @@ class TestRunScenario:
         cfg = quick_config(episodes=1)
         result = run_scenario(cfg)
         assert len(result.per_episode_performance) == 1
-        for name, curve in result.performance.curves().items():
-            assert curve == result.per_episode_performance[0].curves()[name]
+        assert result.performance == result.per_episode_performance[0]
 
     def test_seed_discipline(self):
         cfg = quick_config()
@@ -189,8 +188,7 @@ class TestRunScenario:
         b = run_scenario(cfg)
         assert a.report.to_json_dict() == b.report.to_json_dict()
         assert a.per_episode_j == b.per_episode_j
-        for name, curve in a.performance.curves().items():
-            assert curve == b.performance.curves()[name]
+        assert a.performance == b.performance
 
 
 class TestGrids:
@@ -319,9 +317,10 @@ class TestReports:
     def test_indicator_export(self, tmp_path):
         result = run_scenario(quick_config(scenario_id="exp"))
         export_indicators(result, tmp_path)
-        perf = IndicatorSet.from_csv(tmp_path / "exp_performance.csv")
-        for name, curve in result.performance.curves().items():
-            assert perf.curves()[name] == curve
+        with open(tmp_path / "exp_performance.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for name, curve in result.performance.items():
+            assert [float(row[name]) for row in rows] == curve.values.tolist()
         assert (tmp_path / "exp_reference.csv").exists()
         assert (tmp_path / "exp_performance_std.csv").exists()
         assert (tmp_path / "exp_reference_std.csv").exists()

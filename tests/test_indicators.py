@@ -1,23 +1,35 @@
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopres.indicators import (
+    INDICATOR_NAMES,
     IndicatorConfig,
-    IndicatorSet,
     apples_per_capita,
     compute_indicators,
     gini,
     gini_equality,
     hunger_index,
     trees_per_capita,
+    write_indicator_csv,
 )
 from coopres.timeseries import TimeSeries
 
 from conftest import build_trace
+
+
+def pairwise_gini(values):
+    """Mean-absolute-difference form over all pairs: the reference for gini()."""
+    x = np.asarray(values, dtype=np.float64)
+    total = x.sum()
+    if total == 0:
+        return 0.0
+    return np.abs(x[:, None] - x[None, :]).sum() / (2 * x.size * total)
 
 
 class TestGini:
@@ -48,6 +60,23 @@ class TestGini:
         assert 0.0 <= g <= 1.0 - 1.0 / n + 1e-12
         scaled = gini([scale * v for v in values])
         assert abs(g - scaled) <= 1e-12
+
+    @given(values=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=20))
+    @settings(max_examples=300)
+    def test_integer_inputs_match_pairwise_form_exactly(self, values):
+        assert gini(values) == pairwise_gini(values)
+
+    def test_rows_of_a_matrix(self):
+        rows = np.array([[3, 3, 3], [0, 0, 0], [10, 0, 0], [1, 2, 3]])
+        assert gini(rows).tolist() == [pairwise_gini(r) for r in rows]
+
+    def test_tiny_float_total(self):
+        # a floor on the total would score this far below its true 0.5
+        assert gini([0.0, 2.2e-308]) == 0.5
+
+    def test_equal_floats_never_negative(self):
+        # unclamped, the rank sum of five 0.1s rounds to -5.6e-17
+        assert gini([0.1] * 5) == 0.0
 
 
 class TestPerCapitaCurves:
@@ -81,8 +110,8 @@ class TestPerCapitaCurves:
         apples = np.tile([2, 2, 2, 2, 2, 2], (h, 1))
         apples[100:, 0] = 0
         curve = trees_per_capita(build_trace(apples, np.zeros((h, 5))))
-        assert curve.value_at(99) == pytest.approx(1.2)
-        assert curve.value_at(100) == pytest.approx(1.0)
+        assert curve.values[99] == pytest.approx(1.2)
+        assert curve.values[100] == pytest.approx(1.0)
 
     def test_integer_recoverable(self):
         rng = np.random.default_rng(7)
@@ -134,7 +163,7 @@ class TestHungerIndex:
 
     def test_full_at_start_when_fed(self):
         trace = build_trace(np.ones((5, 1)), np.zeros((5, 3)))
-        assert hunger_index(trace).value_at(0) == 1.0
+        assert hunger_index(trace).values[0] == 1.0
 
 
 class TestTraceValidation:
@@ -165,41 +194,47 @@ class TestComputeIndicators:
     def test_single_episode_identity(self, flat_trace):
         consolidated, per_episode = compute_indicators([flat_trace])
         assert len(per_episode) == 1
-        for name, curve in consolidated.curves().items():
-            assert curve == per_episode[0].curves()[name]
+        assert consolidated == per_episode[0]
 
     def test_identical_episodes_consolidate_to_same(self, flat_trace):
         consolidated, _ = compute_indicators([flat_trace] * 5)
         single, _ = compute_indicators([flat_trace])
-        for name, curve in consolidated.curves().items():
-            assert np.allclose(curve.values, single.curves()[name].values)
+        for name, curve in consolidated.items():
+            assert np.allclose(curve.values, single[name].values)
 
     def test_mean_of_two_levels(self):
         t4 = build_trace(np.full((6, 1), 20), np.zeros((6, 5)))
         t6 = build_trace(np.full((6, 1), 30), np.zeros((6, 5)))
         consolidated, _ = compute_indicators([t4, t6])
-        assert consolidated.apples_pc == TimeSeries([5.0] * 6)
+        assert consolidated["apples_pc"] == TimeSeries([5.0] * 6)
 
     def test_constant_world_gives_constant_resource_curves(self, flat_trace):
         # no consumption and no regrowth: the resource curves stay flat
         consolidated, _ = compute_indicators([flat_trace])
         for name in ("apples_pc", "trees_pc"):
-            curve = consolidated.curves()[name]
+            curve = consolidated[name]
             assert np.all(curve.values == curve.values[0])
 
     def test_ranges_hold(self, flat_trace):
         consolidated, _ = compute_indicators([flat_trace])
-        consolidated.validate()
-        assert np.all((consolidated.gini_equality.values >= 0)
-                      & (consolidated.gini_equality.values <= 1))
-        assert np.all((consolidated.hunger_index.values >= 0)
-                      & (consolidated.hunger_index.values <= 1))
+        for name in ("gini_equality", "hunger_index"):
+            values = consolidated[name].values
+            assert np.all((values >= 0) & (values <= 1))
+        for name in ("apples_pc", "trees_pc"):
+            assert np.all(consolidated[name].values >= 0)
 
     def test_subset_selection(self, flat_trace):
         cfg = IndicatorConfig(names=("apples_pc",))
         consolidated, _ = compute_indicators([flat_trace], cfg)
-        assert list(consolidated.curves()) == ["apples_pc"]
-        assert consolidated.k == 1
+        assert list(consolidated) == ["apples_pc"]
+
+    def test_canonical_order_whatever_the_selection_order(self, flat_trace):
+        cfg = IndicatorConfig(names=("hunger_index", "apples_pc"))
+        consolidated, per_episode = compute_indicators([flat_trace], cfg)
+        assert list(consolidated) == ["apples_pc", "hunger_index"]
+        assert list(per_episode[0]) == ["apples_pc", "hunger_index"]
+        all_names, _ = compute_indicators([flat_trace])
+        assert tuple(all_names) == INDICATOR_NAMES
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -215,17 +250,16 @@ class TestComputeIndicators:
             IndicatorConfig(names=("apples_pc", "wealth"))
 
 
-class TestIndicatorSetCsv:
-    def test_round_trip(self, flat_trace, tmp_path):
-        consolidated, _ = compute_indicators([flat_trace])
+class TestIndicatorCsv:
+    def test_round_trip(self, tmp_path):
+        curves = {"apples_pc": TimeSeries([6.0, 5.8, 1 / 3]),
+                  "hunger_index": TimeSeries([1.0, 0.1 + 0.2, 0.0])}
         path = tmp_path / "indicators.csv"
-        consolidated.to_csv(path)
-        back = IndicatorSet.from_csv(path)
-        for name, curve in consolidated.curves().items():
-            assert back.curves()[name] == curve
-
-    def test_unknown_column_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("tick,apples_pc,happiness\n0,1.0,2.0\n")
-        with pytest.raises(ValueError, match="unknown indicator"):
-            IndicatorSet.from_csv(path)
+        write_indicator_csv(curves, path)
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == ["tick", "apples_pc", "hunger_index"]
+            rows = list(reader)
+        assert [int(row["tick"]) for row in rows] == [0, 1, 2]
+        for name, curve in curves.items():
+            assert [float(row[name]) for row in rows] == curve.values.tolist()

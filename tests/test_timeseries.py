@@ -17,15 +17,26 @@ from coopres.timeseries import (
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+# Mixes live values with ones on either side of the default eps = 1e-9.
+ratio_operand = st.one_of(finite, st.floats(min_value=-1e-8, max_value=1e-8),
+                          st.sampled_from([0.0, 1e-9, 9.9e-10, 1.01e-9]))
+
+
+def scalar_guarded_ratio(num, den, eps=1e-9, cap=2.0):
+    """Branch-by-branch reference for one pair of operands."""
+    if den >= eps:
+        return num / den
+    if num < eps:
+        return 1.0
+    return cap
 
 
 class TestTimeSeries:
     def test_basic_properties(self):
         ts = TimeSeries([1.0, 2.0, 3.0], t0=5)
         assert len(ts) == 3
-        assert ts.dt == 1
         assert ts.end_tick == 7
-        assert ts.value_at(6) == 2.0
+        assert ts.values[1] == 2.0
 
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
@@ -35,10 +46,10 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries([1.0], t0=-1)
 
-    def test_value_at_out_of_range(self):
-        ts = TimeSeries([1.0, 2.0])
-        with pytest.raises(ValueError):
-            ts.value_at(2)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TimeSeries([1.0, bad, 2.0])
 
     def test_equality(self):
         assert TimeSeries([1, 2], t0=3) == TimeSeries([1.0, 2.0], t0=3)
@@ -54,6 +65,12 @@ class TestTimeSeries:
         path = tmp_path / "bad.csv"
         path.write_text("tick,value\n0,1.0\n2,2.0\n")
         with pytest.raises(ValueError, match="consecutive"):
+            TimeSeries.from_csv(path)
+
+    def test_csv_rejects_non_finite_values(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("tick,value\n0,1.0\n1,nan\n")
+        with pytest.raises(ValueError, match=r"nan\.csv: .*finite"):
             TimeSeries.from_csv(path)
 
     def test_csv_rejects_wrong_header(self, tmp_path):
@@ -171,4 +188,16 @@ class TestGuardedRatio:
     @settings(max_examples=500)
     def test_never_nan_or_inf(self, num, den):
         out = guarded_ratio(num, den)
+        assert type(out) is float
         assert math.isfinite(out)
+
+    @given(pairs=st.lists(st.tuples(ratio_operand, ratio_operand), min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_array_matches_scalar_branches(self, pairs):
+        num = np.array([n for n, _ in pairs])
+        den = np.array([d for _, d in pairs])
+        out = guarded_ratio(num, den)
+        assert out.shape == num.shape
+        expected = [scalar_guarded_ratio(n, d) for n, d in pairs]
+        assert out.tolist() == expected
+        assert [guarded_ratio(n, d) for n, d in pairs] == expected

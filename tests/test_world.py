@@ -109,7 +109,7 @@ class TestDistances:
 class TestStepWorld:
     def test_move_consumes_adjacent_apple(self):
         grid = corridor_map()
-        state = make_world(grid, 1, NO_REGROWTH, seed=1)
+        state = make_world(grid, 1, NO_REGROWTH)
         agent = state.agents[0]
         agent.position = (1, 2)
         state.occupied = {(1, 2): 0}
@@ -122,7 +122,7 @@ class TestStepWorld:
 
     def test_wall_blocks_move(self):
         grid = corridor_map()
-        state = make_world(grid, 1, NO_REGROWTH, seed=1)
+        state = make_world(grid, 1, NO_REGROWTH)
         state.agents[0].position = (1, 7)
         state.occupied = {(1, 7): 0}
         step_world(state, {0: Action.MOVE_UP}, random.Random(0))
@@ -130,7 +130,7 @@ class TestStepWorld:
 
     def test_occupied_cell_blocks_move(self):
         grid = corridor_map()
-        state = make_world(grid, 2, NO_REGROWTH, seed=1)
+        state = make_world(grid, 2, NO_REGROWTH)
         a, b = state.agents[0], state.agents[1]
         assert (a.position, b.position) == ((1, 7), (1, 9))
         a.position = (1, 8)
@@ -140,7 +140,7 @@ class TestStepWorld:
 
     def test_rotation(self):
         grid = corridor_map()
-        state = make_world(grid, 1, NO_REGROWTH, seed=1)
+        state = make_world(grid, 1, NO_REGROWTH)
         step_world(state, {0: Action.ROTATE_RIGHT}, random.Random(0))
         assert state.agents[0].orientation is Orientation.E
         step_world(state, {0: Action.ROTATE_LEFT}, random.Random(0))
@@ -154,7 +154,7 @@ class TestStepWorld:
 
     def test_zap_relocates_first_agent_in_beam(self):
         grid = corridor_map()
-        state = make_world(grid, 2, NO_REGROWTH, seed=1)
+        state = make_world(grid, 2, NO_REGROWTH)
         zapper, target = state.agents[0], state.agents[1]
         zapper.orientation = Orientation.E  # target sits 2 cells east
         step_world(state, {0: Action.ZAP, 1: Action.NOOP}, random.Random(0))
@@ -165,7 +165,7 @@ class TestStepWorld:
 
     def test_zap_cooldown_blocks_refire(self):
         grid = corridor_map()
-        state = make_world(grid, 2, NO_REGROWTH, seed=1)
+        state = make_world(grid, 2, NO_REGROWTH)
         state.agents[0].orientation = Orientation.E
         step_world(state, {0: Action.ZAP, 1: Action.NOOP}, random.Random(0))
         state.agents[1].position = (1, 9)
@@ -175,7 +175,7 @@ class TestStepWorld:
 
     def test_zap_range_is_three_cells(self):
         grid = corridor_map()
-        state = make_world(grid, 2, NO_REGROWTH, seed=1)
+        state = make_world(grid, 2, NO_REGROWTH)
         state.agents[1].position = (1, 11)  # 4 cells east of the zapper
         state.occupied = {(1, 7): 0, (1, 11): 1}
         state.agents[0].orientation = Orientation.E
@@ -184,19 +184,19 @@ class TestStepWorld:
 
     def test_unknown_agent_action_rejected(self):
         grid = corridor_map()
-        state = make_world(grid, 1, NO_REGROWTH, seed=1)
+        state = make_world(grid, 1, NO_REGROWTH)
         with pytest.raises(ValueError, match="unknown agent"):
             step_world(state, {0: Action.NOOP, 9: Action.NOOP}, random.Random(0))
 
     def test_missing_action_rejected(self):
         grid = corridor_map()
-        state = make_world(grid, 2, NO_REGROWTH, seed=1)
+        state = make_world(grid, 2, NO_REGROWTH)
         with pytest.raises(ValueError, match="missing actions"):
             step_world(state, {0: Action.NOOP}, random.Random(0))
 
     def test_tick_increments(self):
         grid = corridor_map()
-        state = make_world(grid, 1, NO_REGROWTH, seed=1)
+        state = make_world(grid, 1, NO_REGROWTH)
         for expected in (1, 2, 3):
             step_world(state, {0: Action.NOOP}, random.Random(0))
             assert state.tick == expected
@@ -205,7 +205,7 @@ class TestStepWorld:
 class TestRegrow:
     def _one_tree_state(self, table, live_cells=3):
         grid = load_map("########\n#AAAAAA#\n#S.....#\n########")
-        state = make_world(grid, 0, table, seed=1)
+        state = make_world(grid, 0, table)
         tree = state.trees[0]
         for i in range(live_cells, 6):
             cell = tree.apple_cells[i]
@@ -260,7 +260,7 @@ class TestRegrow:
 class TestPolicies:
     def test_greedy_steps_onto_adjacent_apple(self):
         grid = corridor_map()
-        state = make_world(grid, 1, NO_REGROWTH, seed=1)
+        state = make_world(grid, 1, NO_REGROWTH)
         state.agents[0].position = (1, 2)
         state.occupied = {(1, 2): 0}
         view = build_view(state, 0)
@@ -269,7 +269,7 @@ class TestPolicies:
 
     def test_sustainable_never_raids_depleted_tree(self):
         grid = corridor_map()  # single tree with a single apple
-        state = make_world(grid, 1, NO_REGROWTH, seed=1)
+        state = make_world(grid, 1, NO_REGROWTH)
         state.agents[0].position = (1, 2)
         state.occupied = {(1, 2): 0}
         view = build_view(state, 0)
@@ -281,14 +281,14 @@ class TestPolicies:
 
     def test_sustainable_harvests_healthy_tree(self):
         grid = load_map("########\n#AAA...#\n#AAAS..#\n########")
-        state = make_world(grid, 1, NO_REGROWTH, seed=1)
+        state = make_world(grid, 1, NO_REGROWTH)
         view = build_view(state, 0)
         action = policy_action(PolicyKind.SUSTAINABLE, view, random.Random(0))
         assert action is Action.MOVE_LEFT
 
     def test_random_policy_is_uniform(self):
         grid = open_map()
-        state = make_world(grid, 1, NO_REGROWTH, seed=1)
+        state = make_world(grid, 1, NO_REGROWTH)
         view = build_view(state, 0)
         rng = random.Random(99)
         counts = Counter(policy_action(PolicyKind.RANDOM, view, rng)
@@ -300,7 +300,7 @@ class TestPolicies:
 
     def test_bot_heads_for_known_tree_sites(self):
         # apple is out of view (distance > 5) but the bot still closes in
-        state = make_world(corridor_map(), 1, NO_REGROWTH, seed=1)
+        state = make_world(corridor_map(), 1, NO_REGROWTH)
         state.agents[0].position = (1, 9)
         state.occupied = {(1, 9): 0}
         view = build_view(state, 0)
@@ -310,7 +310,7 @@ class TestPolicies:
 
     def test_view_radius_and_line_of_sight(self):
         grid = load_map("#######\n#A..#A#\n#..S..#\n#######")
-        state = make_world(grid, 1, NO_REGROWTH, seed=1)
+        state = make_world(grid, 1, NO_REGROWTH)
         state.agents[0].position = (1, 2)  # in line with both apples
         state.occupied = {(1, 2): 0}
         view = build_view(state, 0)
@@ -320,7 +320,7 @@ class TestPolicies:
         assert view.tree_stocks == (1, 1)
 
     def test_view_radius_limit(self):
-        state = make_world(corridor_map(), 1, NO_REGROWTH, seed=1)
+        state = make_world(corridor_map(), 1, NO_REGROWTH)
         assert build_view(state, 0).apples == {}  # apple is 6 cells away
         state.agents[0].position = (1, 6)
         state.occupied = {(1, 6): 0}
@@ -345,14 +345,14 @@ class TestWorldInvariants:
 
     def test_conservation_ledger(self):
         grid = load_default_map()
-        state = make_world(grid, 5, (0.0, 0.1, 0.2, 0.3), seed=7)
+        state = make_world(grid, 5, (0.0, 0.1, 0.2, 0.3))
         policies = {i: PolicyKind.GREEDY for i in range(5)}
         checks = self._run_ticks(state, policies, random.Random(7), 300)
         assert all(checks)
 
     def test_no_agents_means_non_decreasing_apples(self):
         grid = load_default_map()
-        state = make_world(grid, 0, (0.0, 0.3, 0.3, 0.3), seed=3)
+        state = make_world(grid, 0, (0.0, 0.3, 0.3, 0.3))
         # knock out a few apples so regrowth has room
         tree = state.trees[0]
         for i in range(3):
@@ -368,7 +368,7 @@ class TestWorldInvariants:
 
     def test_tree_death_is_permanent(self):
         grid = corridor_map()
-        state = make_world(grid, 0, (0.5, 0.5), seed=1)
+        state = make_world(grid, 0, (0.5, 0.5))
         tree = state.trees[0]
         tree.alive[0] = False
         del state.live_apples[tree.apple_cells[0]]
@@ -379,7 +379,7 @@ class TestWorldInvariants:
 
     def test_agents_never_share_a_cell(self):
         grid = load_default_map()
-        state = make_world(grid, 8, (0.0, 0.1), seed=11)
+        state = make_world(grid, 8, (0.0, 0.1))
         policies = {i: PolicyKind.RANDOM for i in range(8)}
         rng = random.Random(11)
         for _ in range(200):
@@ -392,7 +392,7 @@ class TestWorldInvariants:
 
     def test_same_seed_same_trajectory(self):
         def run():
-            state = make_world(load_default_map(), 5, (0.0, 0.005, 0.01, 0.025), seed=21)
+            state = make_world(load_default_map(), 5, (0.0, 0.005, 0.01, 0.025))
             rng = random.Random(21)
             history = []
             for _ in range(150):
