@@ -103,17 +103,14 @@ def _cmd_run(args) -> int:
     config = parse_scenario_config(args.config)
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
-    result = run_scenario(config)
+    result = run_scenario(config, keep_traces=args.traces)
     out_dir = Path(args.out)
     _emit_all(result, out_dir, args.format)
     export_indicators(result, out_dir)
     if args.traces:
-        from .harness import run_episode
         from .world import write_trace_jsonl
-        for k in range(config.episodes):
-            seed = config.base_seed + k
-            for label, with_events in (("performance", True), ("reference", False)):
-                trace = run_episode(config, seed, with_events)
+        for k, pair in enumerate(result.traces):
+            for label, trace in zip(("performance", "reference"), pair):
                 write_trace_jsonl(trace, out_dir / f"trace_{label}_ep{k}.jsonl")
     print(f"J = {result.report.assembled:.6f} "
           f"(L={result.report.event_count}, K={result.report.variable_count})")

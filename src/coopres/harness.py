@@ -1,10 +1,19 @@
 """Scenario execution: seeded episode pairs, experiment grids, reports.
 
-A scenario runs ``episodes`` seeded pairs of episodes — one with the
-event schedule live (performance) and one with it disabled (reference),
-both from the same seed so that agent stochasticity matches until the
-first event fires — then feeds the averaged indicator curves through the
-resilience pipeline.
+A scenario scores ``episodes`` seeded pairs of episodes — one with the
+event schedule live (performance) and one with it disabled (reference) —
+by feeding their averaged indicator curves through the resilience
+pipeline.
+
+One seed is the unit of work.  Both twins draw their agent decisions
+from the same seeded stream (common random numbers), so they agree tick
+for tick until the first trigger.  For each seed the reference episode
+is therefore simulated once and shared by every cell of a grid; it is
+snapshotted at the start of each cell's first trigger tick, and each
+performance episode continues from its snapshot with the reference's
+rows before it.  A cell with no events reuses the reference outright.
+Traces are reduced to indicator curves as soon as they are simulated,
+unless the caller keeps them.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .indicators import (
     EpisodeTrace,
     IndicatorConfig,
     compute_indicators,
+    consolidate,
     write_indicator_csv,
 )
 from .resilience import CurvePair, ResilienceReport, resilience_pipeline
@@ -36,6 +46,7 @@ from .world import (
     DEFAULT_REGROWTH_TABLE,
     GridMap,
     PolicyKind,
+    WorldState,
     build_view,
     load_map,
     make_world,
@@ -114,6 +125,8 @@ class ScenarioResult:
     per_episode_reference: list[dict[str, TimeSeries]]
     report: ResilienceReport
     per_episode_j: list[float | None]
+    # (performance, reference) per episode, only when the run was asked to keep them
+    traces: list[tuple[EpisodeTrace, EpisodeTrace]] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         d = self.report.to_json_dict()
@@ -122,34 +135,74 @@ class ScenarioResult:
         return d
 
 
-def run_episode(config: ScenarioConfig, seed: int, with_events: bool) -> EpisodeTrace:
+@dataclass(frozen=True)
+class Snapshot:
+    """An episode at the start of ``tick``, before that tick's events fire.
+
+    ``trace`` is the episode's own trace; its rows before ``tick`` are final.
+    """
+
+    tick: int
+    state: WorldState
+    rng_state: tuple
+    trace: EpisodeTrace
+
+
+def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
+                snapshots: dict[int, Snapshot | None] | None = None,
+                start: Snapshot | None = None) -> EpisodeTrace:
     """Step one seeded episode and record its trace.
 
-    The per-tick snapshot is taken after any events scheduled for that
-    tick have fired and before agents act, so tick 0 shows the pristine
-    world and an event's impact is visible from its trigger tick onward.
+    Each tick's row is recorded after any events scheduled for that tick
+    have fired and before agents act, so tick 0 shows the pristine world
+    and an event's impact is visible from its trigger tick onward.
+
+    ``snapshots`` lists ticks by its keys; the episode's state at the
+    start of each is stored under it.  ``start`` continues from such a
+    snapshot of the same seed, copying the rows before it.  That equals
+    stepping from tick 0 as long as none of the events triggers before
+    the snapshot's tick: the event stream is drawn from only at trigger
+    ticks, so it is still fresh there.
     """
     grid = _grid_for(config.map_text)
     rng = random.Random(seed)
     # Events draw from their own stream so that the with/without-events twin
     # runs keep identical agent stochasticity wherever the world state agrees.
     event_rng = random.Random(f"coopres-events-{seed}")
-    state = make_world(grid, config.n_agents, config.regrowth_table)
     engine = EventEngine(config.schedule) if with_events else None
 
     h = config.episode_length
     n = config.n_agents
-    n_trees = len(state.trees)
-    apples = np.zeros((h, n_trees), dtype=np.int32)
-    consumed = np.zeros((h, n), dtype=np.int64)
-    hunger = np.zeros((h, n), dtype=np.int64)
-    positions = np.zeros((h, n, 2), dtype=np.int32)
-    led_consumed = np.zeros(h, dtype=np.int64)
-    led_regrown = np.zeros(h, dtype=np.int64)
-    led_vanished = np.zeros(h, dtype=np.int64)
-    bot_records: list[list] = []
+    trace = EpisodeTrace(
+        n_agents=n, apples_per_tree=np.zeros((h, len(grid.trees)), dtype=np.int32),
+        consumed=np.zeros((h, n), dtype=np.int64),
+        hunger_ticks=np.zeros((h, n), dtype=np.int64),
+        ledger_consumed=np.zeros(h, dtype=np.int64),
+        ledger_regrown=np.zeros(h, dtype=np.int64),
+        ledger_event_vanished=np.zeros(h, dtype=np.int64),
+        positions=np.zeros((h, n, 2), dtype=np.int32))
+    if start is None:
+        t0 = 0
+        state = make_world(grid, n, config.regrowth_table)
+    else:
+        t0 = start.tick
+        if engine is not None and any(e.trigger_tick < t0 for e in config.schedule):
+            raise ValueError(f"cannot continue from tick {t0}: an event triggers before it")
+        state = start.state.copy()
+        rng.setstate(start.rng_state)
+        for name in ("apples_per_tree", "consumed", "hunger_ticks", "positions",
+                     "ledger_consumed", "ledger_regrown", "ledger_event_vanished"):
+            getattr(trace, name)[:t0] = getattr(start.trace, name)[:t0]
+        trace.bot_records.extend(start.trace.bot_records[:t0])
 
-    for t in range(h):
+    apples, consumed, hunger = trace.apples_per_tree, trace.consumed, trace.hunger_ticks
+    positions, bot_records = trace.positions, trace.bot_records
+    led_consumed, led_regrown = trace.ledger_consumed, trace.ledger_regrown
+    led_vanished = trace.ledger_event_vanished
+    for t in range(t0, h):
+        if snapshots is not None and t in snapshots:
+            snapshots[t] = Snapshot(tick=t, state=state.copy(), rng_state=rng.getstate(),
+                                    trace=trace)
         if engine is not None:
             engine.fire_events(state, t, event_rng)
 
@@ -174,51 +227,100 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool) -> Episode
             actions[agent_id] = policy_action(policy, build_view(state, agent_id), rng)
         step_world(state, actions, rng)
 
-    fired = tuple(engine.fired_triggers()) if engine is not None else ()
-    trace = EpisodeTrace(n_agents=n, apples_per_tree=apples, consumed=consumed,
-                         hunger_ticks=hunger, ledger_consumed=led_consumed,
-                         ledger_regrown=led_regrown, ledger_event_vanished=led_vanished,
-                         fired_triggers=fired, positions=positions,
-                         bot_records=bot_records)
+    trace.fired_triggers = tuple(engine.fired_triggers()) if engine is not None else ()
     trace.validate()
     return trace
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Run the paired episodes, consolidate curves, score resilience."""
-    config.validate()
-    ref_traces: list[EpisodeTrace] = []
-    perf_traces: list[EpisodeTrace] = []
-    for k in range(config.episodes):
-        seed = config.base_seed + k
-        ref_traces.append(run_episode(config, seed, with_events=False))
-        perf_traces.append(run_episode(config, seed, with_events=True))
+@dataclass
+class _Episode:
+    """One seed of one scenario, reduced to what scoring needs."""
 
+    performance: dict[str, TimeSeries]
+    reference: dict[str, TimeSeries]
+    fired_triggers: tuple[int, ...]
+    traces: tuple[EpisodeTrace, EpisodeTrace] | None = None
+
+
+def _run_seed(cells: list[tuple[tuple[int, int] | None, ScenarioConfig]], k: int,
+              keep_traces: bool = False) -> list[_Episode]:
+    """Episode ``k`` of every cell, which differ only in their schedules.
+
+    The reference is simulated once; each performance episode continues
+    from it at the cell's first trigger.  A failure raises ``RuntimeError``
+    naming the cell being run (the first while the reference runs), unless
+    the cell is ``None`` or the failure is a ``ConfigError``.
+    """
+    cell, config = cells[0]
+    seed = config.base_seed + k
     icfg = IndicatorConfig(names=config.indicators, h_max=config.h_max)
-    performance, per_ep_perf = compute_indicators(perf_traces, icfg)
-    reference, per_ep_ref = compute_indicators(ref_traces, icfg)
+
+    def curves(trace: EpisodeTrace) -> dict[str, TimeSeries]:
+        return compute_indicators([trace], icfg)[1][0]
+
+    snapshots: dict[int, Snapshot | None] = {
+        cfg.schedule.events[0].trigger_tick: None for _, cfg in cells if cfg.schedule.events}
+    episodes = []
+    try:
+        reference = run_episode(config, seed, with_events=False, snapshots=snapshots)
+        ref_curves = curves(reference)
+        for cell, cfg in cells:
+            if cfg.schedule.events:
+                performance = run_episode(cfg, seed, with_events=True,
+                                          start=snapshots[cfg.schedule.events[0].trigger_tick])
+                perf_curves = curves(performance)
+            else:
+                performance, perf_curves = reference, ref_curves
+            episodes.append(_Episode(perf_curves, ref_curves, performance.fired_triggers,
+                                     (performance, reference) if keep_traces else None))
+    except ConfigError:
+        raise
+    except Exception as exc:
+        if cell is None:
+            raise
+        raise RuntimeError(f"grid cell {cell} failed: {exc}") from exc
+    return episodes
+
+
+def _score(config: ScenarioConfig, episodes: list[_Episode]) -> ScenarioResult:
+    """Consolidate one scenario's episodes and score its resilience."""
+    per_ep_perf = [ep.performance for ep in episodes]
+    per_ep_ref = [ep.reference for ep in episodes]
+    performance = consolidate(per_ep_perf)
+    reference = consolidate(per_ep_ref)
 
     # Events that fired in any episode define the scenario's window layout;
     # with p_s = 1 this is simply the schedule.
-    triggers = sorted({t for trace in perf_traces for t in trace.fired_triggers})
+    triggers = sorted({t for ep in episodes for t in ep.fired_triggers})
     pairs = {name: CurvePair(performance=curve, reference=reference[name])
              for name, curve in performance.items()}
     report = resilience_pipeline(pairs, triggers)
 
     per_episode_j: list[float | None] = []
-    for k in range(config.episodes):
-        ep_triggers = perf_traces[k].fired_triggers
-        if not ep_triggers:
+    for ep in episodes:
+        if not ep.fired_triggers:
             per_episode_j.append(None)
             continue
-        ep_pairs = {name: CurvePair(performance=curve, reference=per_ep_ref[k][name])
-                    for name, curve in per_ep_perf[k].items()}
-        per_episode_j.append(resilience_pipeline(ep_pairs, ep_triggers).assembled)
+        ep_pairs = {name: CurvePair(performance=curve, reference=ep.reference[name])
+                    for name, curve in ep.performance.items()}
+        per_episode_j.append(resilience_pipeline(ep_pairs, ep.fired_triggers).assembled)
 
     return ScenarioResult(scenario_id=config.scenario_id, performance=performance,
                           reference=reference, per_episode_performance=per_ep_perf,
                           per_episode_reference=per_ep_ref, report=report,
-                          per_episode_j=per_episode_j)
+                          per_episode_j=per_episode_j,
+                          traces=[ep.traces for ep in episodes if ep.traces is not None])
+
+
+def run_scenario(config: ScenarioConfig, keep_traces: bool = False) -> ScenarioResult:
+    """Run the paired episodes, consolidate curves, score resilience.
+
+    With ``keep_traces`` the result also holds every episode's traces.
+    """
+    config.validate()
+    cells = [(None, config)]
+    return _score(config, [_run_seed(cells, k, keep_traces)[0]
+                           for k in range(config.episodes)])
 
 
 @dataclass
@@ -231,14 +333,14 @@ class ExperimentGrid:
     def validate(self) -> None:
         if not self.cells:
             raise ConfigError("experiment grid has no cells")
-        configs = list(self.cells.values())
-        first = configs[0]
-        for cfg in configs:
-            if (cfg.map_text, cfg.policies, cfg.base_seed) != (
-                    first.map_text, first.policies, first.base_seed):
+        # Cells share their reference episodes, so all else must agree.
+        cells = self.sorted_cells()
+        first = cells[0][1]
+        for cell, cfg in cells:
+            if replace(cfg, scenario_id=first.scenario_id, schedule=first.schedule) != first:
                 raise ConfigError(
-                    "grid cells must share map, policies and seeds; only the "
-                    "schedule may differ")
+                    f"grid cell {cell} must share every setting with the others; "
+                    "only the scenario id and the schedule may differ")
             cfg.validate()
 
     def sorted_cells(self) -> list[tuple[tuple[int, int], ScenarioConfig]]:
@@ -263,16 +365,15 @@ class GridResult:
         return [res for _, res in sorted(self.results.items())]
 
 
-def _run_cell(item: tuple[tuple[int, int], ScenarioConfig]):
-    cell, config = item
-    return cell, run_scenario(config)
-
-
 def run_grid(grid: ExperimentGrid, workers: int | None = None) -> GridResult:
-    """Run every cell of the grid; cells are independent.
+    """Run every cell of the grid, one seed at a time.
 
-    ``workers`` defaults to the COOPRES_THREADS environment variable
-    (sequential when unset).
+    Each seed's reference episode is simulated once and shared by all
+    cells (see the module docstring).  Seeds run in order, or spread
+    over at most ``workers`` processes; ``workers`` defaults to the
+    COOPRES_THREADS environment variable (sequential when unset).
+    Either way a failing episode raises ``RuntimeError`` naming its cell,
+    and a ``ConfigError`` passes through unchanged.
     """
     if workers is None:
         raw = os.environ.get("COOPRES_THREADS", "1")
@@ -283,27 +384,17 @@ def run_grid(grid: ExperimentGrid, workers: int | None = None) -> GridResult:
         if workers < 1:
             raise ConfigError(f"COOPRES_THREADS must be a positive integer, got {raw!r}")
     grid.validate()
-    items = grid.sorted_cells()
-    results: dict[tuple[int, int], ScenarioResult] = {}
+    cells = grid.sorted_cells()
+    seeds = range(cells[0][1].episodes)
+    run_seed = functools.partial(_run_seed, cells)
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_cell, item): item[0] for item in items}
-            for future in concurrent.futures.as_completed(futures):
-                cell = futures[future]
-                try:
-                    _, result = future.result()
-                except Exception as exc:
-                    raise RuntimeError(f"grid cell {cell} failed: {exc}") from exc
-                results[cell] = result
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, len(seeds))) as pool:
+            per_seed = list(pool.map(run_seed, seeds))
     else:
-        for item in items:
-            try:
-                cell, result = _run_cell(item)
-            except ConfigError:
-                raise
-            except Exception as exc:
-                raise RuntimeError(f"grid cell {item[0]} failed: {exc}") from exc
-            results[cell] = result
+        per_seed = [run_seed(k) for k in seeds]
+    results = {cell: _score(cfg, [episodes[i] for episodes in per_seed])
+               for i, (cell, cfg) in enumerate(cells)}
     return GridResult(grid_id=grid.grid_id, row_labels=grid.row_labels,
                       col_labels=grid.col_labels, results=results)
 

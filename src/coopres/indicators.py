@@ -165,9 +165,13 @@ def compute_indicators(
     selected = {name: fn for name, fn in INDICATORS.items() if name in config.names}
     per_episode = [{name: fn(t, config.h_max) for name, fn in selected.items()}
                    for t in traces]
-    consolidated = {name: pointwise_mean([curves[name] for curves in per_episode])
-                    for name in selected}
-    return consolidated, per_episode
+    return consolidate(per_episode), per_episode
+
+
+def consolidate(per_episode: Sequence[Mapping[str, TimeSeries]]) -> dict[str, TimeSeries]:
+    """Tick-wise mean of each indicator across episodes, in the episodes' key order."""
+    return {name: pointwise_mean([curves[name] for curves in per_episode])
+            for name in per_episode[0]}
 
 
 def write_indicator_csv(curves: Mapping[str, TimeSeries], path: str | Path) -> None:

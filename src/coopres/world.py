@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -233,6 +233,16 @@ class WorldState:
     def remove_apple(self, cell: Cell) -> None:
         tree = self.trees[self.live_apples.pop(cell)]
         tree.alive[tree.apple_cells.index(cell)] = False
+
+    def copy(self) -> "WorldState":
+        """An independent copy of the dynamic state; the static map is shared.
+
+        Dicts keep their insertion order, so a copy steps exactly like the
+        original under the same random stream.
+        """
+        return replace(self, trees=[t.copy() for t in self.trees],
+                       agents={i: replace(a) for i, a in self.agents.items()},
+                       live_apples=dict(self.live_apples), occupied=dict(self.occupied))
 
 
 def load_map(ascii_text: str) -> GridMap:

@@ -243,3 +243,11 @@ def test_output_bytes_pinned(preset, request, tmp_path):
     assert len(files) == count
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == report_digest
     assert everything.hexdigest() == all_digest
+
+
+@pytest.mark.parametrize("preset", sorted(OUTPUT_DIGESTS))
+def test_output_bytes_pinned_at_two_workers(preset, tmp_path):
+    build = {"table2": table2_preset, "bots": bots_preset}[preset]
+    emit_report(run_grid(build(), workers=2), "json", tmp_path / "report.json")
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == OUTPUT_DIGESTS[preset][1]

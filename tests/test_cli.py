@@ -7,7 +7,9 @@ import pytest
 
 import coopres.harness
 from coopres.cli import main
+from coopres.harness import parse_scenario_config, run_episode
 from coopres.timeseries import TimeSeries
+from coopres.world import write_trace_jsonl
 
 TINY_CONFIG = """\
 [events]
@@ -136,6 +138,24 @@ class TestRun:
                      "--traces"]) == 0
         assert (out / "trace_performance_ep0.jsonl").exists()
         assert (out / "trace_reference_ep1.jsonl").exists()
+
+    def test_traces_equal_standalone_episodes(self, tmp_path):
+        # Late events, the first a coin flip: each performance trace is
+        # continued from its reference at the first scheduled trigger.
+        path = tmp_path / "late.ini"
+        path.write_text("[events]\nschedule =\n    apple_vanish 120 0.6 0.5\n"
+                        "    bot_intrusion 150 20 2\n"
+                        "[pipeline]\nepisode_length = 220\nepisodes = 3\n")
+        config = parse_scenario_config(path)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out), "--traces"]) == 0
+        assert len(list(out.glob("trace_*.jsonl"))) == 2 * config.episodes
+        for k in range(config.episodes):
+            for label, with_events in (("performance", True), ("reference", False)):
+                alone = tmp_path / f"alone_{label}_ep{k}.jsonl"
+                write_trace_jsonl(run_episode(config, config.base_seed + k, with_events),
+                                  alone)
+                assert (out / f"trace_{label}_ep{k}.jsonl").read_bytes() == alone.read_bytes()
 
     def test_seed_override_changes_results(self, tiny_config, tmp_path):
         out_a, out_b, out_c = (tmp_path / d for d in ("a", "b", "c"))

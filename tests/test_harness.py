@@ -6,7 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import coopres.harness
 from coopres.disruptions import Event, EventKind, EventSchedule
 from coopres.harness import (
     ConfigError,
@@ -22,7 +25,12 @@ from coopres.harness import (
     run_scenario,
     table2_preset,
 )
+from coopres.indicators import EpisodeTrace
 from coopres.world import PolicyKind
+
+
+def _config_error_episode(*args, **kwargs):
+    raise ConfigError("episode refused")
 
 
 def vanish(trigger, v_s, p_s=1.0):
@@ -158,6 +166,68 @@ class TestRunEpisode:
         assert trace.consumed.shape == (120, cfg.n_agents)
 
 
+TRACE_ARRAYS = ("apples_per_tree", "consumed", "hunger_ticks", "ledger_consumed",
+                "ledger_regrown", "ledger_event_vanished", "positions")
+
+
+def assert_same_trace(a: EpisodeTrace, b: EpisodeTrace) -> None:
+    for name in TRACE_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert a.bot_records == b.bot_records
+    assert a.fired_triggers == b.fired_triggers
+
+
+class TestForkAtFirstTrigger:
+    """A performance episode continued from its reference's snapshot is the full episode."""
+
+    EVENTS = {
+        "vanish": lambda t, d: vanish(t, 0.6),
+        "vanish_coin": lambda t, d: vanish(t, 0.6, p_s=0.5),
+        "bots": lambda t, d: Event(kind=EventKind.BOT_INTRUSION, trigger_tick=t,
+                                   duration=d, bot_count=2),
+    }
+
+    @given(seed=st.integers(0, 10_000), t=st.integers(0, 148),
+           kind=st.sampled_from(sorted(EVENTS)), duration=st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    @example(seed=3, t=0, kind="vanish", duration=1)
+    @example(seed=3, t=0, kind="bots", duration=30)
+    @example(seed=1, t=70, kind="vanish_coin", duration=1)  # the coin flip fails
+    @example(seed=0, t=70, kind="vanish_coin", duration=1)  # the coin flip succeeds
+    def test_fork_equals_full_episode(self, seed, t, kind, duration):
+        cfg = quick_config(episode_length=150, schedule=EventSchedule(
+            events=[self.EVENTS[kind](t, duration)]))
+        snapshots = {t: None}
+        run_episode(cfg, seed, with_events=False, snapshots=snapshots)
+        forked = run_episode(cfg, seed, with_events=True, start=snapshots[t])
+        assert_same_trace(forked, run_episode(cfg, seed, with_events=True))
+
+    def test_examples_cover_both_coin_outcomes(self):
+        cfg = quick_config(episode_length=150,
+                           schedule=EventSchedule(events=[vanish(70, 0.6, p_s=0.5)]))
+        fired = {seed: run_episode(cfg, seed, with_events=True).fired_triggers
+                 for seed in (0, 1)}
+        assert fired == {0: (70,), 1: ()}
+
+    def test_two_forks_from_one_snapshot(self):
+        base = quick_config(episode_length=150)
+        cfgs = [replace(base, schedule=EventSchedule(events=[vanish(40, v)]))
+                for v in (0.9, 0.2)]
+        snapshots = {40: None}
+        run_episode(base, 6, with_events=False, snapshots=snapshots)
+        for cfg in cfgs:
+            assert_same_trace(run_episode(cfg, 6, with_events=True, start=snapshots[40]),
+                              run_episode(cfg, 6, with_events=True))
+
+    def test_fork_after_an_event_rejected(self):
+        cfg = quick_config(episode_length=150)  # vanish at 60
+        snapshots = {80: None}
+        run_episode(cfg, 2, with_events=False, snapshots=snapshots)
+        with pytest.raises(ValueError, match="triggers before"):
+            run_episode(cfg, 2, with_events=True, start=snapshots[80])
+
+
 class TestRunScenario:
     def test_zero_magnitude_events_score_one(self):
         cfg = quick_config(schedule=EventSchedule(events=[vanish(60, 0.0)]))
@@ -182,6 +252,15 @@ class TestRunScenario:
         assert len(result.per_episode_performance) == 1
         assert result.performance == result.per_episode_performance[0]
 
+    def test_kept_traces_are_the_scored_episodes(self):
+        cfg = quick_config(episode_length=150)
+        result = run_scenario(cfg, keep_traces=True)
+        assert len(result.traces) == cfg.episodes
+        for k, (perf, ref) in enumerate(result.traces):
+            assert_same_trace(perf, run_episode(cfg, cfg.base_seed + k, with_events=True))
+            assert_same_trace(ref, run_episode(cfg, cfg.base_seed + k, with_events=False))
+        assert run_scenario(cfg).traces == []
+
     def test_seed_discipline(self):
         cfg = quick_config()
         a = run_scenario(cfg)
@@ -189,6 +268,18 @@ class TestRunScenario:
         assert a.report.to_json_dict() == b.report.to_json_dict()
         assert a.per_episode_j == b.per_episode_j
         assert a.performance == b.performance
+
+
+# A valid value of each setting other than quick_config's.
+OTHER_SETTINGS = {
+    "episode_length": 301,
+    "episodes": 3,
+    "regrowth_table": (0.0, 0.01, 0.02, 0.05),
+    "h_max": 50,
+    "indicators": ("apples_pc", "hunger_index"),
+    "policies": (PolicyKind.GREEDY,) * 5,
+    "map_text": "#########\n#1SSSSS.#\n#########\n",
+}
 
 
 class TestGrids:
@@ -215,6 +306,23 @@ class TestGrids:
                               col_labels=["a", "b"], cells=cells)
         with pytest.raises(ConfigError, match="share"):
             grid.validate()
+
+    @pytest.mark.parametrize("field", sorted(OTHER_SETTINGS))
+    def test_cells_must_share_every_setting(self, field):
+        base = quick_config()
+        other = replace(base, scenario_id="other", **{field: OTHER_SETTINGS[field]})
+        other.validate()
+        grid = ExperimentGrid(grid_id="bad", row_labels=["r"], col_labels=["a", "b"],
+                              cells={(0, 0): base, (0, 1): other})
+        with pytest.raises(ConfigError, match="share"):
+            grid.validate()
+
+    def test_cells_may_differ_in_id_and_schedule(self):
+        base = quick_config()
+        cells = {(0, 0): base,
+                 (0, 1): replace(base, scenario_id="quiet", schedule=EventSchedule())}
+        ExperimentGrid(grid_id="ok", row_labels=["r"], col_labels=["a", "b"],
+                       cells=cells).validate()
 
     def test_single_cell_grid(self):
         grid = ExperimentGrid(grid_id="solo", row_labels=["r"], col_labels=["c"],
@@ -245,6 +353,25 @@ class TestGrids:
                               cells={(0, 0): bad})
         with pytest.raises(RuntimeError, match=r"\(0, 0\)"):
             run_grid(grid)
+
+    def test_runtime_failure_in_a_worker_carries_cell_coordinates(self):
+        base = quick_config(episode_length=150)
+        bad = replace(base, scenario_id="bad", schedule=EventSchedule(events=[
+            Event(kind=EventKind.BOT_INTRUSION, trigger_tick=10, duration=20,
+                  bot_count=8)]))
+        grid = ExperimentGrid(grid_id="boom", row_labels=["r"], col_labels=["a", "b"],
+                              cells={(0, 0): base, (0, 1): bad})
+        with pytest.raises(RuntimeError, match=r"grid cell \(0, 1\) failed: bot intrusion"):
+            run_grid(grid, workers=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_config_error_passes_through(self, monkeypatch, workers):
+        # Pool workers are forked, so they run the patched episode too.
+        monkeypatch.setattr(coopres.harness, "run_episode", _config_error_episode)
+        grid = ExperimentGrid(grid_id="cfg", row_labels=["r"], col_labels=["c"],
+                              cells={(0, 0): quick_config()})
+        with pytest.raises(ConfigError, match="^episode refused$"):
+            run_grid(grid, workers=workers)
 
     def test_parallel_workers_match_sequential(self):
         base = quick_config(episode_length=150, episodes=1)

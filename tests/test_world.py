@@ -405,6 +405,31 @@ class TestWorldInvariants:
 
         assert run() == run()
 
+    def test_copy_steps_like_the_original_and_shares_nothing_mutable(self):
+        state = make_world(load_default_map(), 5, (0.0, 0.05, 0.1, 0.2))
+        rng = random.Random(8)
+        # Sustainable foragers keep every tree alive, so the stock keeps changing.
+        self._run_ticks(state, {i: PolicyKind.SUSTAINABLE for i in range(5)}, rng, 40)
+        twin = state.copy()
+        assert twin.grid is state.grid
+
+        def run(world, rng_state):
+            stream = random.Random()
+            stream.setstate(rng_state)
+            history = []
+            for _ in range(120):
+                actions = {i: policy_action(PolicyKind.SUSTAINABLE, build_view(world, i),
+                                            stream)
+                           for i in sorted(world.agents)}
+                step_world(world, actions, stream)
+                history.append((dict(world.occupied), dict(world.live_apples),
+                                [list(t.alive) for t in world.trees], world.total_consumed))
+            return history
+
+        # The twin runs first: any state it shared would change the original's run.
+        rng_state = rng.getstate()
+        assert run(twin, rng_state) == run(state, rng_state)
+
 
 class TestTraceExport:
     def test_jsonl_round_trip(self, tmp_path):
