@@ -206,13 +206,11 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
         if engine is not None:
             engine.fire_events(state, t, event_rng)
 
-        for j, tree in enumerate(state.trees):
-            apples[t, j] = tree.live_count()
-        for i in range(n):
-            agent = state.agents[i]
-            consumed[t, i] = agent.cumulative_consumed
-            hunger[t, i] = agent.ticks_since_meal
-            positions[t, i] = agent.position
+        apples[t] = [tree.live for tree in state.trees]
+        welfare = [state.agents[i] for i in range(n)]
+        consumed[t] = [a.cumulative_consumed for a in welfare]
+        hunger[t] = [a.ticks_since_meal for a in welfare]
+        positions[t] = [a.position for a in welfare]
         led_consumed[t] = state.total_consumed
         led_regrown[t] = state.total_regrown
         led_vanished[t] = state.total_event_vanished

@@ -109,12 +109,12 @@ class ResilienceReport:
             fh.write("\n")
 
 
-def partition_windows(schedule: Iterable[int], horizon: int) -> list[Window]:
-    """Split ``[0, horizon)`` into one window per event.
+def partition_windows(schedule: Iterable[int], horizon: int, t0: int = 0) -> list[Window]:
+    """Split ``[t0, t0 + horizon)`` into one window per event.
 
-    Window l runs from the previous window's end (0 for the first) to the
-    next event's trigger (the horizon for the last), so each window
-    contains exactly one trigger.
+    Window l runs from the previous window's end (``t0`` for the first) to
+    the next event's trigger (the end of the range for the last), so each
+    window contains exactly one trigger.
     """
     triggers = [int(t) for t in schedule]
     if not triggers:
@@ -124,9 +124,10 @@ def partition_windows(schedule: Iterable[int], horizon: int) -> list[Window]:
             raise ValueError(f"two events share trigger tick {cur}")
         if cur < prev:
             raise ValueError("schedule must be sorted by trigger tick")
-    if triggers[0] < 0 or triggers[-1] >= horizon:
-        raise ValueError(f"triggers must lie in [0, {horizon}), got {triggers}")
-    bounds = [0] + triggers[1:] + [horizon]
+    end = t0 + horizon
+    if triggers[0] < t0 or triggers[-1] >= end:
+        raise ValueError(f"triggers must lie in [{t0}, {end}), got {triggers}")
+    bounds = [t0] + triggers[1:] + [end]
     return [Window(bounds[i], bounds[i + 1]) for i in range(len(triggers))]
 
 
@@ -239,15 +240,16 @@ def detect_triggers(pair: CurvePair, threshold: float = 0.95,
     """Threshold-based incident detector for curves without a known schedule.
 
     Returns the ticks where the per-tick performance/reference ratio
-    crosses from ``>= threshold`` to ``< threshold``.
+    crosses from ``>= threshold`` to ``< threshold``, and the first tick
+    if the ratio starts below it.
     """
     ratios = guarded_ratio(pair.performance.values, pair.reference.values, eps, cap)
     below = ratios < threshold
     crossings = np.flatnonzero(below[1:] & ~below[:-1]) + 1
-    triggers = list(int(t) for t in crossings)
     if below[0]:
-        triggers.insert(0, 0)
-    return triggers
+        crossings = np.concatenate(([0], crossings))
+    t0 = pair.performance.t0
+    return [t0 + int(i) for i in crossings]
 
 
 def resilience_pipeline(pairs: Mapping[str, CurvePair], schedule: Iterable[int],
@@ -255,18 +257,19 @@ def resilience_pipeline(pairs: Mapping[str, CurvePair], schedule: Iterable[int],
     """Run window partitioning, event scoring, folding and assembly.
 
     ``schedule`` is the ordered trigger ticks of the events that actually
-    occurred.
+    occurred, on the curves' tick axis: the windows cover the ticks
+    ``[t0, t0 + horizon)`` that the curves hold.
     """
     if not pairs:
         raise ValueError("resilience_pipeline needs at least one variable")
-    horizons = {p.horizon for p in pairs.values()}
-    if len(horizons) != 1:
-        raise ValueError(f"curve pairs disagree on horizon: {sorted(horizons)}")
-    horizon = horizons.pop()
+    spans = {(p.performance.t0, p.horizon) for p in pairs.values()}
+    if len(spans) != 1:
+        raise ValueError(f"curve pairs disagree on (t0, horizon): {sorted(spans)}")
+    t0, horizon = spans.pop()
     triggers = [int(t) for t in schedule]
     if not triggers:
         raise ValueError("no disruptive events: the pipeline needs at least one trigger")
-    windows = partition_windows(triggers, horizon)
+    windows = partition_windows(triggers, horizon, t0)
     per_variable: dict[str, VariableResilience] = {}
     folded_scores: dict[str, float] = {}
     for name, pair in pairs.items():

@@ -86,13 +86,24 @@ class PolicyKind(Enum):
 
 @dataclass
 class Tree:
+    """A fixed group of apple cells, ``alive[i]`` telling whether cell i bears one.
+
+    ``live`` counts the true entries of ``alive``.  Within a world it is
+    kept by ``WorldState.remove_apple`` and ``WorldState.revive_apple``,
+    which must be the only writers of ``alive``.
+    """
+
     id: int
     apple_cells: tuple[Cell, ...]
     alive: list[bool]
     vanished: bool = False
+    live: int = field(init=False)
+
+    def __post_init__(self):
+        self.live = sum(self.alive)
 
     def live_count(self) -> int:
-        return sum(self.alive)
+        return self.live
 
     def copy(self) -> "Tree":
         return Tree(id=self.id, apple_cells=self.apple_cells,
@@ -102,9 +113,11 @@ class Tree:
 class GridMap:
     """Static geometry of a map: walls, tree layout, spawn and respawn cells.
 
-    Also owns a lazily built all-pairs shortest-path table over floor
-    cells, which the scripted policies use as their knowledge of the
-    (static) map layout.
+    Also owns two lazily built tables over floor cells.  The all-pairs
+    shortest-path table is the scripted policies' knowledge of the
+    (static) map layout.  The visibility table lists, for each floor
+    cell, the apple cells an agent standing there can see: within
+    ``VIEW_RADIUS`` in both axes and in line of sight.
     """
 
     def __init__(self, width: int, height: int, walls: frozenset[Cell],
@@ -119,15 +132,17 @@ class GridMap:
         self._floor_index = {cell: i for i, cell in enumerate(self.floor)}
         self.respawn_zone = self._compute_respawn_zone()
         self._dist: np.ndarray | None = None
+        self._visible: dict[Cell, tuple[tuple[Cell, int], ...]] | None = None
 
-        apple_cells: set[Cell] = set()
-        for tree in trees:
-            for cell in tree.apple_cells:
+        # apple cell -> (tree index, slot in the tree's apple_cells)
+        self.apple_slots: dict[Cell, tuple[int, int]] = {}
+        for idx, tree in enumerate(trees):
+            for i, cell in enumerate(tree.apple_cells):
                 if cell in walls:
                     raise ValueError(f"apple cell {cell} is a wall")
-                if cell in apple_cells:
+                if cell in self.apple_slots:
                     raise ValueError(f"apple cell {cell} belongs to two trees")
-                apple_cells.add(cell)
+                self.apple_slots[cell] = (idx, i)
 
     def is_wall(self, cell: Cell) -> bool:
         r, c = cell
@@ -195,6 +210,24 @@ class GridMap:
             self._dist = self._build_distance_table()
         return int(self._dist[ia, ib])
 
+    def _build_visibility_table(self) -> dict[Cell, tuple[tuple[Cell, int], ...]]:
+        # One (cell, tree index) tuple per apple cell, shared by every entry.
+        pairs = [(cell, idx) for cell, (idx, _) in self.apple_slots.items()]
+        table = {}
+        for a in self.floor:
+            r0, c0 = a
+            table[a] = tuple(
+                pair for pair, cell in zip(pairs, self.apple_slots)
+                if abs(cell[0] - r0) <= VIEW_RADIUS and abs(cell[1] - c0) <= VIEW_RADIUS
+                and line_of_sight(self, a, cell))
+        return table
+
+    def visible_apple_cells(self, cell: Cell) -> tuple[tuple[Cell, int], ...]:
+        """(apple cell, tree index) pairs an agent on floor ``cell`` can see."""
+        if self._visible is None:
+            self._visible = self._build_visibility_table()
+        return self._visible[cell]
+
 
 @dataclass
 class AgentState:
@@ -231,8 +264,22 @@ class WorldState:
         return [a for a in self.agents.values() if a.is_bot]
 
     def remove_apple(self, cell: Cell) -> None:
-        tree = self.trees[self.live_apples.pop(cell)]
-        tree.alive[tree.apple_cells.index(cell)] = False
+        """Take the live apple off ``cell``."""
+        idx, i = self.grid.apple_slots[cell]
+        del self.live_apples[cell]
+        tree = self.trees[idx]
+        tree.alive[i] = False
+        tree.live -= 1
+
+    def revive_apple(self, cell: Cell) -> None:
+        """Put an apple back on the dead apple cell ``cell``."""
+        idx, i = self.grid.apple_slots[cell]
+        tree = self.trees[idx]
+        if tree.alive[i]:
+            raise ValueError(f"apple cell {cell} already bears an apple")
+        tree.alive[i] = True
+        tree.live += 1
+        self.live_apples[cell] = idx
 
     def copy(self) -> "WorldState":
         """An independent copy of the dynamic state; the static map is shared.
@@ -343,27 +390,27 @@ def regrow(state: WorldState, rng: random.Random) -> WorldState:
     """Stock-dependent apple regrowth; a fully stripped tree is dead for good.
 
     Each dead cell of a living tree revives independently with the
-    probability keyed by the tree's current live-apple count.  Cells under
-    an agent do not regrow.
+    probability keyed by the tree's live-apple count at the start of the
+    tick.  Cells under an agent do not regrow.  A full tree has no dead
+    cell and is skipped; either way it draws nothing from ``rng``.
     """
     table = state.regrowth_table
     top = len(table) - 1
-    for idx, tree in enumerate(state.trees):
+    for tree in state.trees:
         if tree.vanished:
             continue
-        live = tree.live_count()
+        live = tree.live
         if live == 0:
             tree.vanished = True
             continue
         p = table[min(live, top)]
-        if p <= 0.0:
+        if p <= 0.0 or live == len(tree.alive):
             continue
         for i, cell in enumerate(tree.apple_cells):
             if tree.alive[i] or cell in state.occupied:
                 continue
             if rng.random() < p:
-                tree.alive[i] = True
-                state.live_apples[cell] = idx
+                state.revive_apple(cell)
                 state.total_regrown += 1
     return state
 
@@ -478,8 +525,8 @@ def line_of_sight(grid: GridMap, a: Cell, b: Cell) -> bool:
 class LocalView:
     """What one agent can observe: a radius-limited egocentric crop.
 
-    ``apples`` maps visible live apple cells (within the crop and in line
-    of sight) to the live-apple count of the tree they belong to.
+    ``apples`` maps visible live apple cells (within ``VIEW_RADIUS`` and in
+    line of sight) to the live-apple count of the tree they belong to.
     ``tree_stocks`` is the coarse per-tree stock vector; only the intruder
     bots act on it.  ``grid`` exposes static map knowledge (walls, tree
     sites, walking distances).
@@ -487,28 +534,31 @@ class LocalView:
 
     position: Cell
     orientation: Orientation
-    radius: int
     apples: dict[Cell, int]
     occupied: frozenset[Cell]
     tree_stocks: tuple[int, ...]
     grid: GridMap
 
 
-def build_view(state: WorldState, agent_id: int, radius: int = VIEW_RADIUS) -> LocalView:
+def build_view(state: WorldState, agent_id: int) -> LocalView:
+    """The view of one agent.
+
+    Which apple cells the agent can see is read from the map's visibility
+    table; of those, the cells with a live apple enter ``apples``, in
+    table order.
+    """
     agent = state.agents[agent_id]
     r0, c0 = agent.position
-    live_counts = [t.live_count() for t in state.trees]
-    apples = {}
-    for cell, tree_idx in state.live_apples.items():
-        if (abs(cell[0] - r0) <= radius and abs(cell[1] - c0) <= radius
-                and line_of_sight(state.grid, agent.position, cell)):
-            apples[cell] = live_counts[tree_idx]
+    stocks = tuple([t.live for t in state.trees])
+    live = state.live_apples
+    apples = {cell: stocks[idx] for cell, idx in state.grid.visible_apple_cells(agent.position)
+              if cell in live}
     occupied = frozenset(
         cell for cell, aid in state.occupied.items()
-        if aid != agent_id and abs(cell[0] - r0) <= radius and abs(cell[1] - c0) <= radius)
+        if aid != agent_id and abs(cell[0] - r0) <= VIEW_RADIUS
+        and abs(cell[1] - c0) <= VIEW_RADIUS)
     return LocalView(position=agent.position, orientation=agent.orientation,
-                     radius=radius, apples=apples, occupied=occupied,
-                     tree_stocks=tuple(live_counts), grid=state.grid)
+                     apples=apples, occupied=occupied, tree_stocks=stocks, grid=state.grid)
 
 
 _MOVE_ORDER = (Action.MOVE_UP, Action.MOVE_DOWN, Action.MOVE_LEFT, Action.MOVE_RIGHT)

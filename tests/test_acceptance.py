@@ -153,8 +153,7 @@ def test_criterion_5_vanish_event_constraint():
     for _ in range(trials):
         for i, cell in enumerate(tree.apple_cells):
             if not tree.alive[i]:
-                tree.alive[i] = True
-                state.live_apples[cell] = 0
+                state.revive_apple(cell)
         apply_apple_vanish(state, 0.7, rng)
         live = tree.live_count()
         ok &= live >= 1

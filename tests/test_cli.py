@@ -108,6 +108,36 @@ class TestMeasure:
         assert err.startswith("error:input:") and "finite" in err and "p.csv" in err
         assert not out.exists()
 
+    def test_curves_starting_at_tick_5(self, tmp_path):
+        # 20 rows on ticks 5..24; the trigger at tick 22 lies inside the data.
+        p = [1.0] * 17 + [0.5, 0.6, 0.9]
+        reports = {}
+        for t0, trigger in ((5, 22), (0, 17)):
+            run_dir = tmp_path / f"t0_{t0}"
+            run_dir.mkdir()
+            p_path, r_path = run_dir / "p.csv", run_dir / "r.csv"
+            TimeSeries(p, t0=t0).to_csv(p_path)
+            TimeSeries([1.0] * 20, t0=t0).to_csv(r_path)
+            (run_dir / "sched.txt").write_text(f"{trigger}\n")
+            out = run_dir / "report.json"
+            assert main(["measure", "--performance", str(p_path), "--reference",
+                         str(r_path), "--schedule", str(run_dir / "sched.txt"),
+                         "--out", str(out)]) == 0
+            reports[t0] = json.loads(out.read_text())
+        event = reports[5]["per_variable"]["value"]["events"][0]
+        assert (event["window_start"], event["t_i"], event["t_f"], event["t_r"]) == (5, 22, 22, 24)
+        assert reports[5]["J"] == reports[0]["J"] < 1.0
+
+    def test_detected_triggers_on_curves_starting_at_tick_5(self, tmp_path):
+        p_path, r_path = tmp_path / "p.csv", tmp_path / "r.csv"
+        TimeSeries([1.0] * 10 + [0.4] * 10, t0=5).to_csv(p_path)
+        TimeSeries([1.0] * 20, t0=5).to_csv(r_path)
+        out = tmp_path / "report.json"
+        assert main(["measure", "--performance", str(p_path), "--reference", str(r_path),
+                     "--out", str(out)]) == 0
+        event = json.loads(out.read_text())["per_variable"]["value"]["events"][0]
+        assert (event["window_start"], event["t_i"], event["t_r"]) == (5, 15, 24)
+
     def test_quiet_curves_without_schedule_fail(self, tmp_path, capsys):
         p_path, r_path = write_curves(tmp_path, [1.0] * 50, [1.0] * 50)
         code = main(["measure", "--performance", str(p_path), "--reference", str(r_path),

@@ -87,9 +87,8 @@ class TestAppleVanish:
     def test_vanished_trees_untouched(self):
         state = fresh_state()
         tree = state.trees[0]
-        for i, cell in enumerate(tree.apple_cells):
-            tree.alive[i] = False
-            del state.live_apples[cell]
+        for cell in tree.apple_cells:
+            state.remove_apple(cell)
         tree.vanished = True
         apply_apple_vanish(state, 1.0, random.Random(0))
         assert tree.live_count() == 0
@@ -113,8 +112,7 @@ class TestAppleVanish:
         for _ in range(trials):
             for i, cell in enumerate(tree.apple_cells):
                 if not tree.alive[i]:
-                    tree.alive[i] = True
-                    state.live_apples[cell] = 0
+                    state.revive_apple(cell)
             apply_apple_vanish(state, v_s, rng)
             total += tree.live_count()
         mean = total / trials

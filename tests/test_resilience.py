@@ -78,6 +78,15 @@ class TestPartitionWindows:
         with pytest.raises(ValueError):
             partition_windows([1500], 1500)
 
+    def test_windows_lie_on_the_curves_ticks(self):
+        assert partition_windows([22], 20, t0=5) == [Window(5, 25)]
+        assert partition_windows([8, 22], 20, t0=5) == [Window(5, 22), Window(22, 25)]
+
+    @pytest.mark.parametrize("trigger", [4, 25])
+    def test_trigger_outside_the_curves_ticks_rejected(self, trigger):
+        with pytest.raises(ValueError, match=r"\[5, 25\)"):
+            partition_windows([trigger], 20, t0=5)
+
 
 class TestDetectMilestones:
     def test_identical_curves_fail_at_incident(self):
@@ -292,6 +301,11 @@ class TestDetectTriggers:
         p = [0.5] * 10 + [1.0] * 10
         assert detect_triggers(pair_from(p, [1.0] * 20)) == [0]
 
+    def test_ticks_count_from_t0(self):
+        p = [0.5] * 5 + [1.0] * 5 + [0.5] * 10
+        pair = CurvePair(performance=TimeSeries(p, t0=7), reference=TimeSeries([1.0] * 20, t0=7))
+        assert detect_triggers(pair) == [7, 17]
+
 
 class TestPipeline:
     def test_identity_end_to_end(self):
@@ -304,6 +318,40 @@ class TestPipeline:
             for vr in report.per_variable.values():
                 for ev in vr.events:
                     assert abs(ev.j_value - 1.0) <= 1e-9
+
+    @given(data=st.data(), shift=st.integers(min_value=1, max_value=10_000))
+    @settings(max_examples=200)
+    def test_shifting_t0_and_triggers_leaves_j_unchanged(self, data, shift):
+        horizon = data.draw(st.integers(min_value=4, max_value=80))
+        level = st.integers(min_value=0, max_value=1000).map(lambda k: k / 100)
+        curve = st.lists(level, min_size=horizon, max_size=horizon)
+        curves = {name: (data.draw(curve), data.draw(curve)) for name in ("a", "b")}
+        triggers = []
+        for t in sorted(data.draw(st.sets(st.integers(1, horizon - 2), min_size=1,
+                                          max_size=4))):
+            if not triggers or t - triggers[-1] >= 2:  # windows of at least 2 ticks
+                triggers.append(t)
+
+        def score(t0):
+            pairs = {n: CurvePair(performance=TimeSeries(p, t0=t0),
+                                  reference=TimeSeries(r, t0=t0))
+                     for n, (p, r) in curves.items()}
+            return resilience_pipeline(pairs, [t + t0 for t in triggers])
+
+        base, shifted = score(0), score(shift)
+        assert shifted.assembled == base.assembled
+        for name, vr in base.per_variable.items():
+            for ev, moved in zip(vr.events, shifted.per_variable[name].events):
+                assert moved.j_value == ev.j_value
+                m, mm = ev.milestones, moved.milestones
+                assert (mm.window_start, mm.t_i, mm.t_f, mm.t_r) == (
+                    m.window_start + shift, m.t_i + shift, m.t_f + shift, m.t_r + shift)
+
+    def test_mismatched_t0_rejected(self):
+        a = CurvePair(performance=TimeSeries([1.0] * 20, t0=5),
+                      reference=TimeSeries([1.0] * 20, t0=5))
+        with pytest.raises(ValueError, match="t0"):
+            resilience_pipeline({"a": a, "b": flat_pair(20)}, [10])
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError, match="no disruptive events"):

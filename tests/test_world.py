@@ -5,10 +5,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coopres.disruptions import apply_apple_vanish
 from coopres.world import (
     ACTIONS,
+    VIEW_RADIUS,
     Action,
+    AgentState,
     Orientation,
     PolicyKind,
     build_view,
@@ -208,9 +213,7 @@ class TestRegrow:
         state = make_world(grid, 0, table)
         tree = state.trees[0]
         for i in range(live_cells, 6):
-            cell = tree.apple_cells[i]
-            tree.alive[i] = False
-            del state.live_apples[cell]
+            state.remove_apple(tree.apple_cells[i])
         return state, tree
 
     def test_vanished_tree_never_regrows(self):
@@ -238,8 +241,8 @@ class TestRegrow:
         dead_cells = [i for i in range(6) if not tree.alive[i]]
         for _ in range(trials):
             for i in dead_cells:
-                tree.alive[i] = False
-                state.live_apples.pop(tree.apple_cells[i], None)
+                if tree.alive[i]:
+                    state.remove_apple(tree.apple_cells[i])
             state.total_regrown = 0
             regrow(state, rng)
             revived += state.total_regrown
@@ -356,8 +359,7 @@ class TestWorldInvariants:
         # knock out a few apples so regrowth has room
         tree = state.trees[0]
         for i in range(3):
-            tree.alive[i] = False
-            del state.live_apples[tree.apple_cells[i]]
+            state.remove_apple(tree.apple_cells[i])
         rng = random.Random(3)
         last = state.live_apple_total()
         for _ in range(200):
@@ -370,8 +372,7 @@ class TestWorldInvariants:
         grid = corridor_map()
         state = make_world(grid, 0, (0.5, 0.5))
         tree = state.trees[0]
-        tree.alive[0] = False
-        del state.live_apples[tree.apple_cells[0]]
+        state.remove_apple(tree.apple_cells[0])
         rng = random.Random(1)
         for _ in range(100):
             regrow(state, rng)
@@ -450,3 +451,107 @@ class TestTraceExport:
     def test_jsonl_requires_positions(self, flat_trace):
         with pytest.raises(ValueError, match="positions"):
             write_trace_jsonl(flat_trace, "/tmp/never-written.jsonl")
+
+
+WALLED_MAP = load_map("##############\n"
+                      "#AA..#...11..#\n"
+                      "#AA..#.......#\n"
+                      "#....###..#..#\n"
+                      "#.S.......#22#\n"
+                      "#..#..A...#22#\n"
+                      "#..#......S..#\n"
+                      "#333...##....#\n"
+                      "##############")
+
+
+def scanned_view(state, agent_id, radius=VIEW_RADIUS):
+    """The view as a scan over every live apple; the reference for ``build_view``."""
+    agent = state.agents[agent_id]
+    r0, c0 = agent.position
+    live_counts = [sum(t.alive) for t in state.trees]
+    apples = {}
+    for cell, tree_idx in state.live_apples.items():
+        if (abs(cell[0] - r0) <= radius and abs(cell[1] - c0) <= radius
+                and line_of_sight(state.grid, agent.position, cell)):
+            apples[cell] = live_counts[tree_idx]
+    occupied = frozenset(
+        cell for cell, aid in state.occupied.items()
+        if aid != agent_id and abs(cell[0] - r0) <= radius and abs(cell[1] - c0) <= radius)
+    return apples, occupied, tuple(live_counts)
+
+
+def assert_stocks_consistent(state):
+    for idx, tree in enumerate(state.trees):
+        entries = sum(1 for i in state.live_apples.values() if i == idx)
+        assert tree.live_count() == sum(tree.alive) == entries
+        assert [cell in state.live_apples for cell in tree.apple_cells] == tree.alive
+
+
+class TestVisibilityTable:
+    @pytest.mark.parametrize("grid", [load_default_map(), WALLED_MAP],
+                             ids=["default", "walled"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_view_equals_scan_over_live_apples(self, grid, data):
+        state = make_world(grid, 0, NO_REGROWTH)
+        apple_cells = sorted(grid.apple_slots)
+        for cell in data.draw(st.sets(st.sampled_from(apple_cells))):
+            state.remove_apple(cell)
+        floor = [c for c in grid.floor if c not in state.live_apples]
+        positions = data.draw(st.lists(st.sampled_from(floor), min_size=1, max_size=6,
+                                       unique=True))
+        for i, pos in enumerate(positions):
+            state.agents[i] = AgentState(id=i, position=pos)
+            state.occupied[pos] = i
+        for i in state.agents:
+            view = build_view(state, i)
+            assert (view.apples, view.occupied, view.tree_stocks) == scanned_view(state, i)
+
+    def test_line_of_sight_runs_once_per_cell_pair(self, monkeypatch):
+        import coopres.world as world
+
+        calls = Counter()
+
+        def counted(grid, a, b):
+            calls[a, b] += 1
+            return line_of_sight(grid, a, b)
+
+        monkeypatch.setattr(world, "line_of_sight", counted)
+        grid = load_map(world.DEFAULT_MAP)
+        state = make_world(grid, 5, NO_REGROWTH)
+        for _ in range(3):
+            for i in state.agents:
+                build_view(state, i)
+        assert calls and set(calls.values()) == {1}
+
+
+class TestTreeStock:
+    def test_revive_of_a_live_apple_rejected(self):
+        state = make_world(corridor_map(), 0, NO_REGROWTH)
+        with pytest.raises(ValueError, match="already bears"):
+            state.revive_apple((1, 1))
+
+    @given(seed=st.integers(0, 2 ** 16),
+           ops=st.lists(st.sampled_from(["step", "regrow", "vanish", "copy"]), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_live_count_follows_every_mutation(self, seed, ops):
+        state = make_world(load_default_map(), 5, (0.0, 0.3, 0.3, 0.3))
+        rng = random.Random(seed)
+        policies = (PolicyKind.GREEDY, PolicyKind.RANDOM) * 3
+        states = [state]
+        for op in ops:
+            if op == "step":
+                actions = {i: policy_action(policies[i], build_view(state, i), rng)
+                           for i in sorted(state.agents)}
+                step_world(state, actions, rng)
+            elif op == "regrow":
+                regrow(state, rng)
+            elif op == "vanish":
+                apply_apple_vanish(state, rng.random(), rng)
+            else:
+                state = state.copy()
+                states.append(state)
+            assert_stocks_consistent(state)
+        # A copy that shared trees with its original would break the original's counts.
+        for world in states:
+            assert_stocks_consistent(world)
