@@ -8,7 +8,7 @@ score in [0, 1].  Ships with a self-contained commons-harvest grid-world
 simulator and two families of disruptive events for end-to-end studies.
 """
 
-from .indicators import EpisodeTrace, IndicatorConfig, compute_indicators
+from .indicators import EpisodeTrace, compute_indicators
 from .resilience import (
     CurvePair,
     EventResilience,
@@ -27,7 +27,6 @@ __all__ = [
     "CurvePair",
     "EpisodeTrace",
     "EventResilience",
-    "IndicatorConfig",
     "Milestones",
     "ResilienceReport",
     "TimeSeries",

@@ -7,26 +7,23 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import world
 from .disruptions import EventKind
 from .harness import (
     PRESETS,
     ConfigError,
-    emit_report,
-    export_indicators,
+    GridResult,
     parse_scenario_config,
     run_grid,
     run_scenario,
 )
+from .report import check_formats, emit_report, export_indicators
 from .resilience import CurvePair, detect_triggers, resilience_pipeline
 from .timeseries import TimeSeries
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
-
-FORMATS = {"csv": ("report.csv", "csv"),
-           "json": ("report.json", "json"),
-           "svg": ("heatmap.svg", "svg_heatmap")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,31 +86,34 @@ def _parse_trigger_file(path: str) -> list[int]:
     return triggers
 
 
-def _emit_all(result, out_dir: Path, formats: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in formats.split(","):
-        name = name.strip()
-        if name not in FORMATS:
-            raise ConfigError(f"unknown format {name!r} (choose from csv, json, svg)")
-        filename, kind = FORMATS[name]
-        emit_report(result, kind, out_dir / filename)
+def _formats(args) -> list[str]:
+    formats = [name.strip() for name in args.format.split(",")]
+    check_formats(formats)
+    return formats
+
+
+def _write_outputs(result: GridResult, out_dir: str, formats: list[str]) -> None:
+    """Reports, indicator CSVs and any kept traces of a grid, under ``out_dir``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    emit_report(result, out, formats)
+    for scenario in result.scenario_results():
+        export_indicators(scenario, out)
+        for k, pair in enumerate(scenario.traces):
+            for label, trace in zip(("performance", "reference"), pair):
+                world.write_trace_jsonl(trace, out / f"trace_{label}_ep{k}.jsonl")
 
 
 def _cmd_run(args) -> int:
+    formats = _formats(args)
     config = parse_scenario_config(args.config)
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
     result = run_scenario(config, keep_traces=args.traces)
-    out_dir = Path(args.out)
-    _emit_all(result, out_dir, args.format)
-    export_indicators(result, out_dir)
-    if args.traces:
-        from .world import write_trace_jsonl
-        for k, pair in enumerate(result.traces):
-            for label, trace in zip(("performance", "reference"), pair):
-                write_trace_jsonl(trace, out_dir / f"trace_{label}_ep{k}.jsonl")
-    print(f"J = {result.report.assembled:.6f} "
-          f"(L={result.report.event_count}, K={result.report.variable_count})")
+    _write_outputs(result, args.out, formats)
+    report = result.results[(0, 0)].report
+    print(f"J = {report.assembled:.6f} "
+          f"(L={report.event_count}, K={report.variable_count})")
     return EXIT_OK
 
 
@@ -137,17 +137,14 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    build = PRESETS[args.preset]
-    grid = build()
+    formats = _formats(args)
+    grid = PRESETS[args.preset]()
     if args.seed is not None:
         grid.cells = {cell: replace(cfg, base_seed=args.seed)
                       for cell, cfg in grid.cells.items()}
     result = run_grid(grid)
-    out_dir = Path(args.out)
-    _emit_all(result, out_dir, args.format)
-    for scenario in result.scenario_results():
-        export_indicators(scenario, out_dir)
-    for (r, c), res in sorted(result.results.items()):
+    _write_outputs(result, args.out, formats)
+    for res in result.scenario_results():
         print(f"{res.scenario_id}: J = {res.report.assembled:.6f}")
     return EXIT_OK
 

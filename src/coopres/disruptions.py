@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 from .world import AgentState, WorldState
 
@@ -100,10 +99,6 @@ def parse_schedule(text: str) -> EventSchedule:
     return EventSchedule(events=events)
 
 
-def load_schedule(path: str | Path) -> EventSchedule:
-    return parse_schedule(Path(path).read_text())
-
-
 def apply_apple_vanish(state: WorldState, v_s: float, rng: random.Random) -> WorldState:
     """Remove each live apple with probability ``v_s``, sparing one per tree.
 
@@ -149,27 +144,19 @@ def remove_bots(state: WorldState, bot_ids: list[int]) -> WorldState:
     return state
 
 
-@dataclass
-class FiredEvent:
-    event: Event
-    tick: int
-
-
 class EventEngine:
     """Executes a schedule against a world, one tick at a time.
 
-    Keeps the log of fired events (an event fires at its trigger with
-    probability ``p_s``) and handles the delayed removal of intruding
-    bots.  Bots exist exactly for ticks ``[trigger, trigger + duration)``.
+    Keeps ``fired``, the trigger ticks of the events that fired (an event
+    fires at its trigger with probability ``p_s``), and handles the delayed
+    removal of intruding bots.  Bots exist exactly for ticks
+    ``[trigger, trigger + duration)``.
     """
 
     def __init__(self, schedule: EventSchedule):
         self.schedule = schedule
-        self.fired: list[FiredEvent] = []
+        self.fired: list[int] = []
         self._pending_removals: dict[int, list[int]] = {}  # tick -> bot ids
-
-    def fired_triggers(self) -> list[int]:
-        return [f.tick for f in self.fired]
 
     def fire_events(self, state: WorldState, tick: int, rng: random.Random) -> WorldState:
         for removal_tick in [t for t in self._pending_removals if t <= tick]:
@@ -188,5 +175,5 @@ class EventEngine:
                     new_ids = sorted(set(state.agents) - before)
                     self._pending_removals.setdefault(
                         tick + event.duration, []).extend(new_ids)
-            self.fired.append(FiredEvent(event=event, tick=tick))
+            self.fired.append(tick)
         return state

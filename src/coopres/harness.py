@@ -1,9 +1,9 @@
-"""Scenario execution: seeded episode pairs, experiment grids, reports.
+"""Scenario execution: seeded episode pairs, experiment grids, presets, config files.
 
 A scenario scores ``episodes`` seeded pairs of episodes — one with the
 event schedule live (performance) and one with it disabled (reference) —
 by feeding their averaged indicator curves through the resilience
-pipeline.
+pipeline.  A single scenario runs as a one-cell grid.
 
 One seed is the unit of work.  Both twins draw their agent decisions
 from the same seeded stream (common random numbers), so they agree tick
@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import configparser
-import csv
 import functools
-import json
 import os
 import random
 from dataclasses import dataclass, field, replace
@@ -31,16 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .disruptions import Event, EventEngine, EventKind, EventSchedule, parse_schedule
-from .indicators import (
-    INDICATOR_NAMES,
-    EpisodeTrace,
-    IndicatorConfig,
-    compute_indicators,
-    consolidate,
-    write_indicator_csv,
-)
+from .indicators import INDICATOR_NAMES, EpisodeTrace, compute_indicators, consolidate
 from .resilience import CurvePair, ResilienceReport, resilience_pipeline
-from .timeseries import TimeSeries, pointwise_std
+from .timeseries import TimeSeries
 from .world import (
     DEFAULT_MAP,
     DEFAULT_REGROWTH_TABLE,
@@ -102,18 +93,25 @@ class ScenarioConfig:
             raise ConfigError("h_max must be >= 1")
         if not self.regrowth_table or any(not 0.0 <= p <= 1.0 for p in self.regrowth_table):
             raise ConfigError("regrowth_table must be probabilities in [0, 1]")
-        try:
-            IndicatorConfig(names=self.indicators, h_max=self.h_max)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        if not self.indicators:
+            raise ConfigError("at least one indicator must be selected")
+        unknown = set(self.indicators) - set(INDICATOR_NAMES)
+        if unknown:
+            raise ConfigError(f"unknown indicators: {sorted(unknown)}")
         try:
             grid = _grid_for(self.map_text)
         except ValueError as exc:
             raise ConfigError(f"map: {exc}") from None
-        if len(grid.spawn_points) < self.n_agents:
+        # Bots enter on free spawn cells.  Counting every intrusion as firing,
+        # the most present at once is reached at some intrusion's trigger.
+        bots = [e for e in self.schedule if e.kind is EventKind.BOT_INTRUSION]
+        peak = max((sum(b.bot_count for b in bots
+                        if b.trigger_tick <= e.trigger_tick < b.trigger_tick + b.duration)
+                    for e in bots), default=0)
+        if len(grid.spawn_points) < self.n_agents + peak:
             raise ConfigError(
-                f"map has {len(grid.spawn_points)} spawn points, "
-                f"{self.n_agents} agents configured")
+                f"map has {len(grid.spawn_points)} spawn points; {self.n_agents} agents "
+                f"and up to {peak} bots at once need {self.n_agents + peak}")
 
 
 @dataclass
@@ -225,7 +223,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
             actions[agent_id] = policy_action(policy, build_view(state, agent_id), rng)
         step_world(state, actions, rng)
 
-    trace.fired_triggers = tuple(engine.fired_triggers()) if engine is not None else ()
+    trace.fired_triggers = tuple(engine.fired) if engine is not None else ()
     trace.validate()
     return trace
 
@@ -240,21 +238,20 @@ class _Episode:
     traces: tuple[EpisodeTrace, EpisodeTrace] | None = None
 
 
-def _run_seed(cells: list[tuple[tuple[int, int] | None, ScenarioConfig]], k: int,
+def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
               keep_traces: bool = False) -> list[_Episode]:
     """Episode ``k`` of every cell, which differ only in their schedules.
 
     The reference is simulated once; each performance episode continues
     from it at the cell's first trigger.  A failure raises ``RuntimeError``
     naming the cell being run (the first while the reference runs), unless
-    the cell is ``None`` or the failure is a ``ConfigError``.
+    it is a ``ConfigError``.
     """
     cell, config = cells[0]
     seed = config.base_seed + k
-    icfg = IndicatorConfig(names=config.indicators, h_max=config.h_max)
 
     def curves(trace: EpisodeTrace) -> dict[str, TimeSeries]:
-        return compute_indicators([trace], icfg)[1][0]
+        return compute_indicators(trace, config.indicators, config.h_max)
 
     snapshots: dict[int, Snapshot | None] = {
         cfg.schedule.events[0].trigger_tick: None for _, cfg in cells if cfg.schedule.events}
@@ -274,8 +271,6 @@ def _run_seed(cells: list[tuple[tuple[int, int] | None, ScenarioConfig]], k: int
     except ConfigError:
         raise
     except Exception as exc:
-        if cell is None:
-            raise
         raise RuntimeError(f"grid cell {cell} failed: {exc}") from exc
     return episodes
 
@@ -308,17 +303,6 @@ def _score(config: ScenarioConfig, episodes: list[_Episode]) -> ScenarioResult:
                           per_episode_reference=per_ep_ref, report=report,
                           per_episode_j=per_episode_j,
                           traces=[ep.traces for ep in episodes if ep.traces is not None])
-
-
-def run_scenario(config: ScenarioConfig, keep_traces: bool = False) -> ScenarioResult:
-    """Run the paired episodes, consolidate curves, score resilience.
-
-    With ``keep_traces`` the result also holds every episode's traces.
-    """
-    config.validate()
-    cells = [(None, config)]
-    return _score(config, [_run_seed(cells, k, keep_traces)[0]
-                           for k in range(config.episodes)])
 
 
 @dataclass
@@ -363,7 +347,15 @@ class GridResult:
         return [res for _, res in sorted(self.results.items())]
 
 
-def run_grid(grid: ExperimentGrid, workers: int | None = None) -> GridResult:
+def run_scenario(config: ScenarioConfig, keep_traces: bool = False) -> GridResult:
+    """Run one scenario as a one-cell grid; its result is ``.results[(0, 0)]``."""
+    grid = ExperimentGrid(grid_id=config.scenario_id, row_labels=[""], col_labels=[""],
+                          cells={(0, 0): config})
+    return run_grid(grid, keep_traces=keep_traces)
+
+
+def run_grid(grid: ExperimentGrid, workers: int | None = None,
+             keep_traces: bool = False) -> GridResult:
     """Run every cell of the grid, one seed at a time.
 
     Each seed's reference episode is simulated once and shared by all
@@ -371,7 +363,8 @@ def run_grid(grid: ExperimentGrid, workers: int | None = None) -> GridResult:
     over at most ``workers`` processes; ``workers`` defaults to the
     COOPRES_THREADS environment variable (sequential when unset).
     Either way a failing episode raises ``RuntimeError`` naming its cell,
-    and a ``ConfigError`` passes through unchanged.
+    and a ``ConfigError`` passes through unchanged.  With ``keep_traces``
+    each result also holds its episodes' traces.
     """
     if workers is None:
         raw = os.environ.get("COOPRES_THREADS", "1")
@@ -384,7 +377,7 @@ def run_grid(grid: ExperimentGrid, workers: int | None = None) -> GridResult:
     grid.validate()
     cells = grid.sorted_cells()
     seeds = range(cells[0][1].episodes)
-    run_seed = functools.partial(_run_seed, cells)
+    run_seed = functools.partial(_run_seed, cells, keep_traces=keep_traces)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(seeds))) as pool:
@@ -503,114 +496,3 @@ def parse_scenario_config(path: str | Path) -> ScenarioConfig:
     except (ValueError, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return ScenarioConfig(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Report emission
-
-def _long_rows(results: list[ScenarioResult]) -> list[list]:
-    rows = []
-    for res in results:
-        rep = res.report
-        for name, vr in rep.per_variable.items():
-            for l, ev in enumerate(vr.events, start=1):
-                rows.append([res.scenario_id, name, l,
-                             repr(ev.j_value), repr(ev.f_profile), repr(ev.g_profile),
-                             repr(vr.folded), repr(rep.assembled)])
-    return rows
-
-
-def _heat_color(j: float) -> tuple[str, str]:
-    """Fill and text color for a score: darker cell = lower resilience."""
-    j = min(max(j, 0.0), 1.0)
-    dark = (8, 48, 107)
-    light = (222, 235, 247)
-    rgb = tuple(round(d + (l - d) * j) for d, l in zip(dark, light))
-    text = "#000000" if j > 0.55 else "#ffffff"
-    return "#{:02x}{:02x}{:02x}".format(*rgb), text
-
-
-def _heatmap_svg(result: GridResult) -> str:
-    cell_w, cell_h = 96, 64
-    left, top = 110, 56
-    rows, cols = len(result.row_labels), len(result.col_labels)
-    width = left + cols * cell_w + 20
-    height = top + rows * cell_h + 20
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{left + cols * cell_w / 2}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{result.grid_id} resilience</text>',
-    ]
-    for c, label in enumerate(result.col_labels):
-        parts.append(
-            f'<text x="{left + c * cell_w + cell_w / 2}" y="{top - 10}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">{label}</text>')
-    for r, label in enumerate(result.row_labels):
-        parts.append(
-            f'<text x="{left - 8}" y="{top + r * cell_h + cell_h / 2 + 4}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="12">{label}</text>')
-    for (r, c), res in sorted(result.results.items()):
-        x, y = left + c * cell_w, top + r * cell_h
-        fill, text = _heat_color(res.report.assembled)
-        parts.append(f'<rect x="{x}" y="{y}" width="{cell_w}" height="{cell_h}" '
-                     f'fill="{fill}" stroke="#ffffff"/>')
-        parts.append(
-            f'<text x="{x + cell_w / 2}" y="{y + cell_h / 2 - 4}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16" fill="{text}">'
-            f'{res.report.assembled:.2f}</text>')
-        parts.append(
-            f'<text x="{x + cell_w / 2}" y="{y + cell_h / 2 + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10" fill="{text}">'
-            f'{res.scenario_id}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def grid_json_dict(result: GridResult) -> dict:
-    return {
-        "grid_id": result.grid_id,
-        "row_labels": list(result.row_labels),
-        "col_labels": list(result.col_labels),
-        "cells": [
-            {"row": r, "col": c, **result.results[(r, c)].to_json_dict()}
-            for (r, c) in sorted(result.results)
-        ],
-    }
-
-
-def emit_report(results: GridResult | ScenarioResult, format: str,
-                path: str | Path) -> None:
-    """Write a report as long-format CSV, nested JSON, or an SVG heatmap."""
-    if isinstance(results, ScenarioResult):
-        results = GridResult(grid_id=results.scenario_id, row_labels=[""],
-                             col_labels=[""], results={(0, 0): results})
-    if not results.results:
-        raise ValueError("no results to emit")
-    path = Path(path)
-    if format == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scenario", "variable", "event", "J_jl", "F", "G",
-                             "J_j", "J"])
-            writer.writerows(_long_rows(results.scenario_results()))
-    elif format == "json":
-        with open(path, "w") as fh:
-            json.dump(grid_json_dict(results), fh, indent=2)
-            fh.write("\n")
-    elif format == "svg_heatmap":
-        path.write_text(_heatmap_svg(results))
-    else:
-        raise ValueError(f"unknown report format {format!r}")
-
-
-def export_indicators(result: ScenarioResult, out_dir: str | Path) -> None:
-    """Per-scenario indicator CSVs: averaged curves plus dispersion companions."""
-    out = Path(out_dir)
-    write_indicator_csv(result.performance, out / f"{result.scenario_id}_performance.csv")
-    write_indicator_csv(result.reference, out / f"{result.scenario_id}_reference.csv")
-    for label, episodes in (("performance", result.per_episode_performance),
-                            ("reference", result.per_episode_reference)):
-        std = {name: pointwise_std([curves[name] for curves in episodes])
-               for name in episodes[0]}
-        write_indicator_csv(std, out / f"{result.scenario_id}_{label}_std.csv")

@@ -132,44 +132,16 @@ INDICATORS: dict[str, Callable[[EpisodeTrace, int], TimeSeries]] = {
 INDICATOR_NAMES = tuple(INDICATORS)
 
 
-@dataclass(frozen=True)
-class IndicatorConfig:
-    names: tuple[str, ...] = INDICATOR_NAMES
-    h_max: int = DEFAULT_H_MAX
-
-    def __post_init__(self):
-        if not self.names:
-            raise ValueError("at least one indicator must be selected")
-        unknown = set(self.names) - set(INDICATOR_NAMES)
-        if unknown:
-            raise ValueError(f"unknown indicators: {sorted(unknown)}")
-        if self.h_max < 1:
-            raise ValueError("h_max must be >= 1")
-
-
-def compute_indicators(
-    traces: Sequence[EpisodeTrace],
-    config: IndicatorConfig = IndicatorConfig(),
-) -> tuple[dict[str, TimeSeries], list[dict[str, TimeSeries]]]:
-    """Per-episode indicator curves plus their tick-wise mean consolidation.
-
-    Returns ``(consolidated, per_episode)``.  Each maps the selected
-    indicator names, in canonical order, to curves; a consolidated curve
-    is the element-wise mean of that indicator across episodes.
-    """
-    if not traces:
-        raise ValueError("need at least one episode trace")
-    horizons = {t.horizon for t in traces}
-    if len(horizons) != 1:
-        raise ValueError(f"episode traces disagree on horizon: {sorted(horizons)}")
-    selected = {name: fn for name, fn in INDICATORS.items() if name in config.names}
-    per_episode = [{name: fn(t, config.h_max) for name, fn in selected.items()}
-                   for t in traces]
-    return consolidate(per_episode), per_episode
+def compute_indicators(trace: EpisodeTrace, names: Sequence[str] = INDICATOR_NAMES,
+                       h_max: int = DEFAULT_H_MAX) -> dict[str, TimeSeries]:
+    """The named indicator curves of one trace, in canonical order."""
+    return {name: fn(trace, h_max) for name, fn in INDICATORS.items() if name in names}
 
 
 def consolidate(per_episode: Sequence[Mapping[str, TimeSeries]]) -> dict[str, TimeSeries]:
     """Tick-wise mean of each indicator across episodes, in the episodes' key order."""
+    if not per_episode:
+        raise ValueError("need at least one episode")
     return {name: pointwise_mean([curves[name] for curves in per_episode])
             for name in per_episode[0]}
 

@@ -1,0 +1,139 @@
+"""Report files of a scored grid: long-format CSV, nested JSON, SVG heatmap.
+
+A single scenario is a one-cell grid, so every command writes through
+the same functions.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+from pathlib import Path
+from typing import Sequence
+
+from .harness import ConfigError, GridResult, ScenarioResult
+from .indicators import write_indicator_csv
+from .timeseries import pointwise_std
+
+
+def _long_rows(results: list[ScenarioResult]) -> list[list]:
+    rows = []
+    for res in results:
+        rep = res.report
+        for name, vr in rep.per_variable.items():
+            for l, ev in enumerate(vr.events, start=1):
+                rows.append([res.scenario_id, name, l,
+                             repr(ev.j_value), repr(ev.f_profile), repr(ev.g_profile),
+                             repr(vr.folded), repr(rep.assembled)])
+    return rows
+
+
+def _write_csv(result: GridResult, path: Path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["scenario", "variable", "event", "J_jl", "F", "G", "J_j", "J"])
+        writer.writerows(_long_rows(result.scenario_results()))
+
+
+def grid_json_dict(result: GridResult) -> dict:
+    return {
+        "grid_id": result.grid_id,
+        "row_labels": list(result.row_labels),
+        "col_labels": list(result.col_labels),
+        "cells": [
+            {"row": r, "col": c, **result.results[(r, c)].to_json_dict()}
+            for (r, c) in sorted(result.results)
+        ],
+    }
+
+
+def _write_json(result: GridResult, path: Path) -> None:
+    with open(path, "w") as fh:
+        json.dump(grid_json_dict(result), fh, indent=2)
+        fh.write("\n")
+
+
+def _heat_color(j: float) -> tuple[str, str]:
+    """Fill and text color for a score: darker cell = lower resilience."""
+    j = min(max(j, 0.0), 1.0)
+    dark = (8, 48, 107)
+    light = (222, 235, 247)
+    rgb = tuple(round(d + (l - d) * j) for d, l in zip(dark, light))
+    text = "#000000" if j > 0.55 else "#ffffff"
+    return "#{:02x}{:02x}{:02x}".format(*rgb), text
+
+
+def _heatmap_svg(result: GridResult) -> str:
+    cell_w, cell_h = 96, 64
+    left, top = 110, 56
+    rows, cols = len(result.row_labels), len(result.col_labels)
+    width = left + cols * cell_w + 20
+    height = top + rows * cell_h + 20
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<text x="{left + cols * cell_w / 2}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{result.grid_id} resilience</text>',
+    ]
+    for c, label in enumerate(result.col_labels):
+        parts.append(
+            f'<text x="{left + c * cell_w + cell_w / 2}" y="{top - 10}" '
+            f'text-anchor="middle" font-family="sans-serif" font-size="12">{label}</text>')
+    for r, label in enumerate(result.row_labels):
+        parts.append(
+            f'<text x="{left - 8}" y="{top + r * cell_h + cell_h / 2 + 4}" '
+            f'text-anchor="end" font-family="sans-serif" font-size="12">{label}</text>')
+    for (r, c), res in sorted(result.results.items()):
+        x, y = left + c * cell_w, top + r * cell_h
+        fill, text = _heat_color(res.report.assembled)
+        parts.append(f'<rect x="{x}" y="{y}" width="{cell_w}" height="{cell_h}" '
+                     f'fill="{fill}" stroke="#ffffff"/>')
+        parts.append(
+            f'<text x="{x + cell_w / 2}" y="{y + cell_h / 2 - 4}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="16" fill="{text}">'
+            f'{res.report.assembled:.2f}</text>')
+        parts.append(
+            f'<text x="{x + cell_w / 2}" y="{y + cell_h / 2 + 16}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="10" fill="{text}">'
+            f'{res.scenario_id}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+REPORTS = {
+    "csv": ("report.csv", _write_csv),
+    "json": ("report.json", _write_json),
+    "svg": ("heatmap.svg", lambda result, path: path.write_text(_heatmap_svg(result))),
+}
+"""Report format name -> (file name under the output directory, writer)."""
+
+
+def check_formats(formats: Sequence[str]) -> None:
+    """Refuse any name that is not a key of ``REPORTS``."""
+    for name in formats:
+        if name not in REPORTS:
+            raise ConfigError(
+                f"unknown report format {name!r} (choose from {', '.join(REPORTS)})")
+
+
+def emit_report(result: GridResult, out_dir: str | Path,
+                formats: Sequence[str] = tuple(REPORTS)) -> None:
+    """Write the named report formats of a grid into ``out_dir``."""
+    check_formats(formats)
+    if not result.results:
+        raise ValueError("no results to emit")
+    for name in formats:
+        filename, write = REPORTS[name]
+        write(result, Path(out_dir) / filename)
+
+
+def export_indicators(result: ScenarioResult, out_dir: str | Path) -> None:
+    """Per-scenario indicator CSVs: averaged curves plus dispersion companions."""
+    out = Path(out_dir)
+    write_indicator_csv(result.performance, out / f"{result.scenario_id}_performance.csv")
+    write_indicator_csv(result.reference, out / f"{result.scenario_id}_reference.csv")
+    for label, episodes in (("performance", result.per_episode_performance),
+                            ("reference", result.per_episode_reference)):
+        std = {name: pointwise_std([curves[name] for curves in episodes])
+               for name in episodes[0]}
+        write_indicator_csv(std, out / f"{result.scenario_id}_{label}_std.csv")

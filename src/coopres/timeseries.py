@@ -65,14 +65,6 @@ class TimeSeries:
     def __repr__(self) -> str:
         return f"TimeSeries(t0={self.t0}, n={len(self)})"
 
-    def to_csv(self, path: str | Path) -> None:
-        """Write the series as ``tick,value`` rows."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tick", "value"])
-            for i, v in enumerate(self.values):
-                writer.writerow([self.t0 + i, repr(float(v))])
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "TimeSeries":
         """Read a ``tick,value`` CSV; ticks must be consecutive integers."""

@@ -28,16 +28,6 @@ ZAP_COOLDOWN = 5
 VIEW_RADIUS = 5
 SUSTAINABLE_MIN_STOCK = 3  # sustainable agents leave trees at or below 2 apples alone
 
-# Idle probability while exploring (no target in view).  Sustainable
-# foragers patrol widely, which spaces their visits out and lets tree stock
-# rebuild in between; greedy gluttons are sedentary until food shows up;
-# intruding bots press on relentlessly.
-EXPLORE_IDLE_PROB = {
-    "greedy": 0.99,
-    "sustainable": 0.9,
-    "unsustainable_bot": 0.0,
-}
-
 DEFAULT_REGROWTH_TABLE = (0.0, 0.005, 0.01, 0.025)
 
 
@@ -84,6 +74,17 @@ class PolicyKind(Enum):
     UNSUSTAINABLE_BOT = "unsustainable_bot"
 
 
+# Idle probability while exploring (no target in view).  Sustainable
+# foragers patrol widely, which spaces their visits out and lets tree stock
+# rebuild in between; greedy gluttons are sedentary until food shows up;
+# intruding bots press on relentlessly.
+EXPLORE_IDLE_PROB = {
+    PolicyKind.GREEDY: 0.99,
+    PolicyKind.SUSTAINABLE: 0.9,
+    PolicyKind.UNSUSTAINABLE_BOT: 0.0,
+}
+
+
 @dataclass
 class Tree:
     """A fixed group of apple cells, ``alive[i]`` telling whether cell i bears one.
@@ -101,9 +102,6 @@ class Tree:
 
     def __post_init__(self):
         self.live = sum(self.alive)
-
-    def live_count(self) -> int:
-        return self.live
 
     def copy(self) -> "Tree":
         return Tree(id=self.id, apple_cells=self.apple_cells,
@@ -253,12 +251,6 @@ class WorldState:
     total_regrown: int = 0
     total_event_vanished: int = 0
     next_agent_id: int = 0
-
-    def live_apple_total(self) -> int:
-        return len(self.live_apples)
-
-    def welfare_agents(self) -> list[AgentState]:
-        return [a for a in self.agents.values() if not a.is_bot]
 
     def bots(self) -> list[AgentState]:
         return [a for a in self.agents.values() if a.is_bot]
@@ -635,7 +627,7 @@ def policy_action(policy: PolicyKind, view: LocalView, rng: random.Random) -> Ac
         site = _nearest_live_tree_cell(view)
         if site is not None:
             return _step_toward(view, site, forbidden)
-    return _explore(view, rng, forbidden, EXPLORE_IDLE_PROB[policy.value])
+    return _explore(view, rng, forbidden, EXPLORE_IDLE_PROB[policy])
 
 
 def write_trace_jsonl(trace: EpisodeTrace, path: str | Path) -> None:
@@ -665,6 +657,7 @@ def write_trace_jsonl(trace: EpisodeTrace, path: str | Path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+# The bundled 24x18 map: six 6-apple trees, eight spawn points.
 DEFAULT_MAP = """\
 ########################
 #......................#
@@ -685,8 +678,3 @@ DEFAULT_MAP = """\
 #......................#
 ########################
 """
-
-
-def load_default_map() -> GridMap:
-    """The bundled 24x18 map: six 6-apple trees, eight spawn points."""
-    return load_map(DEFAULT_MAP)

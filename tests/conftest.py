@@ -30,6 +30,13 @@ def build_trace(apples_per_tree, consumed, hunger_ticks=None, **kwargs) -> Episo
                         hunger_ticks=hunger, **defaults)
 
 
+def write_raw_curve(path, values, t0=0):
+    """Write ``tick,value`` rows from tick ``t0``, each value as ``str`` gives it."""
+    path.write_text("tick,value\n"
+                    + "".join(f"{t0 + i},{v}\n" for i, v in enumerate(values)))
+    return path
+
+
 @pytest.fixture
 def flat_trace():
     """Five agents, two trees holding 30 apples total, nobody ever eats."""

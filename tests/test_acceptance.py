@@ -17,15 +17,8 @@ import numpy as np
 import pytest
 
 from coopres.disruptions import apply_apple_vanish
-from coopres.harness import (
-    ScenarioConfig,
-    bots_preset,
-    emit_report,
-    export_indicators,
-    run_episode,
-    run_grid,
-    table2_preset,
-)
+from coopres.harness import ScenarioConfig, bots_preset, run_episode, run_grid, table2_preset
+from coopres.report import emit_report, export_indicators, grid_json_dict
 from coopres.resilience import (
     CurvePair,
     Milestones,
@@ -155,7 +148,7 @@ def test_criterion_5_vanish_event_constraint():
             if not tree.alive[i]:
                 state.revive_apple(cell)
         apply_apple_vanish(state, 0.7, rng)
-        live = tree.live_count()
+        live = tree.live
         ok &= live >= 1
         total_survivors += live
     mean = total_survivors / trials
@@ -206,8 +199,6 @@ def test_criterion_8_bot_duration_trend(bots_result):
 
 def test_criterion_9_determinism(table2_result, bots_result):
     start = time.perf_counter()
-    from coopres.harness import grid_json_dict
-
     again_table2 = run_grid(table2_preset())
     again_bots = run_grid(bots_preset())
     ok = grid_json_dict(again_table2) == grid_json_dict(table2_result[0])
@@ -231,9 +222,7 @@ OUTPUT_DIGESTS = {
 @pytest.mark.parametrize("preset", sorted(OUTPUT_DIGESTS))
 def test_output_bytes_pinned(preset, request, tmp_path):
     result, _ = request.getfixturevalue(f"{preset}_result")
-    for kind, name in (("csv", "report.csv"), ("json", "report.json"),
-                       ("svg_heatmap", "heatmap.svg")):
-        emit_report(result, kind, tmp_path / name)
+    emit_report(result, tmp_path, ("csv", "json", "svg"))
     for scenario in result.scenario_results():
         export_indicators(scenario, tmp_path)
     files = sorted(p.name for p in tmp_path.iterdir())
@@ -247,6 +236,6 @@ def test_output_bytes_pinned(preset, request, tmp_path):
 @pytest.mark.parametrize("preset", sorted(OUTPUT_DIGESTS))
 def test_output_bytes_pinned_at_two_workers(preset, tmp_path):
     build = {"table2": table2_preset, "bots": bots_preset}[preset]
-    emit_report(run_grid(build(), workers=2), "json", tmp_path / "report.json")
+    emit_report(run_grid(build(), workers=2), tmp_path, ("json",))
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == OUTPUT_DIGESTS[preset][1]

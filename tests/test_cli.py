@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -8,8 +9,9 @@ import pytest
 import coopres.harness
 from coopres.cli import main
 from coopres.harness import parse_scenario_config, run_episode
-from coopres.timeseries import TimeSeries
 from coopres.world import write_trace_jsonl
+
+from conftest import write_raw_curve
 
 TINY_CONFIG = """\
 [events]
@@ -29,15 +31,8 @@ def tiny_config(tmp_path):
 
 
 def write_curves(tmp_path, p_values, r_values):
-    p_path, r_path = tmp_path / "p.csv", tmp_path / "r.csv"
-    TimeSeries(p_values).to_csv(p_path)
-    TimeSeries(r_values).to_csv(r_path)
-    return p_path, r_path
-
-
-def write_raw_curve(path, values):
-    path.write_text("tick,value\n" + "".join(f"{t},{v}\n" for t, v in enumerate(values)))
-    return path
+    return (write_raw_curve(tmp_path / "p.csv", p_values),
+            write_raw_curve(tmp_path / "r.csv", r_values))
 
 
 class TestValidate:
@@ -116,8 +111,8 @@ class TestMeasure:
             run_dir = tmp_path / f"t0_{t0}"
             run_dir.mkdir()
             p_path, r_path = run_dir / "p.csv", run_dir / "r.csv"
-            TimeSeries(p, t0=t0).to_csv(p_path)
-            TimeSeries([1.0] * 20, t0=t0).to_csv(r_path)
+            write_raw_curve(p_path, p, t0=t0)
+            write_raw_curve(r_path, [1.0] * 20, t0=t0)
             (run_dir / "sched.txt").write_text(f"{trigger}\n")
             out = run_dir / "report.json"
             assert main(["measure", "--performance", str(p_path), "--reference",
@@ -130,8 +125,8 @@ class TestMeasure:
 
     def test_detected_triggers_on_curves_starting_at_tick_5(self, tmp_path):
         p_path, r_path = tmp_path / "p.csv", tmp_path / "r.csv"
-        TimeSeries([1.0] * 10 + [0.4] * 10, t0=5).to_csv(p_path)
-        TimeSeries([1.0] * 20, t0=5).to_csv(r_path)
+        write_raw_curve(p_path, [1.0] * 10 + [0.4] * 10, t0=5)
+        write_raw_curve(r_path, [1.0] * 20, t0=5)
         out = tmp_path / "report.json"
         assert main(["measure", "--performance", str(p_path), "--reference", str(r_path),
                      "--out", str(out)]) == 0
@@ -144,6 +139,23 @@ class TestMeasure:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:input:")
+
+
+RUN_DIGESTS = {
+    "report.json": "b401576d47482ed30bdfa5a06bb7545378dfb00d9304876beec365bb3eb2161e",
+    "trace_performance_ep0.jsonl":
+        "987418f19d3d0d7f82073684d17d255fd12242e3c48f01c9b413ea322c4e3334",
+    "trace_performance_ep1.jsonl":
+        "1c4374a84e6a9b5f3c997fccc3ad396664bdab024482b4e4605a03b830035d1f",
+    "trace_performance_ep2.jsonl":
+        "3f3f74c7f0a216a5490b38326159fcf9e1186eb068831481f6b9f06476588e1a",
+    "trace_reference_ep0.jsonl":
+        "280793b34ed54dd03242c1543517222434e68fbdb96a9f2a067cb8b6235782a2",
+    "trace_reference_ep1.jsonl":
+        "beb1e11a22e7db65af0578666ab827a7e83351327b6e4e80f1c14dc3f1bb9424",
+    "trace_reference_ep2.jsonl":
+        "2e9d337417f55ba48c0552ba15d9fdbe36fea5837a306270caffc3632896235e",
+}
 
 
 class TestRun:
@@ -210,25 +222,54 @@ class TestRun:
             variables = [row["variable"] for row in csv.DictReader(fh)]
         assert variables == ["apples_pc", "hunger_index"]
 
-    def test_unknown_format_rejected(self, tiny_config, tmp_path, capsys):
-        code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
-                     "--format", "pdf"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error:config:")
+    @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
+    def test_output_bytes_pinned(self, tmp_path, monkeypatch, threads):
+        # sha256 of report.json and of every trace as written by CPython
+        # 3.11.7 with numpy 2.4.6, so that no change to how `run` executes
+        # moves an output byte.  Three episodes of a coin-flip vanish and a
+        # bot intrusion, continued from their references.
+        if threads is None:
+            monkeypatch.delenv("COOPRES_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("COOPRES_THREADS", threads)
+        path = tmp_path / "pin.ini"
+        path.write_text("[events]\nschedule =\n    apple_vanish 120 0.6 0.5\n"
+                        "    bot_intrusion 150 20 2\n"
+                        "[pipeline]\nepisode_length = 220\nepisodes = 3\n")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out), "--traces"]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()
+                   if p.name == "report.json" or p.name.startswith("trace_")}
+        assert digests == RUN_DIGESTS
+
+    def test_unknown_format_rejected(self, tiny_config, tmp_path, capsys, monkeypatch):
+        # Refused before any episode runs, so not even report.csv is written.
+        episodes = []
+        monkeypatch.setattr(coopres.harness, "run_episode",
+                            lambda *args, **kwargs: episodes.append(args))
+        for command in (["run", "--config", str(tiny_config)], ["grid", "--preset", "bots"]):
+            for formats in ("pdf", "csv,pdf"):
+                code = main([*command, "--out", str(tmp_path / "o"), "--format", formats])
+                assert code == 1
+                assert capsys.readouterr().err.startswith("error:config:")
+        assert episodes == []
+        assert not (tmp_path / "o").exists()
 
 
 class TestGrid:
     @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_thread_count_rejected_before_any_episode(self, tmp_path, capsys,
-                                                          monkeypatch, value):
+    def test_bad_thread_count_rejected_before_any_episode(self, tiny_config, tmp_path,
+                                                          capsys, monkeypatch, value):
         episodes = []
         monkeypatch.setattr(coopres.harness, "run_episode",
                             lambda *args, **kwargs: episodes.append(args))
         monkeypatch.setenv("COOPRES_THREADS", value)
-        code = main(["grid", "--preset", "bots", "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error:config: COOPRES_THREADS must be a positive integer, got {value!r}\n")
+        for command in (["grid", "--preset", "bots"], ["run", "--config", str(tiny_config)]):
+            code = main([*command, "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error:config: COOPRES_THREADS must be a positive integer, got {value!r}\n")
         assert episodes == []
 
 

@@ -74,7 +74,7 @@ class TestAppleVanish:
         state = fresh_state()
         apply_apple_vanish(state, 1.0, random.Random(0))
         for tree in state.trees:
-            assert tree.live_count() == 1
+            assert tree.live == 1
             assert not tree.vanished
 
     def test_never_below_one_apple(self):
@@ -82,7 +82,7 @@ class TestAppleVanish:
         for _ in range(500):
             state = fresh_state()
             apply_apple_vanish(state, 0.95, rng)
-            assert all(t.live_count() >= 1 for t in state.trees)
+            assert all(t.live >= 1 for t in state.trees)
 
     def test_vanished_trees_untouched(self):
         state = fresh_state()
@@ -91,7 +91,7 @@ class TestAppleVanish:
             state.remove_apple(cell)
         tree.vanished = True
         apply_apple_vanish(state, 1.0, random.Random(0))
-        assert tree.live_count() == 0
+        assert tree.live == 0
         assert state.total_event_vanished == 0
 
     def test_only_removes_apples(self):
@@ -114,7 +114,7 @@ class TestAppleVanish:
                 if not tree.alive[i]:
                     state.revive_apple(cell)
             apply_apple_vanish(state, v_s, rng)
-            total += tree.live_count()
+            total += tree.live
         mean = total / trials
         expected = 1 + 5 * (1 - v_s)
         sigma_mean = (5 * v_s * (1 - v_s) / trials) ** 0.5
@@ -146,7 +146,7 @@ class TestBotIntrusion:
         for tick in range(10):
             engine.fire_events(state, tick, random.Random(0))
         assert state.bots() == []
-        assert engine.fired_triggers() == [3]  # fired, just with nobody arriving
+        assert engine.fired == [3]  # fired, just with nobody arriving
 
 
 class TestEventEngine:
@@ -172,7 +172,7 @@ class TestEventEngine:
         rng = random.Random(0)
         for tick in range(400):
             engine.fire_events(state, tick, rng)
-        assert engine.fired_triggers() == [250]
+        assert engine.fired == [250]
 
     def test_impossible_event_never_fires(self):
         state = fresh_state()
@@ -181,7 +181,7 @@ class TestEventEngine:
         engine = EventEngine(schedule)
         for tick in range(10):
             engine.fire_events(state, tick, random.Random(0))
-        assert engine.fired_triggers() == []
+        assert engine.fired == []
 
     def test_fired_log_equals_schedule_when_certain(self):
         state = fresh_state()
@@ -191,7 +191,7 @@ class TestEventEngine:
         rng = random.Random(0)
         for tick in range(30):
             engine.fire_events(state, tick, rng)
-        assert engine.fired_triggers() == [5, 15, 25]
+        assert engine.fired == [5, 15, 25]
 
     def test_coin_flip_frequency(self):
         rng = random.Random(77)

@@ -14,23 +14,36 @@ from coopres.disruptions import Event, EventKind, EventSchedule
 from coopres.harness import (
     ConfigError,
     ExperimentGrid,
+    GridResult,
     ScenarioConfig,
     bots_preset,
-    emit_report,
-    export_indicators,
-    grid_json_dict,
     parse_scenario_config,
     run_episode,
     run_grid,
     run_scenario,
     table2_preset,
 )
+from coopres.report import emit_report, export_indicators, grid_json_dict
 from coopres.indicators import EpisodeTrace
 from coopres.world import PolicyKind
 
 
 def _config_error_episode(*args, **kwargs):
     raise ConfigError("episode refused")
+
+
+def _failing_episode_for(scenario_id):
+    """``run_episode`` that fails like a runtime error in one cell's performance episode."""
+    def episode(config, seed, with_events, **kwargs):
+        if with_events and config.scenario_id == scenario_id:
+            raise ValueError("bot intrusion needs 8 free spawn cells, found 3")
+        return run_episode(config, seed, with_events, **kwargs)
+    return episode
+
+
+def bots(trigger, duration, count, p_s=1.0):
+    return Event(kind=EventKind.BOT_INTRUSION, trigger_tick=trigger, duration=duration,
+                 bot_count=count, p_s=p_s)
 
 
 def vanish(trigger, v_s, p_s=1.0):
@@ -69,6 +82,31 @@ class TestScenarioConfig:
     def test_unknown_indicator_rejected(self):
         with pytest.raises(ConfigError):
             quick_config(indicators=("apples_pc", "mood")).validate()
+
+    def test_no_indicator_rejected(self):
+        with pytest.raises(ConfigError, match="at least one indicator"):
+            quick_config(indicators=()).validate()
+
+    # The default map has 8 spawn cells and 5 agents.  Every intrusion
+    # counts as firing, whatever its p_s.
+    @pytest.mark.parametrize("events", [
+        [bots(0, 25, 4)],
+        [bots(100, 50, 2), bots(120, 50, 2)],
+        [bots(100, 50, 2), bots(149, 10, 2)],
+        [vanish(50, 0.5), bots(100, 50, 4, p_s=0.5)],
+    ], ids=["tick-0", "overlapping", "overlap-on-the-last-tick", "coin-flip"])
+    def test_more_bots_than_free_spawn_cells_rejected(self, events):
+        cfg = quick_config(schedule=EventSchedule(events=events))
+        with pytest.raises(ConfigError, match="8 spawn points; 5 agents and up to 4 bots"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("events", [
+        [bots(0, 25, 3)],
+        [bots(100, 50, 2), bots(120, 50, 1)],
+        [bots(100, 50, 2), bots(150, 50, 3)],
+    ], ids=["tick-0", "overlapping", "back-to-back"])
+    def test_bots_that_fit_exactly_accepted(self, events):
+        quick_config(schedule=EventSchedule(events=events)).validate()
 
 
 class TestConfigFile:
@@ -228,10 +266,15 @@ class TestForkAtFirstTrigger:
             run_episode(cfg, 2, with_events=True, start=snapshots[80])
 
 
+def run_one(config, keep_traces=False):
+    """The result of ``config`` run as a one-cell grid."""
+    return run_scenario(config, keep_traces=keep_traces).results[(0, 0)]
+
+
 class TestRunScenario:
     def test_zero_magnitude_events_score_one(self):
         cfg = quick_config(schedule=EventSchedule(events=[vanish(60, 0.0)]))
-        result = run_scenario(cfg)
+        result = run_one(cfg)
         assert result.report.assembled == pytest.approx(1.0, abs=0.02)
 
     def test_multi_event_report_shape(self):
@@ -239,7 +282,7 @@ class TestRunScenario:
             episode_length=500,
             schedule=EventSchedule(events=[vanish(50, 0.7), vanish(250, 0.7),
                                            vanish(400, 0.7)]))
-        result = run_scenario(cfg)
+        result = run_one(cfg)
         assert result.report.event_count == 3
         assert result.report.variable_count == 4
         for vr in result.report.per_variable.values():
@@ -248,23 +291,23 @@ class TestRunScenario:
 
     def test_single_episode_identity(self):
         cfg = quick_config(episodes=1)
-        result = run_scenario(cfg)
+        result = run_one(cfg)
         assert len(result.per_episode_performance) == 1
         assert result.performance == result.per_episode_performance[0]
 
     def test_kept_traces_are_the_scored_episodes(self):
         cfg = quick_config(episode_length=150)
-        result = run_scenario(cfg, keep_traces=True)
+        result = run_one(cfg, keep_traces=True)
         assert len(result.traces) == cfg.episodes
         for k, (perf, ref) in enumerate(result.traces):
             assert_same_trace(perf, run_episode(cfg, cfg.base_seed + k, with_events=True))
             assert_same_trace(ref, run_episode(cfg, cfg.base_seed + k, with_events=False))
-        assert run_scenario(cfg).traces == []
+        assert run_one(cfg).traces == []
 
     def test_seed_discipline(self):
         cfg = quick_config()
-        a = run_scenario(cfg)
-        b = run_scenario(cfg)
+        a = run_one(cfg)
+        b = run_one(cfg)
         assert a.report.to_json_dict() == b.report.to_json_dict()
         assert a.per_episode_j == b.per_episode_j
         assert a.performance == b.performance
@@ -340,25 +383,26 @@ class TestGrids:
                               col_labels=["a", "b"],
                               cells={(0, 0): cfg_a, (0, 1): cfg_b})
         together = run_grid(grid)
-        alone_a = run_scenario(cfg_a)
-        alone_b = run_scenario(cfg_b)
+        alone_a = run_one(cfg_a)
+        alone_b = run_one(cfg_b)
         assert together.results[(0, 0)].report.to_json_dict() == alone_a.report.to_json_dict()
         assert together.results[(0, 1)].report.to_json_dict() == alone_b.report.to_json_dict()
 
-    def test_runtime_failure_carries_cell_coordinates(self):
-        bad = quick_config(schedule=EventSchedule(events=[
-            Event(kind=EventKind.BOT_INTRUSION, trigger_tick=10, duration=20,
-                  bot_count=8)]))  # more bots than free spawn cells
+    def test_runtime_failure_carries_cell_coordinates(self, monkeypatch):
+        monkeypatch.setattr(coopres.harness, "run_episode", _failing_episode_for("bad"))
+        bad = quick_config(scenario_id="bad",
+                           schedule=EventSchedule(events=[bots(10, 20, 2)]))
         grid = ExperimentGrid(grid_id="boom", row_labels=["r"], col_labels=["c"],
                               cells={(0, 0): bad})
         with pytest.raises(RuntimeError, match=r"\(0, 0\)"):
             run_grid(grid)
 
-    def test_runtime_failure_in_a_worker_carries_cell_coordinates(self):
+    def test_runtime_failure_in_a_worker_carries_cell_coordinates(self, monkeypatch):
+        # Pool workers are forked, so they run the patched episode too.
+        monkeypatch.setattr(coopres.harness, "run_episode", _failing_episode_for("bad"))
         base = quick_config(episode_length=150)
-        bad = replace(base, scenario_id="bad", schedule=EventSchedule(events=[
-            Event(kind=EventKind.BOT_INTRUSION, trigger_tick=10, duration=20,
-                  bot_count=8)]))
+        bad = replace(base, scenario_id="bad",
+                      schedule=EventSchedule(events=[bots(10, 20, 2)]))
         grid = ExperimentGrid(grid_id="boom", row_labels=["r"], col_labels=["a", "b"],
                               cells={(0, 0): base, (0, 1): bad})
         with pytest.raises(RuntimeError, match=r"grid cell \(0, 1\) failed: bot intrusion"):
@@ -401,7 +445,7 @@ def small_grid_result():
 class TestReports:
     def test_csv_layout(self, small_grid_result, tmp_path):
         path = tmp_path / "report.csv"
-        emit_report(small_grid_result, "csv", path)
+        emit_report(small_grid_result, tmp_path, ["csv"])
         lines = path.read_text().splitlines()
         assert lines[0] == "scenario,variable,event,J_jl,F,G,J_j,J"
         # 2 scenarios x 4 variables x 1 event
@@ -410,7 +454,7 @@ class TestReports:
 
     def test_json_round_trip(self, small_grid_result, tmp_path):
         path = tmp_path / "report.json"
-        emit_report(small_grid_result, "json", path)
+        emit_report(small_grid_result, tmp_path, ["json"])
         with open(path) as fh:
             parsed = json.load(fh)
         assert parsed == grid_json_dict(small_grid_result)
@@ -419,30 +463,33 @@ class TestReports:
 
     def test_svg_heatmap(self, small_grid_result, tmp_path):
         path = tmp_path / "heatmap.svg"
-        emit_report(small_grid_result, "svg_heatmap", path)
+        emit_report(small_grid_result, tmp_path, ["svg"])
         svg = path.read_text()
         assert svg.count("<rect") == 1 + 2  # background + one per cell
         assert "S1" in svg and "S2" in svg
 
     def test_empty_results_rejected(self, tmp_path):
-        from coopres.harness import GridResult
         bare = GridResult(grid_id="x", row_labels=[], col_labels=[], results={})
         with pytest.raises(ValueError, match="no results"):
-            emit_report(bare, "json", tmp_path / "nothing.json")
+            emit_report(bare, tmp_path, ["json"])
 
     def test_unknown_format_rejected(self, small_grid_result, tmp_path):
+        # Refused before any file is written.
         with pytest.raises(ValueError, match="unknown report format"):
-            emit_report(small_grid_result, "pdf", tmp_path / "x.pdf")
+            emit_report(small_grid_result, tmp_path, ["csv", "pdf"])
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_scenario_emit(self, tmp_path):
         result = run_scenario(quick_config(scenario_id="solo"))
-        emit_report(result, "json", tmp_path / "solo.json")
-        with open(tmp_path / "solo.json") as fh:
+        emit_report(result, tmp_path, ["json"])
+        with open(tmp_path / "report.json") as fh:
             parsed = json.load(fh)
         assert parsed["cells"][0]["scenario"] == "solo"
+        assert (parsed["grid_id"], parsed["row_labels"], parsed["col_labels"]) == (
+            "solo", [""], [""])
 
     def test_indicator_export(self, tmp_path):
-        result = run_scenario(quick_config(scenario_id="exp"))
+        result = run_one(quick_config(scenario_id="exp"))
         export_indicators(result, tmp_path)
         with open(tmp_path / "exp_performance.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))

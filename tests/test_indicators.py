@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopres.harness import ScenarioConfig
 from coopres.indicators import (
     INDICATOR_NAMES,
-    IndicatorConfig,
     apples_per_capita,
     compute_indicators,
+    consolidate,
     gini,
     gini_equality,
     hunger_index,
@@ -192,31 +193,32 @@ class TestTraceValidation:
 
 class TestComputeIndicators:
     def test_single_episode_identity(self, flat_trace):
-        consolidated, per_episode = compute_indicators([flat_trace])
+        per_episode = [compute_indicators(flat_trace)]
+        consolidated = consolidate(per_episode)
         assert len(per_episode) == 1
         assert consolidated == per_episode[0]
 
     def test_identical_episodes_consolidate_to_same(self, flat_trace):
-        consolidated, _ = compute_indicators([flat_trace] * 5)
-        single, _ = compute_indicators([flat_trace])
+        consolidated = consolidate([compute_indicators(flat_trace)] * 5)
+        single = compute_indicators(flat_trace)
         for name, curve in consolidated.items():
             assert np.allclose(curve.values, single[name].values)
 
     def test_mean_of_two_levels(self):
         t4 = build_trace(np.full((6, 1), 20), np.zeros((6, 5)))
         t6 = build_trace(np.full((6, 1), 30), np.zeros((6, 5)))
-        consolidated, _ = compute_indicators([t4, t6])
+        consolidated = consolidate([compute_indicators(t4), compute_indicators(t6)])
         assert consolidated["apples_pc"] == TimeSeries([5.0] * 6)
 
     def test_constant_world_gives_constant_resource_curves(self, flat_trace):
         # no consumption and no regrowth: the resource curves stay flat
-        consolidated, _ = compute_indicators([flat_trace])
+        consolidated = compute_indicators(flat_trace)
         for name in ("apples_pc", "trees_pc"):
             curve = consolidated[name]
             assert np.all(curve.values == curve.values[0])
 
     def test_ranges_hold(self, flat_trace):
-        consolidated, _ = compute_indicators([flat_trace])
+        consolidated = compute_indicators(flat_trace)
         for name in ("gini_equality", "hunger_index"):
             values = consolidated[name].values
             assert np.all((values >= 0) & (values <= 1))
@@ -224,30 +226,30 @@ class TestComputeIndicators:
             assert np.all(consolidated[name].values >= 0)
 
     def test_subset_selection(self, flat_trace):
-        cfg = IndicatorConfig(names=("apples_pc",))
-        consolidated, _ = compute_indicators([flat_trace], cfg)
+        consolidated = compute_indicators(flat_trace, ("apples_pc",))
         assert list(consolidated) == ["apples_pc"]
 
     def test_canonical_order_whatever_the_selection_order(self, flat_trace):
-        cfg = IndicatorConfig(names=("hunger_index", "apples_pc"))
-        consolidated, per_episode = compute_indicators([flat_trace], cfg)
+        per_episode = [compute_indicators(flat_trace, ("hunger_index", "apples_pc"))]
+        consolidated = consolidate(per_episode)
         assert list(consolidated) == ["apples_pc", "hunger_index"]
         assert list(per_episode[0]) == ["apples_pc", "hunger_index"]
-        all_names, _ = compute_indicators([flat_trace])
+        all_names = compute_indicators(flat_trace)
         assert tuple(all_names) == INDICATOR_NAMES
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            compute_indicators([])
+            consolidate([])
 
     def test_mismatched_horizons_rejected(self, flat_trace):
         short = build_trace(np.ones((3, 2)), np.zeros((3, 5)))
         with pytest.raises(ValueError):
-            compute_indicators([flat_trace, short])
+            consolidate([compute_indicators(flat_trace), compute_indicators(short)])
 
     def test_unknown_indicator_rejected(self):
+        # Names are checked where a scenario is validated, before any episode.
         with pytest.raises(ValueError):
-            IndicatorConfig(names=("apples_pc", "wealth"))
+            ScenarioConfig(indicators=("apples_pc", "wealth")).validate()
 
 
 class TestIndicatorCsv:

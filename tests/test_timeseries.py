@@ -16,6 +16,8 @@ from coopres.timeseries import (
     trapezoid_integral,
 )
 
+from conftest import write_raw_curve
+
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 # Mixes live values with ones on either side of the default eps = 1e-9.
 ratio_operand = st.one_of(finite, st.floats(min_value=-1e-8, max_value=1e-8),
@@ -57,8 +59,7 @@ class TestTimeSeries:
 
     def test_csv_round_trip(self, tmp_path):
         ts = TimeSeries([0.1, 0.2, 1 / 3], t0=4)
-        path = tmp_path / "series.csv"
-        ts.to_csv(path)
+        path = write_raw_curve(tmp_path / "series.csv", ts.values.tolist(), t0=4)
         assert TimeSeries.from_csv(path) == ts
 
     def test_csv_rejects_gap_in_ticks(self, tmp_path):

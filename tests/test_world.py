@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from coopres.disruptions import apply_apple_vanish
 from coopres.world import (
     ACTIONS,
+    DEFAULT_MAP,
     VIEW_RADIUS,
     Action,
     AgentState,
@@ -18,7 +19,6 @@ from coopres.world import (
     PolicyKind,
     build_view,
     line_of_sight,
-    load_default_map,
     load_map,
     make_world,
     policy_action,
@@ -81,7 +81,7 @@ class TestLoadMap:
             load_map("###\n#X#\n###")
 
     def test_default_map(self):
-        grid = load_default_map()
+        grid = load_map(DEFAULT_MAP)
         assert (grid.width, grid.height) == (24, 18)
         assert len(grid.trees) == 6
         assert all(len(t.apple_cells) == 6 for t in grid.trees)
@@ -122,7 +122,7 @@ class TestStepWorld:
         assert agent.position == (1, 1)
         assert agent.cumulative_consumed == 1
         assert agent.ticks_since_meal == 0
-        assert state.live_apple_total() == 0
+        assert len(state.live_apples) == 0
         assert state.total_consumed == 1
 
     def test_wall_blocks_move(self):
@@ -222,7 +222,7 @@ class TestRegrow:
         for _ in range(50):
             regrow(state, rng)
         assert tree.vanished
-        assert tree.live_count() == 0
+        assert tree.live == 0
 
     def test_zero_probability_table_is_inert(self):
         state, tree = self._one_tree_state((0.0, 0.0, 0.0, 0.0), live_cells=3)
@@ -257,7 +257,7 @@ class TestRegrow:
         state.occupied[dead_cell] = 99
         regrow(state, random.Random(0))
         assert dead_cell not in state.live_apples
-        assert tree.live_count() == 5  # the other two dead cells revived
+        assert tree.live == 5  # the other two dead cells revived
 
 
 class TestPolicies:
@@ -338,33 +338,33 @@ class TestWorldInvariants:
             for agent_id in sorted(state.agents):
                 view = build_view(state, agent_id)
                 actions[agent_id] = policy_action(policies[agent_id], view, rng)
-            before = state.live_apple_total()
+            before = len(state.live_apples)
             consumed0, regrown0 = state.total_consumed, state.total_regrown
             step_world(state, actions, rng)
-            delta = state.live_apple_total() - before
+            delta = len(state.live_apples) - before
             livestream.append(
                 delta == (state.total_regrown - regrown0) - (state.total_consumed - consumed0))
         return livestream
 
     def test_conservation_ledger(self):
-        grid = load_default_map()
+        grid = load_map(DEFAULT_MAP)
         state = make_world(grid, 5, (0.0, 0.1, 0.2, 0.3))
         policies = {i: PolicyKind.GREEDY for i in range(5)}
         checks = self._run_ticks(state, policies, random.Random(7), 300)
         assert all(checks)
 
     def test_no_agents_means_non_decreasing_apples(self):
-        grid = load_default_map()
+        grid = load_map(DEFAULT_MAP)
         state = make_world(grid, 0, (0.0, 0.3, 0.3, 0.3))
         # knock out a few apples so regrowth has room
         tree = state.trees[0]
         for i in range(3):
             state.remove_apple(tree.apple_cells[i])
         rng = random.Random(3)
-        last = state.live_apple_total()
+        last = len(state.live_apples)
         for _ in range(200):
             step_world(state, {}, rng)
-            now = state.live_apple_total()
+            now = len(state.live_apples)
             assert now >= last
             last = now
 
@@ -376,10 +376,10 @@ class TestWorldInvariants:
         rng = random.Random(1)
         for _ in range(100):
             regrow(state, rng)
-        assert tree.vanished and tree.live_count() == 0
+        assert tree.vanished and tree.live == 0
 
     def test_agents_never_share_a_cell(self):
-        grid = load_default_map()
+        grid = load_map(DEFAULT_MAP)
         state = make_world(grid, 8, (0.0, 0.1))
         policies = {i: PolicyKind.RANDOM for i in range(8)}
         rng = random.Random(11)
@@ -393,7 +393,7 @@ class TestWorldInvariants:
 
     def test_same_seed_same_trajectory(self):
         def run():
-            state = make_world(load_default_map(), 5, (0.0, 0.005, 0.01, 0.025))
+            state = make_world(load_map(DEFAULT_MAP), 5, (0.0, 0.005, 0.01, 0.025))
             rng = random.Random(21)
             history = []
             for _ in range(150):
@@ -407,7 +407,7 @@ class TestWorldInvariants:
         assert run() == run()
 
     def test_copy_steps_like_the_original_and_shares_nothing_mutable(self):
-        state = make_world(load_default_map(), 5, (0.0, 0.05, 0.1, 0.2))
+        state = make_world(load_map(DEFAULT_MAP), 5, (0.0, 0.05, 0.1, 0.2))
         rng = random.Random(8)
         # Sustainable foragers keep every tree alive, so the stock keeps changing.
         self._run_ticks(state, {i: PolicyKind.SUSTAINABLE for i in range(5)}, rng, 40)
@@ -483,12 +483,12 @@ def scanned_view(state, agent_id, radius=VIEW_RADIUS):
 def assert_stocks_consistent(state):
     for idx, tree in enumerate(state.trees):
         entries = sum(1 for i in state.live_apples.values() if i == idx)
-        assert tree.live_count() == sum(tree.alive) == entries
+        assert tree.live == sum(tree.alive) == entries
         assert [cell in state.live_apples for cell in tree.apple_cells] == tree.alive
 
 
 class TestVisibilityTable:
-    @pytest.mark.parametrize("grid", [load_default_map(), WALLED_MAP],
+    @pytest.mark.parametrize("grid", [load_map(DEFAULT_MAP), WALLED_MAP],
                              ids=["default", "walled"])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -535,7 +535,7 @@ class TestTreeStock:
            ops=st.lists(st.sampled_from(["step", "regrow", "vanish", "copy"]), max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_live_count_follows_every_mutation(self, seed, ops):
-        state = make_world(load_default_map(), 5, (0.0, 0.3, 0.3, 0.3))
+        state = make_world(load_map(DEFAULT_MAP), 5, (0.0, 0.3, 0.3, 0.3))
         rng = random.Random(seed)
         policies = (PolicyKind.GREEDY, PolicyKind.RANDOM) * 3
         states = [state]
