@@ -89,6 +89,16 @@ class ScenarioConfig:
             raise ConfigError(
                 f"episode_length {self.episode_length} must exceed the last "
                 f"trigger + 1 ({self.schedule.max_trigger() + 1})")
+        # Scoring gives each event the window from its trigger (tick 0 for the
+        # first) to the next trigger; events that do not fire only merge windows.
+        triggers = [e.trigger_tick for e in self.schedule]
+        for start, end in zip([0] + triggers[1:], triggers[1:]):
+            if end - start < 2:
+                raise ConfigError(f"event window [{start}, {end}) is shorter than 2 ticks; "
+                                  "space the triggers at least 2 ticks apart")
+        never = [e.trigger_tick for e in self.schedule if e.p_s == 0.0]
+        if never:
+            raise ConfigError(f"event at tick {never[0]} has p_s = 0 and can never fire")
         if self.h_max < 1:
             raise ConfigError("h_max must be >= 1")
         if not self.regrowth_table or any(not 0.0 <= p <= 1.0 for p in self.regrowth_table):
@@ -204,7 +214,9 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
         if engine is not None:
             engine.fire_events(state, t, event_rng)
 
-        apples[t] = [tree.live for tree in state.trees]
+        # Every decision comes before step_world: one stock vector serves them all.
+        stocks = tuple([tree.live for tree in state.trees])
+        apples[t] = stocks
         welfare = [state.agents[i] for i in range(n)]
         consumed[t] = [a.cumulative_consumed for a in welfare]
         hunger[t] = [a.ticks_since_meal for a in welfare]
@@ -220,7 +232,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
             agent = state.agents[agent_id]
             policy = (PolicyKind.UNSUSTAINABLE_BOT if agent.is_bot
                       else config.policies[agent_id])
-            actions[agent_id] = policy_action(policy, build_view(state, agent_id), rng)
+            actions[agent_id] = policy_action(policy, build_view(state, agent_id, stocks), rng)
         step_world(state, actions, rng)
 
     trace.fired_triggers = tuple(engine.fired) if engine is not None else ()
@@ -335,13 +347,6 @@ class GridResult:
     row_labels: list[str]
     col_labels: list[str]
     results: dict[tuple[int, int], ScenarioResult]
-
-    def heatmap(self) -> np.ndarray:
-        """Assembled resilience score per cell, rows x cols; NaN where absent."""
-        out = np.full((len(self.row_labels), len(self.col_labels)), np.nan)
-        for (r, c), res in self.results.items():
-            out[r, c] = res.report.assembled
-        return out
 
     def scenario_results(self) -> list[ScenarioResult]:
         return [res for _, res in sorted(self.results.items())]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -44,12 +45,10 @@ class Action(Enum):
 
 ACTIONS = tuple(Action)
 
-MOVE_DELTAS = {
-    Action.MOVE_UP: (-1, 0),
-    Action.MOVE_DOWN: (1, 0),
-    Action.MOVE_LEFT: (0, -1),
-    Action.MOVE_RIGHT: (0, 1),
-}
+# The four moves with their (row, col) deltas, in the order policies try them.
+# Iterated with identity tests: hashing an Enum member runs Python code.
+MOVES = ((Action.MOVE_UP, (-1, 0)), (Action.MOVE_DOWN, (1, 0)),
+         (Action.MOVE_LEFT, (0, -1)), (Action.MOVE_RIGHT, (0, 1)))
 
 
 class Orientation(Enum):
@@ -68,21 +67,23 @@ def rotate(orientation: Orientation, clockwise: bool) -> Orientation:
 
 
 class PolicyKind(Enum):
-    GREEDY = "greedy"
-    SUSTAINABLE = "sustainable"
-    RANDOM = "random"
-    UNSUSTAINABLE_BOT = "unsustainable_bot"
+    """A scripted policy, with its idle probability while exploring (no target in view).
 
+    Sustainable foragers patrol widely, which spaces their visits out and lets
+    tree stock rebuild; greedy gluttons are sedentary until food shows up;
+    intruding bots press on relentlessly.  Random agents never explore.
+    """
 
-# Idle probability while exploring (no target in view).  Sustainable
-# foragers patrol widely, which spaces their visits out and lets tree stock
-# rebuild in between; greedy gluttons are sedentary until food shows up;
-# intruding bots press on relentlessly.
-EXPLORE_IDLE_PROB = {
-    PolicyKind.GREEDY: 0.99,
-    PolicyKind.SUSTAINABLE: 0.9,
-    PolicyKind.UNSUSTAINABLE_BOT: 0.0,
-}
+    GREEDY = "greedy", 0.99
+    SUSTAINABLE = "sustainable", 0.9
+    RANDOM = "random", 0.0
+    UNSUSTAINABLE_BOT = "unsustainable_bot", 0.0
+
+    def __new__(cls, value: str, explore_idle_prob: float):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.explore_idle_prob = explore_idle_prob
+        return member
 
 
 @dataclass
@@ -386,7 +387,7 @@ def regrow(state: WorldState, rng: random.Random) -> WorldState:
     tick.  Cells under an agent do not regrow.  A full tree has no dead
     cell and is skipped; either way it draws nothing from ``rng``.
     """
-    table = state.regrowth_table
+    table, occupied = state.regrowth_table, state.occupied
     top = len(table) - 1
     for tree in state.trees:
         if tree.vanished:
@@ -398,8 +399,8 @@ def regrow(state: WorldState, rng: random.Random) -> WorldState:
         p = table[min(live, top)]
         if p <= 0.0 or live == len(tree.alive):
             continue
-        for i, cell in enumerate(tree.apple_cells):
-            if tree.alive[i] or cell in state.occupied:
+        for cell, alive in zip(tree.apple_cells, tree.alive):
+            if alive or cell in occupied:
                 continue
             if rng.random() < p:
                 state.revive_apple(cell)
@@ -415,11 +416,11 @@ def step_world(state: WorldState, actions: dict[int, Action],
     occupied cells block; entering a live apple cell consumes it), zap
     resolution, regrowth, hunger bookkeeping.
     """
-    for agent_id in actions:
-        if agent_id not in state.agents:
-            raise ValueError(f"action for unknown agent {agent_id}")
-    if set(actions) != set(state.agents):
-        missing = sorted(set(state.agents) - set(actions))
+    if actions.keys() != state.agents.keys():
+        for agent_id in actions:
+            if agent_id not in state.agents:
+                raise ValueError(f"action for unknown agent {agent_id}")
+        missing = sorted(state.agents.keys() - actions.keys())
         raise ValueError(f"missing actions for agents {missing}")
 
     ate: set[int] = set()
@@ -435,12 +436,14 @@ def step_world(state: WorldState, actions: dict[int, Action],
     rng.shuffle(order)
     for agent_id in order:
         action = actions[agent_id]
-        delta = MOVE_DELTAS.get(action)
-        if delta is None:
+        for move, (dr, dc) in MOVES:
+            if action is move:
+                break
+        else:
             continue
         agent = state.agents[agent_id]
         r, c = agent.position
-        target = (r + delta[0], c + delta[1])
+        target = (r + dr, c + dc)
         if state.grid.is_wall(target) or target in state.occupied:
             continue
         del state.occupied[agent.position]
@@ -515,52 +518,44 @@ def line_of_sight(grid: GridMap, a: Cell, b: Cell) -> bool:
 
 @dataclass
 class LocalView:
-    """What one agent can observe: a radius-limited egocentric crop.
+    """What one agent decides from.
 
-    ``apples`` maps visible live apple cells (within ``VIEW_RADIUS`` and in
-    line of sight) to the live-apple count of the tree they belong to.
-    ``tree_stocks`` is the coarse per-tree stock vector; only the intruder
-    bots act on it.  ``grid`` exposes static map knowledge (walls, tree
-    sites, walking distances).
+    ``apples`` maps the visible live apple cells (within ``VIEW_RADIUS`` in
+    both axes and in line of sight) to their tree's live-apple count.
+    ``tree_stocks`` is the map-wide per-tree stock vector; only intruder bots
+    act on it.  ``occupied`` is the world's cell -> agent id mapping, read in
+    place: policies only ask it about the four cells next to ``position``.
+    ``grid`` is static map knowledge (walls, tree sites, walking distances).
     """
 
     position: Cell
     orientation: Orientation
     apples: dict[Cell, int]
-    occupied: frozenset[Cell]
+    occupied: dict[Cell, int]
     tree_stocks: tuple[int, ...]
     grid: GridMap
 
 
-def build_view(state: WorldState, agent_id: int) -> LocalView:
-    """The view of one agent.
+def build_view(state: WorldState, agent_id: int, stocks: tuple[int, ...]) -> LocalView:
+    """The view of one agent, given the tick's tree stocks (``tree.live`` per tree).
 
     Which apple cells the agent can see is read from the map's visibility
     table; of those, the cells with a live apple enter ``apples``, in
     table order.
     """
     agent = state.agents[agent_id]
-    r0, c0 = agent.position
-    stocks = tuple([t.live for t in state.trees])
     live = state.live_apples
     apples = {cell: stocks[idx] for cell, idx in state.grid.visible_apple_cells(agent.position)
               if cell in live}
-    occupied = frozenset(
-        cell for cell, aid in state.occupied.items()
-        if aid != agent_id and abs(cell[0] - r0) <= VIEW_RADIUS
-        and abs(cell[1] - c0) <= VIEW_RADIUS)
-    return LocalView(position=agent.position, orientation=agent.orientation,
-                     apples=apples, occupied=occupied, tree_stocks=stocks, grid=state.grid)
+    # Positional arguments: this runs once per decision, and keywords double its cost.
+    return LocalView(agent.position, agent.orientation, apples, state.occupied, stocks,
+                     state.grid)
 
 
-_MOVE_ORDER = (Action.MOVE_UP, Action.MOVE_DOWN, Action.MOVE_LEFT, Action.MOVE_RIGHT)
-
-
-def _step_toward(view: LocalView, target: Cell, forbidden: set[Cell]) -> Action:
+def _step_toward(view: LocalView, target: Cell, forbidden: Collection[Cell]) -> Action:
     best: tuple[int, int] | None = None  # (distance, order index)
     r, c = view.position
-    for i, action in enumerate(_MOVE_ORDER):
-        dr, dc = MOVE_DELTAS[action]
+    for i, (_, (dr, dc)) in enumerate(MOVES):
         n = (r + dr, c + dc)
         if view.grid.is_wall(n) or n in view.occupied or n in forbidden:
             continue
@@ -569,17 +564,16 @@ def _step_toward(view: LocalView, target: Cell, forbidden: set[Cell]) -> Action:
             best = (d, i)
     if best is None:
         return Action.NOOP
-    return _MOVE_ORDER[best[1]]
+    return MOVES[best[1]][0]
 
 
-def _explore(view: LocalView, rng: random.Random, forbidden: set[Cell],
+def _explore(view: LocalView, rng: random.Random, forbidden: Collection[Cell],
              idle_prob: float) -> Action:
     if idle_prob > 0.0 and rng.random() < idle_prob:
         return Action.NOOP
     r, c = view.position
     options = []
-    for action in _MOVE_ORDER:
-        dr, dc = MOVE_DELTAS[action]
+    for action, (dr, dc) in MOVES:
         n = (r + dr, c + dc)
         if not view.grid.is_wall(n) and n not in view.occupied and n not in forbidden:
             options.append(action)
@@ -607,27 +601,26 @@ def policy_action(policy: PolicyKind, view: LocalView, rng: random.Random) -> Ac
     if policy is PolicyKind.RANDOM:
         return rng.choice(ACTIONS)
 
-    if policy is PolicyKind.SUSTAINABLE:
-        targets = {cell: stock for cell, stock in view.apples.items()
-                   if stock >= SUSTAINABLE_MIN_STOCK}
-        # Off-limits apples must not be eaten even in passing.
-        forbidden = {cell for cell in view.apples if cell not in targets}
-    else:  # greedy and unsustainable bots harvest without restraint
-        targets = dict(view.apples)
-        forbidden = set()
-
-    if targets:
-        pos = view.position
-        scored = [(view.grid.distance(pos, cell), cell) for cell in targets]
-        dist, target = min(scored)
-        if dist < UNREACHABLE:
-            return _step_toward(view, target, forbidden)
+    forbidden: Collection[Cell] = ()
+    if view.apples:
+        if policy is PolicyKind.SUSTAINABLE:
+            # Off-limits apples must not be eaten even in passing.
+            forbidden = {cell for cell, stock in view.apples.items()
+                         if stock < SUSTAINABLE_MIN_STOCK}
+            targets = view.apples.keys() - forbidden
+        else:  # greedy and unsustainable bots harvest without restraint
+            targets = view.apples
+        if targets:
+            pos = view.position
+            dist, target = min([(view.grid.distance(pos, cell), cell) for cell in targets])
+            if dist < UNREACHABLE:
+                return _step_toward(view, target, forbidden)
     if policy is PolicyKind.UNSUSTAINABLE_BOT:
         # Intruders raid known tree sites instead of wandering.
         site = _nearest_live_tree_cell(view)
         if site is not None:
             return _step_toward(view, site, forbidden)
-    return _explore(view, rng, forbidden, EXPLORE_IDLE_PROB[policy])
+    return _explore(view, rng, forbidden, policy.explore_idle_prob)
 
 
 def write_trace_jsonl(trace: EpisodeTrace, path: str | Path) -> None:

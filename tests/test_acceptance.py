@@ -179,9 +179,16 @@ def _rows_within_band(heatmap: np.ndarray, band: float = 0.05) -> int:
     return sum(bool(np.all(np.diff(row) <= band)) for row in heatmap)
 
 
+def _assembled(result) -> np.ndarray:
+    """Each cell's assembled score, rows x cols, as the report's heatmap shows it."""
+    return np.array([[result.results[(r, c)].report.assembled
+                      for c in range(len(result.col_labels))]
+                     for r in range(len(result.row_labels))])
+
+
 def test_criterion_7_magnitude_and_count_trend(table2_result):
     result, elapsed = table2_result
-    hm = result.heatmap()
+    hm = _assembled(result)
     rows_ok = _rows_within_band(hm)
     strict = hm[2, 2] < hm[0, 0]
     ok = rows_ok >= 2 and strict and elapsed < 60.0
@@ -191,7 +198,7 @@ def test_criterion_7_magnitude_and_count_trend(table2_result):
 
 def test_criterion_8_bot_duration_trend(bots_result):
     result, elapsed = bots_result
-    row = result.heatmap()[0]
+    row = _assembled(result)[0]
     ok = bool(np.all(np.diff(row) <= 0.05)) and elapsed < 30.0
     report_line(8, "bot grid J non-increasing in duration within 0.05: "
                    + np.array2string(row, precision=3), elapsed, ok)

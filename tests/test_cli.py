@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -46,6 +47,34 @@ class TestValidate:
                         "[pipeline]\nepisode_length = 400\n")
         assert main(["validate", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:config:")
+
+    @pytest.mark.parametrize("events, message", [
+        (["apple_vanish 100 0.3 0.0"], "can never fire"),
+        (["apple_vanish 200 0.3", "apple_vanish 201 0.3", "apple_vanish 202 0.3"],
+         r"window \[201, 202\) is shorter than 2 ticks"),
+        (["apple_vanish 0 0.3", "apple_vanish 1 0.3"],
+         r"window \[0, 1\) is shorter than 2 ticks"),
+    ], ids=["never_fires", "windows_one_tick_apart", "first_window_one_tick"])
+    def test_schedule_that_cannot_be_scored_is_refused_before_running(
+            self, tmp_path, capsys, events, message):
+        path = tmp_path / "bad.ini"
+        path.write_text("[events]\nschedule =\n" + "".join(f"    {e}\n" for e in events)
+                        + "[pipeline]\nepisode_length = 400\nepisodes = 1\n")
+        for argv in (["validate", "--config", str(path)],
+                     ["run", "--config", str(path), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:config:")
+            assert re.search(message, err)
+        assert not (tmp_path / "out").exists()
+
+    def test_two_triggers_one_tick_apart_validate(self, tmp_path, capsys):
+        # The first window starts at tick 0, so only later windows can be too short.
+        path = tmp_path / "close.ini"
+        path.write_text("[events]\nschedule =\n    apple_vanish 200 0.3\n"
+                        "    apple_vanish 201 0.3\n[pipeline]\nepisode_length = 400\n")
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "ok (5 agents, 2 events" in capsys.readouterr().out
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.ini")]) == 1

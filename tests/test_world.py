@@ -15,6 +15,7 @@ from coopres.world import (
     VIEW_RADIUS,
     Action,
     AgentState,
+    LocalView,
     Orientation,
     PolicyKind,
     build_view,
@@ -29,6 +30,11 @@ from coopres.world import (
 )
 
 NO_REGROWTH = (0.0,)
+
+
+def stocks(state):
+    """The tick's tree stocks, as ``run_episode`` passes them to ``build_view``."""
+    return tuple([tree.live for tree in state.trees])
 
 
 def corridor_map():
@@ -266,7 +272,7 @@ class TestPolicies:
         state = make_world(grid, 1, NO_REGROWTH)
         state.agents[0].position = (1, 2)
         state.occupied = {(1, 2): 0}
-        view = build_view(state, 0)
+        view = build_view(state, 0, stocks(state))
         action = policy_action(PolicyKind.GREEDY, view, random.Random(0))
         assert action is Action.MOVE_LEFT
 
@@ -275,7 +281,7 @@ class TestPolicies:
         state = make_world(grid, 1, NO_REGROWTH)
         state.agents[0].position = (1, 2)
         state.occupied = {(1, 2): 0}
-        view = build_view(state, 0)
+        view = build_view(state, 0, stocks(state))
         assert view.apples == {(1, 1): 1}
         rng = random.Random(0)
         for _ in range(200):
@@ -285,14 +291,14 @@ class TestPolicies:
     def test_sustainable_harvests_healthy_tree(self):
         grid = load_map("########\n#AAA...#\n#AAAS..#\n########")
         state = make_world(grid, 1, NO_REGROWTH)
-        view = build_view(state, 0)
+        view = build_view(state, 0, stocks(state))
         action = policy_action(PolicyKind.SUSTAINABLE, view, random.Random(0))
         assert action is Action.MOVE_LEFT
 
     def test_random_policy_is_uniform(self):
         grid = open_map()
         state = make_world(grid, 1, NO_REGROWTH)
-        view = build_view(state, 0)
+        view = build_view(state, 0, stocks(state))
         rng = random.Random(99)
         counts = Counter(policy_action(PolicyKind.RANDOM, view, rng)
                          for _ in range(10_000))
@@ -306,7 +312,7 @@ class TestPolicies:
         state = make_world(corridor_map(), 1, NO_REGROWTH)
         state.agents[0].position = (1, 9)
         state.occupied = {(1, 9): 0}
-        view = build_view(state, 0)
+        view = build_view(state, 0, stocks(state))
         assert view.apples == {}
         action = policy_action(PolicyKind.UNSUSTAINABLE_BOT, view, random.Random(0))
         assert action is Action.MOVE_LEFT
@@ -316,7 +322,7 @@ class TestPolicies:
         state = make_world(grid, 1, NO_REGROWTH)
         state.agents[0].position = (1, 2)  # in line with both apples
         state.occupied = {(1, 2): 0}
-        view = build_view(state, 0)
+        view = build_view(state, 0, stocks(state))
         # (1,1) is adjacent; (1,5) sits behind the wall at (1,4)
         assert (1, 1) in view.apples
         assert (1, 5) not in view.apples
@@ -324,10 +330,10 @@ class TestPolicies:
 
     def test_view_radius_limit(self):
         state = make_world(corridor_map(), 1, NO_REGROWTH)
-        assert build_view(state, 0).apples == {}  # apple is 6 cells away
+        assert build_view(state, 0, stocks(state)).apples == {}  # apple is 6 cells away
         state.agents[0].position = (1, 6)
         state.occupied = {(1, 6): 0}
-        assert build_view(state, 0).apples == {(1, 1): 1}
+        assert build_view(state, 0, stocks(state)).apples == {(1, 1): 1}
 
 
 class TestWorldInvariants:
@@ -336,7 +342,7 @@ class TestWorldInvariants:
         for _ in range(ticks):
             actions = {}
             for agent_id in sorted(state.agents):
-                view = build_view(state, agent_id)
+                view = build_view(state, agent_id, stocks(state))
                 actions[agent_id] = policy_action(policies[agent_id], view, rng)
             before = len(state.live_apples)
             consumed0, regrown0 = state.total_consumed, state.total_regrown
@@ -384,7 +390,7 @@ class TestWorldInvariants:
         policies = {i: PolicyKind.RANDOM for i in range(8)}
         rng = random.Random(11)
         for _ in range(200):
-            actions = {i: policy_action(policies[i], build_view(state, i), rng)
+            actions = {i: policy_action(policies[i], build_view(state, i, stocks(state)), rng)
                        for i in sorted(state.agents)}
             step_world(state, actions, rng)
             positions = [a.position for a in state.agents.values()]
@@ -397,7 +403,7 @@ class TestWorldInvariants:
             rng = random.Random(21)
             history = []
             for _ in range(150):
-                actions = {i: policy_action(PolicyKind.SUSTAINABLE, build_view(state, i), rng)
+                actions = {i: policy_action(PolicyKind.SUSTAINABLE, build_view(state, i, stocks(state)), rng)
                            for i in sorted(state.agents)}
                 step_world(state, actions, rng)
                 history.append((tuple(sorted(state.occupied)),
@@ -419,7 +425,7 @@ class TestWorldInvariants:
             stream.setstate(rng_state)
             history = []
             for _ in range(120):
-                actions = {i: policy_action(PolicyKind.SUSTAINABLE, build_view(world, i),
+                actions = {i: policy_action(PolicyKind.SUSTAINABLE, build_view(world, i, stocks(world)),
                                             stream)
                            for i in sorted(world.agents)}
                 step_world(world, actions, stream)
@@ -480,6 +486,11 @@ def scanned_view(state, agent_id, radius=VIEW_RADIUS):
     return apples, occupied, tuple(live_counts)
 
 
+def neighbours(cell):
+    r, c = cell
+    return [(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)]
+
+
 def assert_stocks_consistent(state):
     for idx, tree in enumerate(state.trees):
         entries = sum(1 for i in state.live_apples.values() if i == idx)
@@ -504,8 +515,12 @@ class TestVisibilityTable:
             state.agents[i] = AgentState(id=i, position=pos)
             state.occupied[pos] = i
         for i in state.agents:
-            view = build_view(state, i)
-            assert (view.apples, view.occupied, view.tree_stocks) == scanned_view(state, i)
+            view = build_view(state, i, stocks(state))
+            apples, occupied, tree_stocks = scanned_view(state, i)
+            assert (view.apples, view.tree_stocks) == (apples, tree_stocks)
+            # Policies ask the view about the four neighbouring cells only.
+            for n in neighbours(view.position):
+                assert (n in view.occupied) == (n in occupied)
 
     def test_line_of_sight_runs_once_per_cell_pair(self, monkeypatch):
         import coopres.world as world
@@ -521,8 +536,54 @@ class TestVisibilityTable:
         state = make_world(grid, 5, NO_REGROWTH)
         for _ in range(3):
             for i in state.agents:
-                build_view(state, i)
+                build_view(state, i, stocks(state))
         assert calls and set(calls.values()) == {1}
+
+
+def frozen_view(state, agent_id):
+    """``build_view`` as it was before views read the world in place.
+
+    It copied every other agent within ``VIEW_RADIUS`` into a frozenset and
+    rebuilt the tree stocks for each agent.  The reference for the decision path.
+    """
+    agent = state.agents[agent_id]
+    r0, c0 = agent.position
+    tree_stocks = tuple([t.live for t in state.trees])
+    apples = {cell: tree_stocks[idx] for cell, idx in state.grid.visible_apple_cells(agent.position)
+              if cell in state.live_apples}
+    occupied = frozenset(
+        cell for cell, aid in state.occupied.items()
+        if aid != agent_id and abs(cell[0] - r0) <= VIEW_RADIUS
+        and abs(cell[1] - c0) <= VIEW_RADIUS)
+    return LocalView(position=agent.position, orientation=agent.orientation, apples=apples,
+                     occupied=occupied, tree_stocks=tree_stocks, grid=state.grid)
+
+
+class TestDecisionPath:
+    @pytest.mark.parametrize("grid", [load_map(DEFAULT_MAP), WALLED_MAP],
+                             ids=["default", "walled"])
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_decision_equals_frozen_view(self, grid, data, seed):
+        state = make_world(grid, 0, NO_REGROWTH)
+        for cell in data.draw(st.sets(st.sampled_from(sorted(grid.apple_slots)))):
+            state.remove_apple(cell)
+        floor = [c for c in grid.floor if c not in state.live_apples]
+        # Agents crowd around an anchor cell, so neighbouring cells are often taken.
+        r0, c0 = data.draw(st.sampled_from(floor))
+        near = [c for c in floor if abs(c[0] - r0) <= 2 and abs(c[1] - c0) <= 2]
+        positions = data.draw(st.lists(st.sampled_from(near), min_size=1, max_size=8,
+                                       unique=True))
+        for i, pos in enumerate(positions):
+            state.agents[i] = AgentState(id=i, position=pos,
+                                         orientation=data.draw(st.sampled_from(list(Orientation))))
+            state.occupied[pos] = i
+        for i in state.agents:
+            policy = data.draw(st.sampled_from(list(PolicyKind)))
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            action = policy_action(policy, build_view(state, i, stocks(state)), rng)
+            assert action is policy_action(policy, frozen_view(state, i), ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
 
 
 class TestTreeStock:
@@ -541,7 +602,7 @@ class TestTreeStock:
         states = [state]
         for op in ops:
             if op == "step":
-                actions = {i: policy_action(policies[i], build_view(state, i), rng)
+                actions = {i: policy_action(policies[i], build_view(state, i, stocks(state)), rng)
                            for i in sorted(state.agents)}
                 step_world(state, actions, rng)
             elif op == "regrow":
