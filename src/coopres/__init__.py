@@ -19,7 +19,7 @@ from .resilience import (
     resilience_pipeline,
     summary_metric,
 )
-from .timeseries import TimeSeries, Window, guarded_ratio, pointwise_mean, trapezoid_integral
+from .timeseries import TimeSeries, Window, guarded_ratio, trapezoid_integral
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "compute_indicators",
     "fold_events",
     "guarded_ratio",
-    "pointwise_mean",
     "resilience_pipeline",
     "summary_metric",
     "trapezoid_integral",

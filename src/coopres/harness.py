@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .disruptions import Event, EventEngine, EventKind, EventSchedule, parse_schedule
-from .indicators import INDICATOR_NAMES, EpisodeTrace, compute_indicators, consolidate
-from .resilience import CurvePair, ResilienceReport, resilience_pipeline
+from .indicators import INDICATOR_NAMES, EpisodeTrace, compute_indicators, stack_episodes
+from .resilience import CurvePair, ResilienceReport, partition_windows, resilience_pipeline
 from .timeseries import TimeSeries
 from .world import (
     DEFAULT_MAP,
@@ -89,13 +89,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"episode_length {self.episode_length} must exceed the last "
                 f"trigger + 1 ({self.schedule.max_trigger() + 1})")
-        # Scoring gives each event the window from its trigger (tick 0 for the
-        # first) to the next trigger; events that do not fire only merge windows.
-        triggers = [e.trigger_tick for e in self.schedule]
-        for start, end in zip([0] + triggers[1:], triggers[1:]):
-            if end - start < 2:
-                raise ConfigError(f"event window [{start}, {end}) is shorter than 2 ticks; "
-                                  "space the triggers at least 2 ticks apart")
+        # Scoring windows the whole schedule; events that do not fire only
+        # merge windows, so a layout that passes here passes for any subset.
+        try:
+            partition_windows([e.trigger_tick for e in self.schedule], self.episode_length)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         never = [e.trigger_tick for e in self.schedule if e.p_s == 0.0]
         if never:
             raise ConfigError(f"event at tick {never[0]} has p_s = 0 and can never fire")
@@ -127,10 +126,10 @@ class ScenarioConfig:
 @dataclass
 class ScenarioResult:
     scenario_id: str
-    performance: dict[str, TimeSeries]
-    reference: dict[str, TimeSeries]
-    per_episode_performance: list[dict[str, TimeSeries]]
-    per_episode_reference: list[dict[str, TimeSeries]]
+    # One (episodes, horizon) array per indicator and twin; row k is episode k.
+    # The reference arrays are shared by every cell of a grid.
+    performance: dict[str, np.ndarray]
+    reference: dict[str, np.ndarray]
     report: ResilienceReport
     per_episode_j: list[float | None]
     # (performance, reference) per episode, only when the run was asked to keep them
@@ -244,25 +243,26 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
 class _Episode:
     """One seed of one scenario, reduced to what scoring needs."""
 
-    performance: dict[str, TimeSeries]
-    reference: dict[str, TimeSeries]
+    performance: dict[str, np.ndarray]
     fired_triggers: tuple[int, ...]
     traces: tuple[EpisodeTrace, EpisodeTrace] | None = None
 
 
 def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
-              keep_traces: bool = False) -> list[_Episode]:
-    """Episode ``k`` of every cell, which differ only in their schedules.
+              keep_traces: bool = False
+              ) -> tuple[dict[str, np.ndarray], list[_Episode]]:
+    """The reference curves of seed ``k``, and episode ``k`` of every cell.
 
-    The reference is simulated once; each performance episode continues
-    from it at the cell's first trigger.  A failure raises ``RuntimeError``
+    Cells differ only in their schedules, so the reference is simulated
+    once; each performance episode continues from it at the cell's first
+    trigger.  A failure raises ``RuntimeError``
     naming the cell being run (the first while the reference runs), unless
     it is a ``ConfigError``.
     """
     cell, config = cells[0]
     seed = config.base_seed + k
 
-    def curves(trace: EpisodeTrace) -> dict[str, TimeSeries]:
+    def curves(trace: EpisodeTrace) -> dict[str, np.ndarray]:
         return compute_indicators(trace, config.indicators, config.h_max)
 
     snapshots: dict[int, Snapshot | None] = {
@@ -278,42 +278,40 @@ def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
                 perf_curves = curves(performance)
             else:
                 performance, perf_curves = reference, ref_curves
-            episodes.append(_Episode(perf_curves, ref_curves, performance.fired_triggers,
+            episodes.append(_Episode(perf_curves, performance.fired_triggers,
                                      (performance, reference) if keep_traces else None))
     except ConfigError:
         raise
     except Exception as exc:
         raise RuntimeError(f"grid cell {cell} failed: {exc}") from exc
-    return episodes
+    return ref_curves, episodes
 
 
-def _score(config: ScenarioConfig, episodes: list[_Episode]) -> ScenarioResult:
-    """Consolidate one scenario's episodes and score its resilience."""
-    per_ep_perf = [ep.performance for ep in episodes]
-    per_ep_ref = [ep.reference for ep in episodes]
-    performance = consolidate(per_ep_perf)
-    reference = consolidate(per_ep_ref)
+def _score(config: ScenarioConfig, episodes: list[_Episode],
+           reference: dict[str, np.ndarray]) -> ScenarioResult:
+    """Score one scenario on its averaged curves, and each episode on its own.
+
+    ``reference`` holds the episodes' reference curves, already stacked;
+    every cell of a grid shares it.
+    """
+    performance = stack_episodes([ep.performance for ep in episodes])
+
+    def pairs(rows) -> dict[str, CurvePair]:
+        return {name: CurvePair(performance=TimeSeries(rows(curves)),
+                                reference=TimeSeries(rows(reference[name])))
+                for name, curves in performance.items()}
 
     # Events that fired in any episode define the scenario's window layout;
     # with p_s = 1 this is simply the schedule.
     triggers = sorted({t for ep in episodes for t in ep.fired_triggers})
-    pairs = {name: CurvePair(performance=curve, reference=reference[name])
-             for name, curve in performance.items()}
-    report = resilience_pipeline(pairs, triggers)
-
-    per_episode_j: list[float | None] = []
-    for ep in episodes:
-        if not ep.fired_triggers:
-            per_episode_j.append(None)
-            continue
-        ep_pairs = {name: CurvePair(performance=curve, reference=ep.reference[name])
-                    for name, curve in ep.performance.items()}
-        per_episode_j.append(resilience_pipeline(ep_pairs, ep.fired_triggers).assembled)
+    report = resilience_pipeline(pairs(lambda curves: curves.mean(axis=0)), triggers)
+    per_episode_j = [resilience_pipeline(pairs(lambda curves: curves[k]),
+                                         ep.fired_triggers).assembled
+                     if ep.fired_triggers else None
+                     for k, ep in enumerate(episodes)]
 
     return ScenarioResult(scenario_id=config.scenario_id, performance=performance,
-                          reference=reference, per_episode_performance=per_ep_perf,
-                          per_episode_reference=per_ep_ref, report=report,
-                          per_episode_j=per_episode_j,
+                          reference=reference, report=report, per_episode_j=per_episode_j,
                           traces=[ep.traces for ep in episodes if ep.traces is not None])
 
 
@@ -389,8 +387,11 @@ def run_grid(grid: ExperimentGrid, workers: int | None = None,
             per_seed = list(pool.map(run_seed, seeds))
     else:
         per_seed = [run_seed(k) for k in seeds]
-    results = {cell: _score(cfg, [episodes[i] for episodes in per_seed])
-               for i, (cell, cfg) in enumerate(cells)}
+    # Every cell shares one reference stack.  Popping a cell's episodes frees
+    # their curves once they are stacked.
+    reference = stack_episodes([ref_curves for ref_curves, _ in per_seed])
+    results = {cell: _score(cfg, [episodes.pop(0) for _, episodes in per_seed], reference)
+               for cell, cfg in cells}
     return GridResult(grid_id=grid.grid_id, row_labels=grid.row_labels,
                       col_labels=grid.col_labels, results=results)
 

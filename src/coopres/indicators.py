@@ -1,4 +1,4 @@
-"""Consolidated well-being curves computed from episode traces.
+"""Well-being indicator curves computed from episode traces.
 
 Each indicator is oriented so that higher values mean better collective
 well-being, which the downstream metric pipeline relies on.
@@ -12,8 +12,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-
-from .timeseries import TimeSeries, pointwise_mean
 
 DEFAULT_H_MAX = 100
 
@@ -87,29 +85,29 @@ def gini(values: Sequence[float] | np.ndarray) -> np.ndarray | float:
     return np.where(total > 0, rank_sum / (n * np.where(total > 0, total, 1.0)), 0.0)[()]
 
 
-def apples_per_capita(trace: EpisodeTrace) -> TimeSeries:
+def apples_per_capita(trace: EpisodeTrace) -> np.ndarray:
     """Live apples on the map divided by the welfare population size."""
     if trace.n_agents <= 0:
         raise ValueError("apples_per_capita needs at least one agent")
     totals = trace.apples_per_tree.sum(axis=1)
-    return TimeSeries(totals / trace.n_agents)
+    return totals / trace.n_agents
 
 
-def trees_per_capita(trace: EpisodeTrace) -> TimeSeries:
+def trees_per_capita(trace: EpisodeTrace) -> np.ndarray:
     """Trees holding at least one live apple, divided by the population size."""
     if trace.n_agents <= 0:
         raise ValueError("trees_per_capita needs at least one agent")
-    return TimeSeries(trace.live_tree_count() / trace.n_agents)
+    return trace.live_tree_count() / trace.n_agents
 
 
-def gini_equality(trace: EpisodeTrace) -> TimeSeries:
+def gini_equality(trace: EpisodeTrace) -> np.ndarray:
     """1 - Gini of the cumulative consumption vector, per tick."""
     if trace.n_agents <= 0:
         raise ValueError("gini_equality needs at least one agent")
-    return TimeSeries(1.0 - gini(trace.consumed))
+    return 1.0 - gini(trace.consumed)
 
 
-def hunger_index(trace: EpisodeTrace, h_max: int = DEFAULT_H_MAX) -> TimeSeries:
+def hunger_index(trace: EpisodeTrace, h_max: int = DEFAULT_H_MAX) -> np.ndarray:
     """Collective satiation level in [0, 1]; 1 means everyone just ate.
 
     Per agent, hunger saturates at 1 once ``h_max`` ticks pass without a
@@ -118,10 +116,10 @@ def hunger_index(trace: EpisodeTrace, h_max: int = DEFAULT_H_MAX) -> TimeSeries:
     if h_max < 1:
         raise ValueError("h_max must be >= 1")
     hunger = np.minimum(1.0, trace.hunger_ticks / h_max)
-    return TimeSeries(1.0 - hunger.mean(axis=1))
+    return 1.0 - hunger.mean(axis=1)
 
 
-INDICATORS: dict[str, Callable[[EpisodeTrace, int], TimeSeries]] = {
+INDICATORS: dict[str, Callable[[EpisodeTrace, int], np.ndarray]] = {
     "apples_pc": lambda trace, h_max: apples_per_capita(trace),
     "trees_pc": lambda trace, h_max: trees_per_capita(trace),
     "gini_equality": lambda trace, h_max: gini_equality(trace),
@@ -133,22 +131,22 @@ INDICATOR_NAMES = tuple(INDICATORS)
 
 
 def compute_indicators(trace: EpisodeTrace, names: Sequence[str] = INDICATOR_NAMES,
-                       h_max: int = DEFAULT_H_MAX) -> dict[str, TimeSeries]:
-    """The named indicator curves of one trace, in canonical order."""
+                       h_max: int = DEFAULT_H_MAX) -> dict[str, np.ndarray]:
+    """The named indicator curves of one trace, one value per tick, in canonical order."""
     return {name: fn(trace, h_max) for name, fn in INDICATORS.items() if name in names}
 
 
-def consolidate(per_episode: Sequence[Mapping[str, TimeSeries]]) -> dict[str, TimeSeries]:
-    """Tick-wise mean of each indicator across episodes, in the episodes' key order."""
+def stack_episodes(per_episode: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """One ``(episodes, horizon)`` array per indicator, in the episodes' key order."""
     if not per_episode:
         raise ValueError("need at least one episode")
-    return {name: pointwise_mean([curves[name] for curves in per_episode])
+    return {name: np.stack([curves[name] for curves in per_episode])
             for name in per_episode[0]}
 
 
-def write_indicator_csv(curves: Mapping[str, TimeSeries], path: str | Path) -> None:
-    """Write aligned curves as a ``tick`` column plus one column per indicator."""
-    columns = [c.values.tolist() for c in curves.values()]
+def write_indicator_csv(curves: Mapping[str, np.ndarray], path: str | Path) -> None:
+    """Write equal-length curves as a ``tick`` column plus one column per indicator."""
+    columns = [c.tolist() for c in curves.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick"] + list(curves))

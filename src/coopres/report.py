@@ -13,7 +13,6 @@ from typing import Sequence
 
 from .harness import ConfigError, GridResult, ScenarioResult
 from .indicators import write_indicator_csv
-from .timeseries import pointwise_std
 
 
 def _long_rows(results: list[ScenarioResult]) -> list[list]:
@@ -128,12 +127,12 @@ def emit_report(result: GridResult, out_dir: str | Path,
 
 
 def export_indicators(result: ScenarioResult, out_dir: str | Path) -> None:
-    """Per-scenario indicator CSVs: averaged curves plus dispersion companions."""
+    """Per-scenario indicator CSVs: tick-wise mean and std over episodes, per twin."""
     out = Path(out_dir)
-    write_indicator_csv(result.performance, out / f"{result.scenario_id}_performance.csv")
-    write_indicator_csv(result.reference, out / f"{result.scenario_id}_reference.csv")
-    for label, episodes in (("performance", result.per_episode_performance),
-                            ("reference", result.per_episode_reference)):
-        std = {name: pointwise_std([curves[name] for curves in episodes])
-               for name in episodes[0]}
-        write_indicator_csv(std, out / f"{result.scenario_id}_{label}_std.csv")
+    for label, episodes in (("performance", result.performance),
+                            ("reference", result.reference)):
+        stem = out / f"{result.scenario_id}_{label}"
+        write_indicator_csv({name: a.mean(axis=0) for name, a in episodes.items()},
+                            f"{stem}.csv")
+        write_indicator_csv({name: a.std(axis=0) for name, a in episodes.items()},
+                            f"{stem}_std.csv")

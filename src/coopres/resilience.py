@@ -114,7 +114,8 @@ def partition_windows(schedule: Iterable[int], horizon: int, t0: int = 0) -> lis
 
     Window l runs from the previous window's end (``t0`` for the first) to
     the next event's trigger (the end of the range for the last), so each
-    window contains exactly one trigger.
+    window contains exactly one trigger.  A window shorter than 2 ticks
+    has no failure-recovery span to score and is refused.
     """
     triggers = [int(t) for t in schedule]
     if not triggers:
@@ -128,7 +129,11 @@ def partition_windows(schedule: Iterable[int], horizon: int, t0: int = 0) -> lis
     if triggers[0] < t0 or triggers[-1] >= end:
         raise ValueError(f"triggers must lie in [{t0}, {end}), got {triggers}")
     bounds = [t0] + triggers[1:] + [end]
-    return [Window(bounds[i], bounds[i + 1]) for i in range(len(triggers))]
+    for start, stop in zip(bounds, bounds[1:]):
+        if stop - start < 2:
+            raise ValueError(f"event window [{start}, {stop}) is shorter than 2 ticks; "
+                             "space the triggers at least 2 ticks apart")
+    return [Window(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
 def detect_milestones(pair: CurvePair, trigger: int, window: Window,

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 # Defaults for the ratio guard used throughout the metric pipeline.
 DEFAULT_EPS = 1e-9
 DEFAULT_CAP = 2.0
+
+_CSV_ROW = np.dtype([("tick", np.int64), ("value", np.float64)])
 
 
 class TimeSeries:
@@ -67,26 +70,33 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TimeSeries":
-        """Read a ``tick,value`` CSV; ticks must be consecutive integers."""
-        ticks: list[int] = []
-        values: list[float] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["tick", "value"]:
+        """Read a ``tick,value`` CSV; ticks must be consecutive integers.
+
+        Columns after the second are ignored.  Every refusal raises
+        ``ValueError`` with the path as its prefix.
+        """
+        with open(path) as fh:
+            header = next(csv.reader([fh.readline()]))
+            if [h.strip() for h in header[:2]] != ["tick", "value"]:
                 raise ValueError(f"{path}: expected header 'tick,value'")
-            for row in reader:
-                if not row:
-                    continue
-                ticks.append(int(row[0]))
-                values.append(float(row[1]))
-        if not ticks:
+            try:
+                with warnings.catch_warnings():
+                    # An empty body is refused below, not warned about.
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=1,
+                                      comments=None, dtype=_CSV_ROW)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        if rows.size == 0:
             raise ValueError(f"{path}: no data rows")
-        for prev, cur in zip(ticks, ticks[1:]):
-            if cur != prev + 1:
-                raise ValueError(f"{path}: ticks must be consecutive, got {prev} then {cur}")
+        ticks = rows["tick"]
+        gaps = np.flatnonzero(np.diff(ticks) != 1)
+        if gaps.size:
+            i = gaps[0]
+            raise ValueError(f"{path}: ticks must be consecutive, "
+                             f"got {ticks[i]} then {ticks[i + 1]}")
         try:
-            return cls(values, t0=ticks[0])
+            return cls(np.ascontiguousarray(rows["value"]), t0=int(ticks[0]))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -121,30 +131,6 @@ def trapezoid_integral(ts: TimeSeries, w: Window) -> float:
         return 0.0
     vals = ts.slice_values(w.start, w.end)
     return float(np.sum((vals[:-1] + vals[1:]) * 0.5))
-
-
-def _check_aligned(series: Sequence[TimeSeries]) -> None:
-    if not series:
-        raise ValueError("need at least one series")
-    first = series[0]
-    for s in series[1:]:
-        if s.t0 != first.t0 or len(s) != len(first):
-            raise ValueError(
-                f"series are not aligned: ({first.t0}, {len(first)}) vs ({s.t0}, {len(s)})")
-
-
-def pointwise_mean(series: Sequence[TimeSeries]) -> TimeSeries:
-    """Element-wise arithmetic mean of aligned series."""
-    _check_aligned(series)
-    stacked = np.stack([s.values for s in series])
-    return TimeSeries(stacked.mean(axis=0), t0=series[0].t0)
-
-
-def pointwise_std(series: Sequence[TimeSeries]) -> TimeSeries:
-    """Element-wise population standard deviation; companion of pointwise_mean."""
-    _check_aligned(series)
-    stacked = np.stack([s.values for s in series])
-    return TimeSeries(stacked.std(axis=0), t0=series[0].t0)
 
 
 def guarded_ratio(num: float | np.ndarray, den: float | np.ndarray,

@@ -4,10 +4,12 @@ import csv
 import hashlib
 import json
 import re
+import warnings
 
 import pytest
 
 import coopres.harness
+import coopres.resilience
 from coopres.cli import main
 from coopres.harness import parse_scenario_config, run_episode
 from coopres.world import write_trace_jsonl
@@ -34,6 +36,12 @@ def tiny_config(tmp_path):
 def write_curves(tmp_path, p_values, r_values):
     return (write_raw_curve(tmp_path / "p.csv", p_values),
             write_raw_curve(tmp_path / "r.csv", r_values))
+
+
+def write_schedule(tmp_path, *triggers):
+    path = tmp_path / "sched.txt"
+    path.write_text("".join(f"{t}\n" for t in triggers))
+    return path
 
 
 class TestValidate:
@@ -168,6 +176,71 @@ class TestMeasure:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:input:")
+
+    # A window of one tick has no failure-recovery span: refused while the
+    # windows are laid out, before any milestone is looked for.
+    @pytest.mark.parametrize("p, schedule, window", [
+        ([1.0] * 20 + [0.5] * 40, "20\n30\n31\n", "[30, 31)"),
+        ([1.0] * 10 + [0.5] * 10 + [1.0] * 39 + [0.5], None, "[59, 60)"),
+    ], ids=["scheduled", "detected_on_the_last_tick"])
+    def test_one_tick_window_refused_before_scoring(self, tmp_path, capsys, monkeypatch,
+                                                    p, schedule, window):
+        def no_milestones(*args, **kwargs):
+            raise AssertionError("milestones computed for an unscorable layout")
+        monkeypatch.setattr(coopres.resilience, "detect_milestones", no_milestones)
+        p_path, r_path = write_curves(tmp_path, p, [1.0] * 60)
+        argv = ["measure", "--performance", str(p_path), "--reference", str(r_path)]
+        if schedule is not None:
+            (tmp_path / "sched.txt").write_text(schedule)
+            argv += ["--schedule", str(tmp_path / "sched.txt")]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error:input: event window {window} is shorter than 2 ticks; "
+                       "space the triggers at least 2 ticks apart\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("", "no data rows"),
+        ("0,1.0\n1.5,2.0\n", "'1.5'"),
+        ("0,1.0\nabc,2.0\n", "'abc'"),
+        ("0,1.0\n1\n", "column"),
+    ], ids=["header_only", "fractional_tick", "non_numeric_tick", "short_row"])
+    def test_bad_curve_file_rejected(self, tmp_path, capsys, body, message):
+        p_path = tmp_path / "p.csv"
+        p_path.write_text("tick,value\n" + body)
+        r_path = write_raw_curve(tmp_path / "r.csv", [1.0] * 2)
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["measure", "--performance", str(p_path), "--reference",
+                         str(r_path), "--schedule", str(write_schedule(tmp_path, "0")),
+                         "--out", str(out)])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:input: {p_path}: ") and message in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header, newline", [
+        ("tick,value", "\r\n"), ('"tick","value"', "\n"), ("tick,value,note", "\n"),
+    ], ids=["crlf", "quoted_header", "extra_column"])
+    def test_curve_file_variants_parse(self, tmp_path, header, newline):
+        p = [1.0] * 20 + [0.5] * 20
+        p_path = tmp_path / "p.csv"
+        p_path.write_bytes((header + newline + "".join(
+            f"{t},{v}{',x' if 'note' in header else ''}{newline}"
+            for t, v in enumerate(p))).encode())
+        r_path = write_raw_curve(tmp_path / "r.csv", [1.0] * 40)
+        reports = []
+        for perf in (p_path, write_raw_curve(tmp_path / "plain.csv", p)):
+            out = tmp_path / f"{perf.stem}.json"
+            assert main(["measure", "--performance", str(perf), "--reference", str(r_path),
+                         "--schedule", str(write_schedule(tmp_path, "20")),
+                         "--out", str(out)]) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
 
 
 RUN_DIGESTS = {

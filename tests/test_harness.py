@@ -24,7 +24,7 @@ from coopres.harness import (
     table2_preset,
 )
 from coopres.report import emit_report, export_indicators, grid_json_dict
-from coopres.indicators import EpisodeTrace
+from coopres.indicators import EpisodeTrace, compute_indicators
 from coopres.world import PolicyKind
 
 
@@ -292,8 +292,10 @@ class TestRunScenario:
     def test_single_episode_identity(self):
         cfg = quick_config(episodes=1)
         result = run_one(cfg)
-        assert len(result.per_episode_performance) == 1
-        assert result.performance == result.per_episode_performance[0]
+        for curves in (*result.performance.values(), *result.reference.values()):
+            assert curves.shape == (1, cfg.episode_length)
+        # The mean of one episode is that episode, so both scores agree.
+        assert result.per_episode_j == [result.report.assembled]
 
     def test_kept_traces_are_the_scored_episodes(self):
         cfg = quick_config(episode_length=150)
@@ -310,7 +312,11 @@ class TestRunScenario:
         b = run_one(cfg)
         assert a.report.to_json_dict() == b.report.to_json_dict()
         assert a.per_episode_j == b.per_episode_j
-        assert a.performance == b.performance
+        for twin in ("performance", "reference"):
+            curves_a, curves_b = getattr(a, twin), getattr(b, twin)
+            assert curves_a.keys() == curves_b.keys()
+            for name in curves_a:
+                assert np.array_equal(curves_a[name], curves_b[name])
 
 
 # A valid value of each setting other than quick_config's.
@@ -489,12 +495,23 @@ class TestReports:
             "solo", [""], [""])
 
     def test_indicator_export(self, tmp_path):
-        result = run_one(quick_config(scenario_id="exp"))
-        export_indicators(result, tmp_path)
-        with open(tmp_path / "exp_performance.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        for name, curve in result.performance.items():
-            assert [float(row[name]) for row in rows] == curve.values.tolist()
-        assert (tmp_path / "exp_reference.csv").exists()
-        assert (tmp_path / "exp_performance_std.csv").exists()
-        assert (tmp_path / "exp_reference_std.csv").exists()
+        # Each CSV column must be the tick-wise mean (or population std) of
+        # the episodes' curves, rebuilt here from the kept traces.
+        for episodes in (1, 3):
+            cfg = quick_config(scenario_id=f"exp{episodes}", episodes=episodes,
+                               episode_length=120)
+            result = run_one(cfg, keep_traces=True)
+            export_indicators(result, tmp_path)
+            for twin, k in (("performance", 0), ("reference", 1)):
+                per_episode = [compute_indicators(pair[k], cfg.indicators, cfg.h_max)
+                               for pair in result.traces]
+                for suffix, reduce in (("", np.mean), ("_std", np.std)):
+                    with open(tmp_path / f"exp{episodes}_{twin}{suffix}.csv",
+                              newline="") as fh:
+                        reader = csv.DictReader(fh)
+                        assert reader.fieldnames == ["tick", *cfg.indicators]
+                        rows = list(reader)
+                    assert [int(row["tick"]) for row in rows] == list(range(120))
+                    for name in cfg.indicators:
+                        expected = reduce([curves[name] for curves in per_episode], axis=0)
+                        assert [float(row[name]) for row in rows] == expected.tolist()

@@ -12,14 +12,13 @@ from coopres.indicators import (
     INDICATOR_NAMES,
     apples_per_capita,
     compute_indicators,
-    consolidate,
     gini,
     gini_equality,
     hunger_index,
+    stack_episodes,
     trees_per_capita,
     write_indicator_csv,
 )
-from coopres.timeseries import TimeSeries
 
 from conftest import build_trace
 
@@ -83,11 +82,11 @@ class TestGini:
 class TestPerCapitaCurves:
     def test_apples_per_capita(self, flat_trace):
         curve = apples_per_capita(flat_trace)
-        assert curve == TimeSeries([6.0] * 20)
+        assert curve.tolist() == [6.0] * 20
 
     def test_zero_apples(self):
         trace = build_trace(np.zeros((4, 2)), np.zeros((4, 5)))
-        assert apples_per_capita(trace) == TimeSeries([0.0] * 4)
+        assert apples_per_capita(trace).tolist() == [0.0] * 4
 
     def test_consumption_step(self):
         # one apple eaten at t=3: 30 -> 29 with N=5 steps 6.0 -> 5.8
@@ -95,30 +94,30 @@ class TestPerCapitaCurves:
         consumed = np.zeros((6, 5), dtype=int)
         consumed[3:, 0] = 1
         curve = apples_per_capita(build_trace(apples, consumed))
-        assert curve == TimeSeries([6.0, 6.0, 6.0, 5.8, 5.8, 5.8])
+        assert curve.tolist() == [6.0, 6.0, 6.0, 5.8, 5.8, 5.8]
 
     def test_trees_per_capita(self):
         apples = np.tile([3, 1, 2, 5, 1, 4], (4, 1))
         trace = build_trace(apples, np.zeros((4, 5)))
-        assert trees_per_capita(trace) == TimeSeries([1.2] * 4)
+        assert trees_per_capita(trace).tolist() == [1.2] * 4
 
     def test_all_trees_dead(self):
         trace = build_trace(np.zeros((4, 6)), np.zeros((4, 5)))
-        assert trees_per_capita(trace) == TimeSeries([0.0] * 4)
+        assert trees_per_capita(trace).tolist() == [0.0] * 4
 
     def test_tree_death_step(self):
         h = 120
         apples = np.tile([2, 2, 2, 2, 2, 2], (h, 1))
         apples[100:, 0] = 0
         curve = trees_per_capita(build_trace(apples, np.zeros((h, 5))))
-        assert curve.values[99] == pytest.approx(1.2)
-        assert curve.values[100] == pytest.approx(1.0)
+        assert curve[99] == pytest.approx(1.2)
+        assert curve[100] == pytest.approx(1.0)
 
     def test_integer_recoverable(self):
         rng = np.random.default_rng(7)
         apples = rng.integers(0, 7, size=(50, 6))
         trace = build_trace(apples, np.zeros((50, 5)))
-        back = apples_per_capita(trace).values * 5
+        back = apples_per_capita(trace) * 5
         assert np.array_equal(np.rint(back).astype(int), apples.sum(axis=1))
 
 
@@ -127,35 +126,35 @@ class TestGiniEquality:
         consumed = np.tile([4, 4, 4], (5, 1))
         trace = build_trace(np.ones((5, 1)), consumed,
                             hunger_ticks=np.zeros((5, 3)))
-        assert gini_equality(trace) == TimeSeries([1.0] * 5)
+        assert gini_equality(trace).tolist() == [1.0] * 5
 
     def test_no_consumption_yet(self):
         trace = build_trace(np.ones((3, 1)), np.zeros((3, 4)))
-        assert gini_equality(trace) == TimeSeries([1.0] * 3)
+        assert gini_equality(trace).tolist() == [1.0] * 3
 
     def test_single_eater(self):
         consumed = np.zeros((2, 5), dtype=int)
         consumed[:, 0] = 10
         trace = build_trace(np.ones((2, 1)), consumed,
                             hunger_ticks=np.zeros((2, 5)))
-        assert gini_equality(trace).values == pytest.approx([0.2, 0.2])
+        assert gini_equality(trace).tolist() == pytest.approx([0.2, 0.2])
 
 
 class TestHungerIndex:
     def test_everyone_just_ate(self):
         trace = build_trace(np.ones((3, 1)), np.zeros((3, 4)),
                             hunger_ticks=np.zeros((3, 4)))
-        assert hunger_index(trace, h_max=100) == TimeSeries([1.0] * 3)
+        assert hunger_index(trace, h_max=100).tolist() == [1.0] * 3
 
     def test_starvation_saturates(self):
         hunger = np.full((3, 4), 150)
         trace = build_trace(np.ones((3, 1)), np.zeros((3, 4)), hunger_ticks=hunger)
-        assert hunger_index(trace, h_max=100) == TimeSeries([0.0] * 3)
+        assert hunger_index(trace, h_max=100).tolist() == [0.0] * 3
 
     def test_mixed_hunger(self):
         hunger = np.tile([50, 100], (2, 1))
         trace = build_trace(np.ones((2, 1)), np.zeros((2, 2)), hunger_ticks=hunger)
-        assert hunger_index(trace, h_max=100) == TimeSeries([0.25, 0.25])
+        assert hunger_index(trace, h_max=100).tolist() == [0.25, 0.25]
 
     def test_h_max_validation(self):
         trace = build_trace(np.ones((2, 1)), np.zeros((2, 2)))
@@ -164,7 +163,7 @@ class TestHungerIndex:
 
     def test_full_at_start_when_fed(self):
         trace = build_trace(np.ones((5, 1)), np.zeros((5, 3)))
-        assert hunger_index(trace).values[0] == 1.0
+        assert hunger_index(trace)[0] == 1.0
 
 
 class TestTraceValidation:
@@ -193,58 +192,59 @@ class TestTraceValidation:
 
 class TestComputeIndicators:
     def test_single_episode_identity(self, flat_trace):
-        per_episode = [compute_indicators(flat_trace)]
-        consolidated = consolidate(per_episode)
-        assert len(per_episode) == 1
-        assert consolidated == per_episode[0]
+        curves = compute_indicators(flat_trace)
+        stacked = stack_episodes([curves])
+        for name, row in curves.items():
+            assert stacked[name].shape == (1, flat_trace.horizon)
+            assert stacked[name].mean(axis=0).tolist() == row.tolist()
 
-    def test_identical_episodes_consolidate_to_same(self, flat_trace):
-        consolidated = consolidate([compute_indicators(flat_trace)] * 5)
+    def test_identical_episodes_average_to_same(self, flat_trace):
+        stacked = stack_episodes([compute_indicators(flat_trace)] * 5)
         single = compute_indicators(flat_trace)
-        for name, curve in consolidated.items():
-            assert np.allclose(curve.values, single[name].values)
+        for name, curves in stacked.items():
+            assert curves.shape == (5, flat_trace.horizon)
+            assert np.allclose(curves.mean(axis=0), single[name])
 
     def test_mean_of_two_levels(self):
         t4 = build_trace(np.full((6, 1), 20), np.zeros((6, 5)))
         t6 = build_trace(np.full((6, 1), 30), np.zeros((6, 5)))
-        consolidated = consolidate([compute_indicators(t4), compute_indicators(t6)])
-        assert consolidated["apples_pc"] == TimeSeries([5.0] * 6)
+        stacked = stack_episodes([compute_indicators(t4), compute_indicators(t6)])
+        assert stacked["apples_pc"].mean(axis=0).tolist() == [5.0] * 6
 
     def test_constant_world_gives_constant_resource_curves(self, flat_trace):
         # no consumption and no regrowth: the resource curves stay flat
-        consolidated = compute_indicators(flat_trace)
+        curves = compute_indicators(flat_trace)
         for name in ("apples_pc", "trees_pc"):
-            curve = consolidated[name]
-            assert np.all(curve.values == curve.values[0])
+            assert np.all(curves[name] == curves[name][0])
 
     def test_ranges_hold(self, flat_trace):
-        consolidated = compute_indicators(flat_trace)
+        curves = compute_indicators(flat_trace)
         for name in ("gini_equality", "hunger_index"):
-            values = consolidated[name].values
-            assert np.all((values >= 0) & (values <= 1))
+            assert np.all((curves[name] >= 0) & (curves[name] <= 1))
         for name in ("apples_pc", "trees_pc"):
-            assert np.all(consolidated[name].values >= 0)
+            assert np.all(curves[name] >= 0)
 
     def test_subset_selection(self, flat_trace):
-        consolidated = compute_indicators(flat_trace, ("apples_pc",))
-        assert list(consolidated) == ["apples_pc"]
+        curves = compute_indicators(flat_trace, ("apples_pc",))
+        assert list(curves) == ["apples_pc"]
+        assert curves["apples_pc"].shape == (flat_trace.horizon,)
+        assert curves["apples_pc"].dtype == np.float64
 
     def test_canonical_order_whatever_the_selection_order(self, flat_trace):
         per_episode = [compute_indicators(flat_trace, ("hunger_index", "apples_pc"))]
-        consolidated = consolidate(per_episode)
-        assert list(consolidated) == ["apples_pc", "hunger_index"]
         assert list(per_episode[0]) == ["apples_pc", "hunger_index"]
+        assert list(stack_episodes(per_episode)) == ["apples_pc", "hunger_index"]
         all_names = compute_indicators(flat_trace)
         assert tuple(all_names) == INDICATOR_NAMES
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            consolidate([])
+            stack_episodes([])
 
     def test_mismatched_horizons_rejected(self, flat_trace):
         short = build_trace(np.ones((3, 2)), np.zeros((3, 5)))
         with pytest.raises(ValueError):
-            consolidate([compute_indicators(flat_trace), compute_indicators(short)])
+            stack_episodes([compute_indicators(flat_trace), compute_indicators(short)])
 
     def test_unknown_indicator_rejected(self):
         # Names are checked where a scenario is validated, before any episode.
@@ -254,8 +254,8 @@ class TestComputeIndicators:
 
 class TestIndicatorCsv:
     def test_round_trip(self, tmp_path):
-        curves = {"apples_pc": TimeSeries([6.0, 5.8, 1 / 3]),
-                  "hunger_index": TimeSeries([1.0, 0.1 + 0.2, 0.0])}
+        curves = {"apples_pc": np.array([6.0, 5.8, 1 / 3]),
+                  "hunger_index": np.array([1.0, 0.1 + 0.2, 0.0])}
         path = tmp_path / "indicators.csv"
         write_indicator_csv(curves, path)
         with open(path, newline="") as fh:
@@ -264,4 +264,4 @@ class TestIndicatorCsv:
             rows = list(reader)
         assert [int(row["tick"]) for row in rows] == [0, 1, 2]
         for name, curve in curves.items():
-            assert [float(row[name]) for row in rows] == curve.values.tolist()
+            assert [float(row[name]) for row in rows] == curve.tolist()

@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopres.timeseries import (
-    TimeSeries,
-    Window,
-    guarded_ratio,
-    pointwise_mean,
-    pointwise_std,
-    trapezoid_integral,
-)
+from coopres.indicators import stack_episodes
+from coopres.timeseries import TimeSeries, Window, guarded_ratio, trapezoid_integral
 
 from conftest import write_raw_curve
 
@@ -133,40 +127,40 @@ class TestTrapezoidIntegral:
         assert trapezoid_integral(ts, Window(0, len(values) - 1)) >= 0.0
 
 
+def stacked(*rows) -> np.ndarray:
+    """One indicator's episodes as the harness stacks them: one row per episode."""
+    return stack_episodes([{"x": np.asarray(r, dtype=np.float64)} for r in rows])["x"]
+
+
 class TestPointwiseMean:
+    """The averaged curve is the mean over axis 0 of an (episodes, horizon) stack."""
+
     def test_two_constants(self):
-        mean = pointwise_mean([TimeSeries([2.0] * 4), TimeSeries([4.0] * 4)])
-        assert mean == TimeSeries([3.0] * 4)
+        assert stacked([2.0] * 4, [4.0] * 4).mean(axis=0).tolist() == [3.0] * 4
 
     def test_single_series_identity(self):
-        ts = TimeSeries([1.0, 5.0, 2.0])
-        assert pointwise_mean([ts]) == ts
+        assert stacked([1.0, 5.0, 2.0]).mean(axis=0).tolist() == [1.0, 5.0, 2.0]
 
     def test_crossing_ramps(self):
-        mean = pointwise_mean([TimeSeries([0, 1, 2]), TimeSeries([2, 1, 0])])
-        assert mean == TimeSeries([1.0, 1.0, 1.0])
+        assert stacked([0, 1, 2], [2, 1, 0]).mean(axis=0).tolist() == [1.0, 1.0, 1.0]
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            pointwise_mean([])
+            stacked()
 
     def test_mismatched_horizons_rejected(self):
         with pytest.raises(ValueError):
-            pointwise_mean([TimeSeries([1, 2]), TimeSeries([1, 2, 3])])
-        with pytest.raises(ValueError):
-            pointwise_mean([TimeSeries([1, 2]), TimeSeries([1, 2], t0=1)])
+            stacked([1, 2], [1, 2, 3])
 
     @given(st.lists(st.lists(finite, min_size=5, max_size=5), min_size=1, max_size=6))
     def test_bounded_by_pointwise_extremes(self, rows):
-        series = [TimeSeries(r) for r in rows]
-        mean = pointwise_mean(series).values
-        stacked = np.stack([s.values for s in series])
-        assert np.all(mean >= stacked.min(axis=0) - 1e-9)
-        assert np.all(mean <= stacked.max(axis=0) + 1e-9)
+        stack = stacked(*rows)
+        mean = stack.mean(axis=0)
+        assert np.all(mean >= stack.min(axis=0) - 1e-9)
+        assert np.all(mean <= stack.max(axis=0) + 1e-9)
 
     def test_std_companion(self):
-        std = pointwise_std([TimeSeries([0.0, 1.0]), TimeSeries([2.0, 1.0])])
-        assert std == TimeSeries([1.0, 0.0])
+        assert stacked([0.0, 1.0], [2.0, 1.0]).std(axis=0).tolist() == [1.0, 0.0]
 
 
 class TestGuardedRatio:
