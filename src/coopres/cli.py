@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import world
-from .disruptions import EventKind
+from .disruptions import EventKind, parse_event
 from .harness import (
     PRESETS,
     ConfigError,
@@ -72,17 +72,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_trigger_file(path: str) -> list[int]:
-    """Trigger ticks, one per line; full schedule lines are also accepted."""
+    """Trigger ticks: a line holds one tick, or a full schedule line whose trigger is taken."""
     triggers = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) == 1:
-            triggers.append(int(parts[0]))
-        else:
-            triggers.append(int(parts[1]))
+        try:
+            triggers.append(int(line) if len(line.split()) == 1
+                            else parse_event(line).trigger_tick)
+        except ValueError as exc:
+            raise ValueError(f"{path}: schedule line {lineno}: {exc}") from None
     return triggers
 
 

@@ -63,11 +63,31 @@ class EventSchedule:
         return max((e.trigger_tick for e in self.events), default=-1)
 
 
-def parse_schedule(text: str) -> EventSchedule:
-    """Parse the one-event-per-line schedule format.
+def parse_event(line: str) -> Event:
+    """Parse one schedule line, stripped of its comment.
 
-    Lines: ``apple_vanish <trigger> <v_s> [p_s]`` or
+    ``apple_vanish <trigger> <v_s> [p_s]`` or
     ``bot_intrusion <trigger> <duration> <bot_count> [p_s]``.
+    """
+    parts = line.split()
+    kind = parts[0]
+    if kind == "apple_vanish":
+        if len(parts) not in (3, 4):
+            raise ValueError("expected: apple_vanish <trigger> <v_s> [p_s]")
+        return Event(kind=EventKind.APPLE_VANISH, trigger_tick=int(parts[1]),
+                     v_s=float(parts[2]), p_s=float(parts[3]) if len(parts) == 4 else 1.0)
+    if kind == "bot_intrusion":
+        if len(parts) not in (4, 5):
+            raise ValueError("expected: bot_intrusion <trigger> <duration> <bot_count> [p_s]")
+        return Event(kind=EventKind.BOT_INTRUSION, trigger_tick=int(parts[1]),
+                     duration=int(parts[2]), bot_count=int(parts[3]),
+                     p_s=float(parts[4]) if len(parts) == 5 else 1.0)
+    raise ValueError(f"unknown event kind {kind!r}")
+
+
+def parse_schedule(text: str) -> EventSchedule:
+    """Parse the one-event-per-line schedule format (see ``parse_event``).
+
     Blank lines and ``#`` comments are ignored.
     """
     events = []
@@ -75,25 +95,8 @@ def parse_schedule(text: str) -> EventSchedule:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        kind = parts[0]
         try:
-            if kind == "apple_vanish":
-                if len(parts) not in (3, 4):
-                    raise ValueError("expected: apple_vanish <trigger> <v_s> [p_s]")
-                events.append(Event(kind=EventKind.APPLE_VANISH,
-                                    trigger_tick=int(parts[1]), v_s=float(parts[2]),
-                                    p_s=float(parts[3]) if len(parts) == 4 else 1.0))
-            elif kind == "bot_intrusion":
-                if len(parts) not in (4, 5):
-                    raise ValueError(
-                        "expected: bot_intrusion <trigger> <duration> <bot_count> [p_s]")
-                events.append(Event(kind=EventKind.BOT_INTRUSION,
-                                    trigger_tick=int(parts[1]), duration=int(parts[2]),
-                                    bot_count=int(parts[3]),
-                                    p_s=float(parts[4]) if len(parts) == 5 else 1.0))
-            else:
-                raise ValueError(f"unknown event kind {kind!r}")
+            events.append(parse_event(line))
         except ValueError as exc:
             raise ValueError(f"schedule line {lineno}: {exc}") from None
     return EventSchedule(events=events)

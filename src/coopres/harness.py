@@ -79,6 +79,10 @@ class ScenarioConfig:
         return len(self.policies)
 
     def validate(self) -> None:
+        # The id names output files under --out, so it must not reach outside it.
+        if self.scenario_id in ("", ".", "..") or any(ch in self.scenario_id for ch in "/\\"):
+            raise ConfigError(
+                f"scenario_id {self.scenario_id!r} must be a plain file name component")
         if self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
         if not self.policies:
@@ -231,7 +235,8 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
             agent = state.agents[agent_id]
             policy = (PolicyKind.UNSUSTAINABLE_BOT if agent.is_bot
                       else config.policies[agent_id])
-            actions[agent_id] = policy_action(policy, build_view(state, agent_id, stocks), rng)
+            actions[agent_id] = policy_action(policy, state, agent_id,
+                                              build_view(state, agent_id, stocks), rng)
         step_world(state, actions, rng)
 
     trace.fired_triggers = tuple(engine.fired) if engine is not None else ()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from html import escape
 from pathlib import Path
 from typing import Sequence
 
@@ -72,16 +73,17 @@ def _heatmap_svg(result: GridResult) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{left + cols * cell_w / 2}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{result.grid_id} resilience</text>',
+        f'font-family="sans-serif" font-size="15">{escape(result.grid_id)} resilience</text>',
     ]
     for c, label in enumerate(result.col_labels):
         parts.append(
             f'<text x="{left + c * cell_w + cell_w / 2}" y="{top - 10}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">{label}</text>')
+            f'text-anchor="middle" font-family="sans-serif" font-size="12">'
+            f'{escape(label)}</text>')
     for r, label in enumerate(result.row_labels):
         parts.append(
             f'<text x="{left - 8}" y="{top + r * cell_h + cell_h / 2 + 4}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="12">{label}</text>')
+            f'text-anchor="end" font-family="sans-serif" font-size="12">{escape(label)}</text>')
     for (r, c), res in sorted(result.results.items()):
         x, y = left + c * cell_w, top + r * cell_h
         fill, text = _heat_color(res.report.assembled)
@@ -94,7 +96,7 @@ def _heatmap_svg(result: GridResult) -> str:
         parts.append(
             f'<text x="{x + cell_w / 2}" y="{y + cell_h / 2 + 16}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10" fill="{text}">'
-            f'{res.scenario_id}</text>')
+            f'{escape(res.scenario_id)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -86,7 +86,8 @@ class TimeSeries:
                     rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=1,
                                       comments=None, dtype=_CSV_ROW)
             except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+                # numpy counts data rows, not file lines: name the line instead.
+                raise ValueError(f"{path}: {_first_bad_line(path) or exc}") from None
         if rows.size == 0:
             raise ValueError(f"{path}: no data rows")
         ticks = rows["tick"]
@@ -99,6 +100,24 @@ class TimeSeries:
             return cls(np.ascontiguousarray(rows["value"]), t0=int(ticks[0]))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _first_bad_line(path: str | Path) -> str | None:
+    """The first data line that ``np.loadtxt`` refuses, described; blank lines are skipped."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.rstrip("\n").split(",")
+            if lineno == 1 or fields == [""]:
+                continue
+            if len(fields) < 2:
+                return f"line {lineno}: expected 2 columns, got {len(fields)}"
+            for field, dtype in ((fields[0], np.int64), (fields[1], np.float64)):
+                try:
+                    dtype(field.replace("_", " "))  # the scalar reads 1_0 as 10, loadtxt refuses it
+                except (ValueError, OverflowError):
+                    return (f"line {lineno}: could not convert string {field!r} "
+                            f"to {dtype.__name__}")
+    return None
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Cells are (row, col) pairs.  The world is stepped once per tick with one
 action per living agent; all stochastic choices flow through the caller's
 seeded random generator, so a seed plus an action stream fully determines
-the trajectory.
+the trajectory.  Scripted policies decide from the world itself: the
+visible apples ``build_view`` lists, plus the agent's neighbouring cells
+and the static map.
 """
 
 from __future__ import annotations
@@ -373,12 +375,6 @@ def make_world(grid: GridMap, n_agents: int,
     return state
 
 
-def _consume(state: WorldState, agent: AgentState, cell: Cell) -> None:
-    state.remove_apple(cell)
-    agent.cumulative_consumed += 1
-    state.total_consumed += 1
-
-
 def regrow(state: WorldState, rng: random.Random) -> WorldState:
     """Stock-dependent apple regrowth; a fully stripped tree is dead for good.
 
@@ -412,9 +408,11 @@ def step_world(state: WorldState, actions: dict[int, Action],
                rng: random.Random) -> WorldState:
     """Advance the world one tick.
 
-    Phases: rotations, moves in a seeded-random agent order (walls and
-    occupied cells block; entering a live apple cell consumes it), zap
-    resolution, regrowth, hunger bookkeeping.
+    Agents act in a seeded-random order, in two passes.  In the first each
+    agent rotates or moves (walls and occupied cells block; entering a live
+    apple cell consumes it) and counts the ticks since its last meal.  In
+    the second each agent's zap cooldown runs down, then its zap resolves.
+    Regrowth comes last.
     """
     if actions.keys() != state.agents.keys():
         for agent_id in actions:
@@ -423,25 +421,20 @@ def step_world(state: WorldState, actions: dict[int, Action],
         missing = sorted(state.agents.keys() - actions.keys())
         raise ValueError(f"missing actions for agents {missing}")
 
-    ate: set[int] = set()
-
-    for agent_id, action in actions.items():
-        agent = state.agents[agent_id]
-        if action is Action.ROTATE_LEFT:
-            agent.orientation = rotate(agent.orientation, clockwise=False)
-        elif action is Action.ROTATE_RIGHT:
-            agent.orientation = rotate(agent.orientation, clockwise=True)
-
     order = sorted(state.agents)
     rng.shuffle(order)
     for agent_id in order:
-        action = actions[agent_id]
+        agent, action = state.agents[agent_id], actions[agent_id]
+        agent.ticks_since_meal += 1
+        if action is Action.ROTATE_LEFT or action is Action.ROTATE_RIGHT:
+            agent.orientation = rotate(agent.orientation,
+                                       clockwise=action is Action.ROTATE_RIGHT)
+            continue
         for move, (dr, dc) in MOVES:
             if action is move:
                 break
         else:
             continue
-        agent = state.agents[agent_id]
         r, c = agent.position
         target = (r + dr, c + dc)
         if state.grid.is_wall(target) or target in state.occupied:
@@ -450,17 +443,16 @@ def step_world(state: WorldState, actions: dict[int, Action],
         agent.position = target
         state.occupied[target] = agent_id
         if target in state.live_apples:
-            _consume(state, agent, target)
-            ate.add(agent_id)
+            state.remove_apple(target)
+            state.total_consumed += 1
+            agent.cumulative_consumed += 1
+            agent.ticks_since_meal = 0
 
-    for agent in state.agents.values():
-        if agent.zap_cooldown > 0:
-            agent.zap_cooldown -= 1
     for agent_id in order:
-        if actions[agent_id] is not Action.ZAP:
-            continue
         zapper = state.agents[agent_id]
         if zapper.zap_cooldown > 0:
+            zapper.zap_cooldown -= 1
+        if actions[agent_id] is not Action.ZAP or zapper.zap_cooldown > 0:
             continue
         zapper.zap_cooldown = ZAP_COOLDOWN
         dr, dc = zapper.orientation.value
@@ -475,12 +467,6 @@ def step_world(state: WorldState, actions: dict[int, Action],
                 break
 
     regrow(state, rng)
-
-    for agent in state.agents.values():
-        if agent.id in ate:
-            agent.ticks_since_meal = 0
-        else:
-            agent.ticks_since_meal += 1
     state.tick += 1
     return state
 
@@ -516,111 +502,93 @@ def line_of_sight(grid: GridMap, a: Cell, b: Cell) -> bool:
     return True
 
 
-@dataclass
-class LocalView:
-    """What one agent decides from.
+def build_view(state: WorldState, agent_id: int, stocks: tuple[int, ...]) -> dict[Cell, int]:
+    """The live apples one agent sees, each mapped to its tree's stock.
 
-    ``apples`` maps the visible live apple cells (within ``VIEW_RADIUS`` in
-    both axes and in line of sight) to their tree's live-apple count.
-    ``tree_stocks`` is the map-wide per-tree stock vector; only intruder bots
-    act on it.  ``occupied`` is the world's cell -> agent id mapping, read in
-    place: policies only ask it about the four cells next to ``position``.
-    ``grid`` is static map knowledge (walls, tree sites, walking distances).
+    ``stocks`` is the tick's ``tree.live`` per tree.  Which apple cells the
+    agent can see (within ``VIEW_RADIUS`` in both axes and in line of
+    sight) is read from the map's visibility table; of those, the cells
+    with a live apple enter the view, in table order.
     """
-
-    position: Cell
-    orientation: Orientation
-    apples: dict[Cell, int]
-    occupied: dict[Cell, int]
-    tree_stocks: tuple[int, ...]
-    grid: GridMap
-
-
-def build_view(state: WorldState, agent_id: int, stocks: tuple[int, ...]) -> LocalView:
-    """The view of one agent, given the tick's tree stocks (``tree.live`` per tree).
-
-    Which apple cells the agent can see is read from the map's visibility
-    table; of those, the cells with a live apple enter ``apples``, in
-    table order.
-    """
-    agent = state.agents[agent_id]
     live = state.live_apples
-    apples = {cell: stocks[idx] for cell, idx in state.grid.visible_apple_cells(agent.position)
-              if cell in live}
-    # Positional arguments: this runs once per decision, and keywords double its cost.
-    return LocalView(agent.position, agent.orientation, apples, state.occupied, stocks,
-                     state.grid)
+    return {cell: stocks[idx]
+            for cell, idx in state.grid.visible_apple_cells(state.agents[agent_id].position)
+            if cell in live}
 
 
-def _step_toward(view: LocalView, target: Cell, forbidden: Collection[Cell]) -> Action:
-    best: tuple[int, int] | None = None  # (distance, order index)
-    r, c = view.position
-    for i, (_, (dr, dc)) in enumerate(MOVES):
-        n = (r + dr, c + dc)
-        if view.grid.is_wall(n) or n in view.occupied or n in forbidden:
-            continue
-        d = view.grid.distance(n, target)
-        if best is None or (d, i) < best:
-            best = (d, i)
-    if best is None:
-        return Action.NOOP
-    return MOVES[best[1]][0]
+def _open_moves(state: WorldState, pos: Cell,
+                forbidden: Collection[Cell]) -> list[tuple[Action, Cell]]:
+    """(move, cell) for each neighbour of ``pos`` that is free and allowed, in ``MOVES`` order."""
+    grid, occupied = state.grid, state.occupied
+    r, c = pos
+    return [(move, n) for move, (dr, dc) in MOVES
+            if not grid.is_wall(n := (r + dr, c + dc)) and n not in occupied
+            and n not in forbidden]
 
 
-def _explore(view: LocalView, rng: random.Random, forbidden: Collection[Cell],
-             idle_prob: float) -> Action:
-    if idle_prob > 0.0 and rng.random() < idle_prob:
-        return Action.NOOP
-    r, c = view.position
-    options = []
-    for action, (dr, dc) in MOVES:
-        n = (r + dr, c + dc)
-        if not view.grid.is_wall(n) and n not in view.occupied and n not in forbidden:
-            options.append(action)
+def _step_toward(state: WorldState, pos: Cell, target: Cell,
+                 forbidden: Collection[Cell]) -> Action:
+    """The first open move among those that end nearest ``target``."""
+    options = _open_moves(state, pos, forbidden)
     if not options:
         return Action.NOOP
-    return rng.choice(options)
+    distance = state.grid.distance
+    return min(options, key=lambda option: distance(option[1], target))[0]
 
 
-def _nearest_live_tree_cell(view: LocalView) -> Cell | None:
+def _explore(state: WorldState, pos: Cell, rng: random.Random,
+             forbidden: Collection[Cell], idle_prob: float) -> Action:
+    if idle_prob > 0.0 and rng.random() < idle_prob:
+        return Action.NOOP
+    options = _open_moves(state, pos, forbidden)
+    return rng.choice(options)[0] if options else Action.NOOP
+
+
+def _nearest_live_tree_cell(state: WorldState, pos: Cell) -> Cell | None:
     """Closest apple cell of any tree that still has stock, map-wide."""
     best: tuple[int, Cell] | None = None
-    pos = view.position
-    for tree, stock in zip(view.grid.trees, view.tree_stocks):
-        if stock == 0:
+    for tree in state.trees:
+        if tree.live == 0:
             continue
         for cell in tree.apple_cells:
-            d = view.grid.distance(pos, cell)
+            d = state.grid.distance(pos, cell)
             if d < UNREACHABLE and (best is None or (d, cell) < best):
                 best = (d, cell)
     return best[1] if best else None
 
 
-def policy_action(policy: PolicyKind, view: LocalView, rng: random.Random) -> Action:
-    """Scripted decision rules standing in for learned agents."""
+def policy_action(policy: PolicyKind, state: WorldState, agent_id: int,
+                  apples: dict[Cell, int], rng: random.Random) -> Action:
+    """Scripted decision rules standing in for learned agents.
+
+    ``apples`` is the agent's view from ``build_view``.  Beyond it a policy
+    reads the agent's position, static map knowledge (walls, tree sites,
+    walking distances) and which of the four cells next to the agent are
+    occupied; intruding bots also read every tree's live-apple count.
+    """
     if policy is PolicyKind.RANDOM:
         return rng.choice(ACTIONS)
 
+    pos = state.agents[agent_id].position
     forbidden: Collection[Cell] = ()
-    if view.apples:
+    if apples:
         if policy is PolicyKind.SUSTAINABLE:
             # Off-limits apples must not be eaten even in passing.
-            forbidden = {cell for cell, stock in view.apples.items()
+            forbidden = {cell for cell, stock in apples.items()
                          if stock < SUSTAINABLE_MIN_STOCK}
-            targets = view.apples.keys() - forbidden
+            targets = apples.keys() - forbidden
         else:  # greedy and unsustainable bots harvest without restraint
-            targets = view.apples
+            targets = apples
         if targets:
-            pos = view.position
-            dist, target = min([(view.grid.distance(pos, cell), cell) for cell in targets])
+            dist, target = min([(state.grid.distance(pos, cell), cell) for cell in targets])
             if dist < UNREACHABLE:
-                return _step_toward(view, target, forbidden)
+                return _step_toward(state, pos, target, forbidden)
     if policy is PolicyKind.UNSUSTAINABLE_BOT:
         # Intruders raid known tree sites instead of wandering.
-        site = _nearest_live_tree_cell(view)
+        site = _nearest_live_tree_cell(state, pos)
         if site is not None:
-            return _step_toward(view, site, forbidden)
-    return _explore(view, rng, forbidden, policy.explore_idle_prob)
+            return _step_toward(state, pos, site, forbidden)
+    return _explore(state, pos, rng, forbidden, policy.explore_idle_prob)
 
 
 def write_trace_jsonl(trace: EpisodeTrace, path: str | Path) -> None:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import warnings
+from xml.etree import ElementTree
 
 import pytest
 
@@ -84,6 +85,27 @@ class TestValidate:
         assert main(["validate", "--config", str(path)]) == 0
         assert "ok (5 agents, 2 events" in capsys.readouterr().out
 
+    # Output files are named after the id, so `../escaped` once wrote
+    # `escaped_*.csv` next to --out.
+    @pytest.mark.parametrize("scenario_id", ["../escaped", "a/b", "a\\b", "..", ".", ""],
+                             ids=["parent", "slash", "backslash", "dotdot", "dot", "empty"])
+    def test_scenario_id_must_be_a_plain_file_name(self, tmp_path, capsys, monkeypatch,
+                                                   scenario_id):
+        episodes = []
+        monkeypatch.setattr(coopres.harness, "run_episode",
+                            lambda *args, **kwargs: episodes.append(args))
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG + f"scenario_id = {scenario_id}\n")
+        out = tmp_path / "sub" / "out"
+        for argv in (["validate", "--config", str(path)],
+                     ["run", "--config", str(path), "--out", str(out)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error:config: scenario_id {scenario_id!r} must be a plain file name "
+                "component\n")
+        assert episodes == []
+        assert not (tmp_path / "sub").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.ini")]) == 1
         assert capsys.readouterr().err.startswith("error:config:")
@@ -113,6 +135,26 @@ class TestMeasure:
                      "--schedule", str(sched), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["per_variable"]["value"]["events"][0]["t_i"] == 50
+
+    # `2 3` once read as trigger 3, the out-of-range event was taken for its
+    # trigger, and `x` was refused without naming the file or the line.
+    @pytest.mark.parametrize("body, message", [
+        ("50\n2 3\n", "schedule line 2: unknown event kind '2'"),
+        ("apple_vanish 2 9.9 7\n", "schedule line 1: p_s must be in [0, 1]"),
+        ("apple_vanish 2 9.9\n", "schedule line 1: v_s must be in [0, 1]"),
+        ("# triggers\n\nx\n", "schedule line 3: invalid literal for int() with base 10: 'x'"),
+        ("bot_intrusion 50 10\n",
+         "schedule line 1: expected: bot_intrusion <trigger> <duration> <bot_count> [p_s]"),
+    ], ids=["two_ticks", "p_s_out_of_range", "v_s_out_of_range", "not_a_tick", "short_event"])
+    def test_bad_schedule_line_rejected(self, tmp_path, capsys, body, message):
+        p_path, r_path = write_curves(tmp_path, [1.0] * 50 + [0.5] * 50, [1.0] * 100)
+        sched = tmp_path / "sched.txt"
+        sched.write_text(body)
+        out = tmp_path / "report.json"
+        assert main(["measure", "--performance", str(p_path), "--reference", str(r_path),
+                     "--schedule", str(sched), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error:input: {sched}: {message}\n"
+        assert not out.exists()
 
     def test_trigger_detection_without_schedule(self, tmp_path):
         p = [1.0] * 30 + [0.4] * 70
@@ -202,10 +244,14 @@ class TestMeasure:
 
     @pytest.mark.parametrize("body, message", [
         ("", "no data rows"),
-        ("0,1.0\n1.5,2.0\n", "'1.5'"),
-        ("0,1.0\nabc,2.0\n", "'abc'"),
-        ("0,1.0\n1\n", "column"),
-    ], ids=["header_only", "fractional_tick", "non_numeric_tick", "short_row"])
+        ("0,1.0\n1.5,2.0\n", "line 3: could not convert string '1.5' to int64"),
+        ("0,1.0\nabc,2.0\n", "line 3: could not convert string 'abc' to int64"),
+        ("0,1.0\n1\n", "line 3: expected 2 columns, got 1"),
+        ("0,1.0\n\n1,x\n", "line 4: could not convert string 'x' to float64"),
+        ("0,1.0\n99999999999999999999,2.0\n",
+         "line 3: could not convert string '99999999999999999999' to int64"),
+    ], ids=["header_only", "fractional_tick", "non_numeric_tick", "short_row",
+            "bad_value_after_a_blank_line", "tick_beyond_int64"])
     def test_bad_curve_file_rejected(self, tmp_path, capsys, body, message):
         p_path = tmp_path / "p.csv"
         p_path.write_text("tick,value\n" + body)
@@ -344,6 +390,15 @@ class TestRun:
                    for p in out.iterdir()
                    if p.name == "report.json" or p.name.startswith("trace_")}
         assert digests == RUN_DIGESTS
+
+    def test_heatmap_is_well_formed_for_any_scenario_id(self, tmp_path):
+        path = tmp_path / "tiny.ini"
+        path.write_text(TINY_CONFIG + "scenario_id = a<b&c\n")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out), "--format", "svg"]) == 0
+        texts = [el.text for el in ElementTree.parse(out / "heatmap.svg").iter()
+                 if el.tag.endswith("text")]
+        assert "a<b&c resilience" in texts and "a<b&c" in texts
 
     def test_unknown_format_rejected(self, tiny_config, tmp_path, capsys, monkeypatch):
         # Refused before any episode runs, so not even report.csv is written.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -8,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopres.disruptions import apply_apple_vanish
+from coopres.disruptions import EventEngine, apply_apple_vanish, parse_schedule
 from coopres.world import (
     ACTIONS,
     DEFAULT_MAP,
     VIEW_RADIUS,
+    ZAP_COOLDOWN,
     Action,
     AgentState,
-    LocalView,
     Orientation,
     PolicyKind,
     build_view,
@@ -35,6 +36,11 @@ NO_REGROWTH = (0.0,)
 def stocks(state):
     """The tick's tree stocks, as ``run_episode`` passes them to ``build_view``."""
     return tuple([tree.live for tree in state.trees])
+
+
+def decide(policy, state, agent_id, rng):
+    """One decision, made as ``run_episode`` makes it."""
+    return policy_action(policy, state, agent_id, build_view(state, agent_id, stocks(state)), rng)
 
 
 def corridor_map():
@@ -272,36 +278,30 @@ class TestPolicies:
         state = make_world(grid, 1, NO_REGROWTH)
         state.agents[0].position = (1, 2)
         state.occupied = {(1, 2): 0}
-        view = build_view(state, 0, stocks(state))
-        action = policy_action(PolicyKind.GREEDY, view, random.Random(0))
-        assert action is Action.MOVE_LEFT
+        assert decide(PolicyKind.GREEDY, state, 0, random.Random(0)) is Action.MOVE_LEFT
 
     def test_sustainable_never_raids_depleted_tree(self):
         grid = corridor_map()  # single tree with a single apple
         state = make_world(grid, 1, NO_REGROWTH)
         state.agents[0].position = (1, 2)
         state.occupied = {(1, 2): 0}
-        view = build_view(state, 0, stocks(state))
-        assert view.apples == {(1, 1): 1}
+        apples = build_view(state, 0, stocks(state))
+        assert apples == {(1, 1): 1}
         rng = random.Random(0)
         for _ in range(200):
-            action = policy_action(PolicyKind.SUSTAINABLE, view, rng)
+            action = policy_action(PolicyKind.SUSTAINABLE, state, 0, apples, rng)
             assert action in (Action.NOOP, Action.MOVE_RIGHT)  # never onto the apple
 
     def test_sustainable_harvests_healthy_tree(self):
         grid = load_map("########\n#AAA...#\n#AAAS..#\n########")
         state = make_world(grid, 1, NO_REGROWTH)
-        view = build_view(state, 0, stocks(state))
-        action = policy_action(PolicyKind.SUSTAINABLE, view, random.Random(0))
-        assert action is Action.MOVE_LEFT
+        assert decide(PolicyKind.SUSTAINABLE, state, 0, random.Random(0)) is Action.MOVE_LEFT
 
     def test_random_policy_is_uniform(self):
         grid = open_map()
         state = make_world(grid, 1, NO_REGROWTH)
-        view = build_view(state, 0, stocks(state))
         rng = random.Random(99)
-        counts = Counter(policy_action(PolicyKind.RANDOM, view, rng)
-                         for _ in range(10_000))
+        counts = Counter(decide(PolicyKind.RANDOM, state, 0, rng) for _ in range(10_000))
         expected = 10_000 / len(ACTIONS)
         sigma = (10_000 * (1 / 8) * (7 / 8)) ** 0.5
         for action in ACTIONS:
@@ -312,28 +312,25 @@ class TestPolicies:
         state = make_world(corridor_map(), 1, NO_REGROWTH)
         state.agents[0].position = (1, 9)
         state.occupied = {(1, 9): 0}
-        view = build_view(state, 0, stocks(state))
-        assert view.apples == {}
-        action = policy_action(PolicyKind.UNSUSTAINABLE_BOT, view, random.Random(0))
-        assert action is Action.MOVE_LEFT
+        assert build_view(state, 0, stocks(state)) == {}
+        assert decide(PolicyKind.UNSUSTAINABLE_BOT, state, 0, random.Random(0)) is Action.MOVE_LEFT
 
     def test_view_radius_and_line_of_sight(self):
         grid = load_map("#######\n#A..#A#\n#..S..#\n#######")
         state = make_world(grid, 1, NO_REGROWTH)
         state.agents[0].position = (1, 2)  # in line with both apples
         state.occupied = {(1, 2): 0}
-        view = build_view(state, 0, stocks(state))
+        apples = build_view(state, 0, stocks(state))
         # (1,1) is adjacent; (1,5) sits behind the wall at (1,4)
-        assert (1, 1) in view.apples
-        assert (1, 5) not in view.apples
-        assert view.tree_stocks == (1, 1)
+        assert (1, 1) in apples
+        assert (1, 5) not in apples
 
     def test_view_radius_limit(self):
         state = make_world(corridor_map(), 1, NO_REGROWTH)
-        assert build_view(state, 0, stocks(state)).apples == {}  # apple is 6 cells away
+        assert build_view(state, 0, stocks(state)) == {}  # apple is 6 cells away
         state.agents[0].position = (1, 6)
         state.occupied = {(1, 6): 0}
-        assert build_view(state, 0, stocks(state)).apples == {(1, 1): 1}
+        assert build_view(state, 0, stocks(state)) == {(1, 1): 1}
 
 
 class TestWorldInvariants:
@@ -342,8 +339,7 @@ class TestWorldInvariants:
         for _ in range(ticks):
             actions = {}
             for agent_id in sorted(state.agents):
-                view = build_view(state, agent_id, stocks(state))
-                actions[agent_id] = policy_action(policies[agent_id], view, rng)
+                actions[agent_id] = decide(policies[agent_id], state, agent_id, rng)
             before = len(state.live_apples)
             consumed0, regrown0 = state.total_consumed, state.total_regrown
             step_world(state, actions, rng)
@@ -390,8 +386,7 @@ class TestWorldInvariants:
         policies = {i: PolicyKind.RANDOM for i in range(8)}
         rng = random.Random(11)
         for _ in range(200):
-            actions = {i: policy_action(policies[i], build_view(state, i, stocks(state)), rng)
-                       for i in sorted(state.agents)}
+            actions = {i: decide(policies[i], state, i, rng) for i in sorted(state.agents)}
             step_world(state, actions, rng)
             positions = [a.position for a in state.agents.values()]
             assert len(set(positions)) == len(positions)
@@ -403,7 +398,7 @@ class TestWorldInvariants:
             rng = random.Random(21)
             history = []
             for _ in range(150):
-                actions = {i: policy_action(PolicyKind.SUSTAINABLE, build_view(state, i, stocks(state)), rng)
+                actions = {i: decide(PolicyKind.SUSTAINABLE, state, i, rng)
                            for i in sorted(state.agents)}
                 step_world(state, actions, rng)
                 history.append((tuple(sorted(state.occupied)),
@@ -425,8 +420,7 @@ class TestWorldInvariants:
             stream.setstate(rng_state)
             history = []
             for _ in range(120):
-                actions = {i: policy_action(PolicyKind.SUSTAINABLE, build_view(world, i, stocks(world)),
-                                            stream)
+                actions = {i: decide(PolicyKind.SUSTAINABLE, world, i, stream)
                            for i in sorted(world.agents)}
                 step_world(world, actions, stream)
                 history.append((dict(world.occupied), dict(world.live_apples),
@@ -436,6 +430,43 @@ class TestWorldInvariants:
         # The twin runs first: any state it shared would change the original's run.
         rng_state = rng.getstate()
         assert run(twin, rng_state) == run(state, rng_state)
+
+
+# sha256 of every agent's (id, position, orientation, cooldown, hunger,
+# consumption) after each of 300 ticks, taken before policies read the world
+# in place and before step_world ran in two passes.
+TRAJECTORY_DIGESTS = {
+    0: "bd68bfe58382d3a3fad5ef16f8b8e88637300598a7b6c68f2a7569dd99f230dd",
+    1: "3c27cc2d222e35081c814135f5e2db99ce9a79ab4e21b027ef0d595c3db342af",
+}
+
+
+class TestTrajectoryPinned:
+    # Neither preset rotates or zaps; random agents do both.
+    POLICIES = (PolicyKind.RANDOM, PolicyKind.GREEDY, PolicyKind.RANDOM,
+                PolicyKind.SUSTAINABLE, PolicyKind.RANDOM, PolicyKind.GREEDY)
+
+    @pytest.mark.parametrize("seed", sorted(TRAJECTORY_DIGESTS))
+    def test_rotations_zaps_and_bots_step_as_pinned(self, seed):
+        state = make_world(load_map(DEFAULT_MAP), len(self.POLICIES), (0.0, 0.05, 0.1, 0.2))
+        engine = EventEngine(parse_schedule("apple_vanish 60 0.5\nbot_intrusion 100 120 2\n"))
+        rng, event_rng = random.Random(seed), random.Random(seed + 1)
+        digest = hashlib.sha256()
+        seen = Counter()
+        for t in range(300):
+            engine.fire_events(state, t, event_rng)
+            actions = {i: decide(PolicyKind.UNSUSTAINABLE_BOT if a.is_bot else self.POLICIES[i],
+                                 state, i, rng)
+                       for i, a in sorted(state.agents.items())}
+            step_world(state, actions, rng)
+            for a in sorted(state.agents.values(), key=lambda a: a.id):
+                digest.update(repr((a.id, a.position, a.orientation.name, a.zap_cooldown,
+                                    a.ticks_since_meal, a.cumulative_consumed)).encode())
+                seen["rotated"] += a.orientation is not Orientation.N
+                seen["zapped"] += a.zap_cooldown == ZAP_COOLDOWN
+                seen["bot"] += a.is_bot
+        assert min(seen.values()) > 0
+        assert digest.hexdigest() == TRAJECTORY_DIGESTS[seed]
 
 
 class TestTraceExport:
@@ -480,15 +511,7 @@ def scanned_view(state, agent_id, radius=VIEW_RADIUS):
         if (abs(cell[0] - r0) <= radius and abs(cell[1] - c0) <= radius
                 and line_of_sight(state.grid, agent.position, cell)):
             apples[cell] = live_counts[tree_idx]
-    occupied = frozenset(
-        cell for cell, aid in state.occupied.items()
-        if aid != agent_id and abs(cell[0] - r0) <= radius and abs(cell[1] - c0) <= radius)
-    return apples, occupied, tuple(live_counts)
-
-
-def neighbours(cell):
-    r, c = cell
-    return [(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)]
+    return apples, tuple(live_counts)
 
 
 def assert_stocks_consistent(state):
@@ -515,12 +538,9 @@ class TestVisibilityTable:
             state.agents[i] = AgentState(id=i, position=pos)
             state.occupied[pos] = i
         for i in state.agents:
-            view = build_view(state, i, stocks(state))
-            apples, occupied, tree_stocks = scanned_view(state, i)
-            assert (view.apples, view.tree_stocks) == (apples, tree_stocks)
-            # Policies ask the view about the four neighbouring cells only.
-            for n in neighbours(view.position):
-                assert (n in view.occupied) == (n in occupied)
+            apples, tree_stocks = scanned_view(state, i)
+            assert stocks(state) == tree_stocks
+            assert build_view(state, i, stocks(state)) == apples
 
     def test_line_of_sight_runs_once_per_cell_pair(self, monkeypatch):
         import coopres.world as world
@@ -540,23 +560,19 @@ class TestVisibilityTable:
         assert calls and set(calls.values()) == {1}
 
 
-def frozen_view(state, agent_id):
-    """``build_view`` as it was before views read the world in place.
+def frozen_world(state, agent_id):
+    """The world as the agent would see it if decisions read only their surroundings.
 
-    It copied every other agent within ``VIEW_RADIUS`` into a frozenset and
-    rebuilt the tree stocks for each agent.  The reference for the decision path.
+    A copy whose ``occupied`` keeps only the cells within ``VIEW_RADIUS``
+    of the agent, paired with its visible apples rescanned from fresh tree
+    stocks.  The reference for the decision path, which reads the world in
+    place.
     """
-    agent = state.agents[agent_id]
-    r0, c0 = agent.position
-    tree_stocks = tuple([t.live for t in state.trees])
-    apples = {cell: tree_stocks[idx] for cell, idx in state.grid.visible_apple_cells(agent.position)
-              if cell in state.live_apples}
-    occupied = frozenset(
-        cell for cell, aid in state.occupied.items()
-        if aid != agent_id and abs(cell[0] - r0) <= VIEW_RADIUS
-        and abs(cell[1] - c0) <= VIEW_RADIUS)
-    return LocalView(position=agent.position, orientation=agent.orientation, apples=apples,
-                     occupied=occupied, tree_stocks=tree_stocks, grid=state.grid)
+    world = state.copy()
+    r0, c0 = world.agents[agent_id].position
+    world.occupied = {cell: aid for cell, aid in world.occupied.items()
+                      if abs(cell[0] - r0) <= VIEW_RADIUS and abs(cell[1] - c0) <= VIEW_RADIUS}
+    return world, scanned_view(world, agent_id)[0]
 
 
 class TestDecisionPath:
@@ -581,8 +597,9 @@ class TestDecisionPath:
         for i in state.agents:
             policy = data.draw(st.sampled_from(list(PolicyKind)))
             rng, ref_rng = random.Random(seed), random.Random(seed)
-            action = policy_action(policy, build_view(state, i, stocks(state)), rng)
-            assert action is policy_action(policy, frozen_view(state, i), ref_rng)
+            world, apples = frozen_world(state, i)
+            action = decide(policy, state, i, rng)
+            assert action is policy_action(policy, world, i, apples, ref_rng)
             assert rng.getstate() == ref_rng.getstate()
 
 
@@ -602,8 +619,7 @@ class TestTreeStock:
         states = [state]
         for op in ops:
             if op == "step":
-                actions = {i: policy_action(policies[i], build_view(state, i, stocks(state)), rng)
-                           for i in sorted(state.agents)}
+                actions = {i: decide(policies[i], state, i, rng) for i in sorted(state.agents)}
                 step_world(state, actions, rng)
             elif op == "regrow":
                 regrow(state, rng)
