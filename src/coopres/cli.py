@@ -97,8 +97,8 @@ def _write_outputs(result: GridResult, out_dir: str, formats: list[str]) -> None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_report(result, out, formats)
+    export_indicators(result, out)
     for scenario in result.scenario_results():
-        export_indicators(scenario, out)
         for k, pair in enumerate(scenario.traces):
             for label, trace in zip(("performance", "reference"), pair):
                 world.write_trace_jsonl(trace, out / f"trace_{label}_ep{k}.jsonl")

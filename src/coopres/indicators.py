@@ -6,7 +6,6 @@ well-being, which the downstream metric pipeline relies on.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -145,9 +144,14 @@ def stack_episodes(per_episode: Sequence[Mapping[str, np.ndarray]]) -> dict[str,
 
 
 def write_indicator_csv(curves: Mapping[str, np.ndarray], path: str | Path) -> None:
-    """Write equal-length curves as a ``tick`` column plus one column per indicator."""
+    """Write equal-length curves as a ``tick`` column plus one column per indicator.
+
+    Bytes as ``csv.writer`` writes them, each value by its ``repr``: no field
+    needs quoting, since names come from ``INDICATORS`` and a float's
+    ``repr`` holds no comma or quote.
+    """
+    row = "{}," + ",".join(["{!r}"] * len(curves)) + "\r\n"
     columns = [c.tolist() for c in curves.values()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tick"] + list(curves))
-        writer.writerows([i] + [repr(v) for v in row] for i, row in enumerate(zip(*columns)))
+        fh.write(",".join(["tick", *curves]) + "\r\n")
+        fh.writelines(row.format(i, *values) for i, values in enumerate(zip(*columns)))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 from html import escape
 from pathlib import Path
 from typing import Sequence
@@ -128,13 +129,28 @@ def emit_report(result: GridResult, out_dir: str | Path,
         write(result, Path(out_dir) / filename)
 
 
-def export_indicators(result: ScenarioResult, out_dir: str | Path) -> None:
-    """Per-scenario indicator CSVs: tick-wise mean and std over episodes, per twin."""
+def export_indicators(result: GridResult, out_dir: str | Path) -> None:
+    """Indicator CSVs of every cell: tick-wise mean and std over episodes, per twin.
+
+    Each cell writes ``<id>_performance.csv``, ``<id>_reference.csv`` and
+    their ``_std`` twins.  Cells of one grid share their reference episodes,
+    so a reference file repeats the first cell's and is copied from it.
+    """
     out = Path(out_dir)
-    for label, episodes in (("performance", result.performance),
-                            ("reference", result.reference)):
-        stem = out / f"{result.scenario_id}_{label}"
-        write_indicator_csv({name: a.mean(axis=0) for name, a in episodes.items()},
-                            f"{stem}.csv")
-        write_indicator_csv({name: a.std(axis=0) for name, a in episodes.items()},
-                            f"{stem}_std.csv")
+    first = None
+    for scenario in result.scenario_results():
+        twins = [("performance", scenario.performance)]
+        if first is None or scenario.reference is not first.reference:
+            twins.append(("reference", scenario.reference))
+        elif scenario.scenario_id != first.scenario_id:
+            for suffix in ("", "_std"):
+                shutil.copyfile(out / f"{first.scenario_id}_reference{suffix}.csv",
+                                out / f"{scenario.scenario_id}_reference{suffix}.csv")
+        for label, episodes in twins:
+            stem = out / f"{scenario.scenario_id}_{label}"
+            write_indicator_csv({name: a.mean(axis=0) for name, a in episodes.items()},
+                                f"{stem}.csv")
+            write_indicator_csv({name: a.std(axis=0) for name, a in episodes.items()},
+                                f"{stem}_std.csv")
+        if first is None:
+            first = scenario

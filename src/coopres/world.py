@@ -591,31 +591,53 @@ def policy_action(policy: PolicyKind, state: WorldState, agent_id: int,
     return _explore(state, pos, rng, forbidden, policy.explore_idle_prob)
 
 
+# Ticks formatted per block: bounds the Python ints held at once.
+TRACE_BLOCK_TICKS = 256
+
+
+def _trace_record_format(n_trees: int, n_agents: int) -> str:
+    """``str.format`` template of a trace record, without its closing brace.
+
+    Its fields take the tick, the live apples per tree, then consumed,
+    hunger ticks, row and column for each agent in turn; filled with
+    Python ints it reads as ``json.dumps`` would write the record.
+    """
+    agents = ", ".join(f'"{i}": {{"consumed": @, "hunger_ticks": @, "pos": [@, @]}}'
+                       for i in range(n_agents))
+    record = ('{"tick": @, "apples_per_tree": [' + ", ".join(["@"] * n_trees)
+              + '], "per_agent": {' + agents + "}")
+    return record.replace("{", "{{").replace("}", "}}").replace("@", "{}")
+
+
 def write_trace_jsonl(trace: EpisodeTrace, path: str | Path) -> None:
-    """Dump a trace as one JSON record per tick."""
+    """Dump a trace as one JSON record per tick.
+
+    A record holds ``tick``, ``apples_per_tree`` and ``per_agent`` (keyed by
+    agent id: ``consumed``, ``hunger_ticks``, ``pos``), all ints, and a
+    ``bots`` list only on ticks with bots on the map.
+    """
     if trace.positions is None:
         raise ValueError("trace has no recorded positions")
+    h, n = trace.horizon, trace.n_agents
+    head = _trace_record_format(trace.apples_per_tree.shape[1], n)
+    line = head + "}}\n"
     with open(path, "w") as fh:
-        for t in range(trace.horizon):
-            record = {
-                "tick": t,
-                "apples_per_tree": [int(x) for x in trace.apples_per_tree[t]],
-                "per_agent": {
-                    str(i): {
-                        "consumed": int(trace.consumed[t, i]),
-                        "hunger_ticks": int(trace.hunger_ticks[t, i]),
-                        "pos": [int(trace.positions[t, i, 0]),
-                                int(trace.positions[t, i, 1])],
-                    }
-                    for i in range(trace.n_agents)
-                },
-            }
-            if trace.bot_records and trace.bot_records[t]:
-                record["bots"] = [
-                    {"id": bid, "pos": [pos[0], pos[1]], "consumed": consumed}
-                    for bid, pos, consumed in trace.bot_records[t]
-                ]
-            fh.write(json.dumps(record) + "\n")
+        for start in range(0, h, TRACE_BLOCK_TICKS):
+            ticks = slice(start, min(start + TRACE_BLOCK_TICKS, h))
+            # One column per template field: agent i's four sit side by side.
+            per_agent = np.stack([trace.consumed[ticks], trace.hunger_ticks[ticks],
+                                  trace.positions[ticks, :, 0], trace.positions[ticks, :, 1]],
+                                 axis=2)
+            rows = np.concatenate([np.arange(h)[ticks, None], trace.apples_per_tree[ticks],
+                                   per_agent.reshape(len(per_agent), 4 * n)],
+                                  axis=1, dtype=np.int64).tolist()
+            lines = [line.format(*row) for row in rows]
+            for i, bots in enumerate(trace.bot_records[ticks]):
+                if bots:
+                    listed = [{"id": bid, "pos": [pos[0], pos[1]], "consumed": consumed}
+                              for bid, pos, consumed in bots]
+                    lines[i] = head.format(*rows[i]) + ', "bots": ' + json.dumps(listed) + "}\n"
+            fh.writelines(lines)
 
 
 # The bundled 24x18 map: six 6-apple trees, eight spawn points.

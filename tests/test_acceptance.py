@@ -230,8 +230,7 @@ OUTPUT_DIGESTS = {
 def test_output_bytes_pinned(preset, request, tmp_path):
     result, _ = request.getfixturevalue(f"{preset}_result")
     emit_report(result, tmp_path, ("csv", "json", "svg"))
-    for scenario in result.scenario_results():
-        export_indicators(scenario, tmp_path)
+    export_indicators(result, tmp_path)
     files = sorted(p.name for p in tmp_path.iterdir())
     everything = hashlib.sha256(b"".join((tmp_path / f).read_bytes() for f in files))
     count, report_digest, all_digest = OUTPUT_DIGESTS[preset]

@@ -24,7 +24,7 @@ from coopres.harness import (
     table2_preset,
 )
 from coopres.report import emit_report, export_indicators, grid_json_dict
-from coopres.indicators import EpisodeTrace, compute_indicators
+from coopres.indicators import EpisodeTrace, compute_indicators, write_indicator_csv
 from coopres.world import PolicyKind
 
 
@@ -500,8 +500,9 @@ class TestReports:
         for episodes in (1, 3):
             cfg = quick_config(scenario_id=f"exp{episodes}", episodes=episodes,
                                episode_length=120)
-            result = run_one(cfg, keep_traces=True)
-            export_indicators(result, tmp_path)
+            grid = run_scenario(cfg, keep_traces=True)
+            export_indicators(grid, tmp_path)
+            result = grid.results[(0, 0)]
             for twin, k in (("performance", 0), ("reference", 1)):
                 per_episode = [compute_indicators(pair[k], cfg.indicators, cfg.h_max)
                                for pair in result.traces]
@@ -515,3 +516,22 @@ class TestReports:
                     for name in cfg.indicators:
                         expected = reduce([curves[name] for curves in per_episode], axis=0)
                         assert [float(row[name]) for row in rows] == expected.tolist()
+
+    def test_indicator_export_reference_files(self, small_grid_result, tmp_path):
+        # Cells of a grid share one reference, so their reference files hold
+        # the same bytes; a cell with its own reference gets its own files.
+        shared = small_grid_result.results
+        own = replace(shared[(0, 1)], scenario_id="S3",
+                      reference={name: a[:, ::-1] for name, a in shared[(0, 1)].reference.items()})
+        grid = GridResult(grid_id="small", row_labels=["row"], col_labels=["a", "b", "c"],
+                          results={**shared, (0, 2): own})
+        export_indicators(grid, tmp_path)
+        for suffix, reduce in (("", np.mean), ("_std", np.std)):
+            read = {sid: (tmp_path / f"{sid}_reference{suffix}.csv").read_bytes()
+                    for sid in ("S1", "S2", "S3")}
+            assert read["S1"] == read["S2"] != read["S3"]
+            for res in grid.results.values():
+                expected = tmp_path / "expected.csv"
+                write_indicator_csv({name: reduce(a, axis=0)
+                                     for name, a in res.reference.items()}, expected)
+                assert read[res.scenario_id] == expected.read_bytes()

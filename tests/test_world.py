@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from coopres.disruptions import EventEngine, apply_apple_vanish, parse_schedule
 from coopres.world import (
     ACTIONS,
     DEFAULT_MAP,
+    TRACE_BLOCK_TICKS,
     VIEW_RADIUS,
     ZAP_COOLDOWN,
     Action,
@@ -469,6 +471,27 @@ class TestTrajectoryPinned:
         assert digest.hexdigest() == TRAJECTORY_DIGESTS[seed]
 
 
+def dumped_records(trace):
+    """Each tick's record as a dict through ``json.dumps``: the reference for the writer."""
+    for t in range(trace.horizon):
+        record = {
+            "tick": t,
+            "apples_per_tree": [int(x) for x in trace.apples_per_tree[t]],
+            "per_agent": {
+                str(i): {
+                    "consumed": int(trace.consumed[t, i]),
+                    "hunger_ticks": int(trace.hunger_ticks[t, i]),
+                    "pos": [int(trace.positions[t, i, 0]), int(trace.positions[t, i, 1])],
+                }
+                for i in range(trace.n_agents)
+            },
+        }
+        if trace.bot_records[t]:
+            record["bots"] = [{"id": bid, "pos": [pos[0], pos[1]], "consumed": consumed}
+                              for bid, pos, consumed in trace.bot_records[t]]
+        yield json.dumps(record)
+
+
 class TestTraceExport:
     def test_jsonl_round_trip(self, tmp_path):
         from coopres.harness import ScenarioConfig, run_episode
@@ -485,20 +508,42 @@ class TestTraceExport:
         assert set(first["per_agent"]) == {"0", "1", "2", "3", "4"}
         assert all(rec["consumed"] == 0 for rec in first["per_agent"].values())
 
+    @pytest.mark.parametrize("shape", ["1 agent", "5 agents", "bots", "walled map"])
+    def test_jsonl_lines_equal_json_dumps_of_each_record(self, shape, tmp_path):
+        from coopres.harness import ScenarioConfig, run_episode
+
+        greedy, sustainable = PolicyKind.GREEDY, PolicyKind.SUSTAINABLE
+        config = {
+            "1 agent": ScenarioConfig(policies=(greedy,)),
+            "5 agents": ScenarioConfig(),
+            # Two bots stay across the boundary between the first two blocks.
+            "bots": ScenarioConfig(schedule=parse_schedule(
+                f"bot_intrusion {TRACE_BLOCK_TICKS - 6} 12 2\n")),
+            "walled map": ScenarioConfig(map_text=WALLED_MAP_TEXT, policies=(greedy, sustainable)),
+        }[shape]
+        config = replace(config, episode_length=2 * TRACE_BLOCK_TICKS + 3)
+        trace = run_episode(config, seed=3, with_events=True)
+        if shape == "bots":
+            assert {len(bots) for bots in trace.bot_records} == {0, 2}
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(trace, path)
+        assert path.read_text().splitlines() == list(dumped_records(trace))
+
     def test_jsonl_requires_positions(self, flat_trace):
         with pytest.raises(ValueError, match="positions"):
             write_trace_jsonl(flat_trace, "/tmp/never-written.jsonl")
 
 
-WALLED_MAP = load_map("##############\n"
-                      "#AA..#...11..#\n"
-                      "#AA..#.......#\n"
-                      "#....###..#..#\n"
-                      "#.S.......#22#\n"
-                      "#..#..A...#22#\n"
-                      "#..#......S..#\n"
-                      "#333...##....#\n"
-                      "##############")
+WALLED_MAP_TEXT = ("##############\n"
+                   "#AA..#...11..#\n"
+                   "#AA..#.......#\n"
+                   "#....###..#..#\n"
+                   "#.S.......#22#\n"
+                   "#..#..A...#22#\n"
+                   "#..#......S..#\n"
+                   "#333...##....#\n"
+                   "##############")
+WALLED_MAP = load_map(WALLED_MAP_TEXT)
 
 
 def scanned_view(state, agent_id, radius=VIEW_RADIUS):
