@@ -199,7 +199,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - unexpected failures
         print(f"error:runtime: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -139,14 +139,6 @@ def apply_bot_intrusion(state: WorldState, event: Event, rng: random.Random) -> 
     return state
 
 
-def remove_bots(state: WorldState, bot_ids: list[int]) -> WorldState:
-    for bot_id in bot_ids:
-        bot = state.agents.pop(bot_id, None)
-        if bot is not None:
-            del state.occupied[bot.position]
-    return state
-
-
 class EventEngine:
     """Executes a schedule against a world, one tick at a time.
 
@@ -154,16 +146,23 @@ class EventEngine:
     fires at its trigger with probability ``p_s``), and handles the delayed
     removal of intruding bots.  Bots exist exactly for ticks
     ``[trigger, trigger + duration)``.
+
+    ``next_due`` is the next tick on which ``fire_events`` has work (a
+    trigger or a bot removal), or None when none is left.  Calling
+    ``fire_events`` only on that tick, then on the one it names next, and
+    so on, leaves the world exactly as calling it on every tick would.
     """
 
     def __init__(self, schedule: EventSchedule):
         self.schedule = schedule
         self.fired: list[int] = []
         self._pending_removals: dict[int, list[int]] = {}  # tick -> bot ids
+        self.next_due = min((e.trigger_tick for e in schedule), default=None)
 
     def fire_events(self, state: WorldState, tick: int, rng: random.Random) -> WorldState:
         for removal_tick in [t for t in self._pending_removals if t <= tick]:
-            remove_bots(state, self._pending_removals.pop(removal_tick))
+            for bot_id in self._pending_removals.pop(removal_tick):
+                del state.occupied[state.agents.pop(bot_id).position]
         for event in self.schedule:
             if event.trigger_tick != tick:
                 continue
@@ -171,12 +170,13 @@ class EventEngine:
                 continue
             if event.kind is EventKind.APPLE_VANISH:
                 apply_apple_vanish(state, event.v_s, rng)
-            else:
-                if event.bot_count > 0:
-                    before = set(state.agents)
-                    apply_bot_intrusion(state, event, rng)
-                    new_ids = sorted(set(state.agents) - before)
-                    self._pending_removals.setdefault(
-                        tick + event.duration, []).extend(new_ids)
+            elif event.bot_count > 0:
+                first_id = state.next_agent_id
+                apply_bot_intrusion(state, event, rng)
+                self._pending_removals.setdefault(tick + event.duration, []).extend(
+                    range(first_id, state.next_agent_id))
             self.fired.append(tick)
+        # Every removal left is after this tick.
+        self.next_due = min([e.trigger_tick for e in self.schedule if e.trigger_tick > tick]
+                            + list(self._pending_removals), default=None)
         return state

@@ -150,13 +150,15 @@ class ScenarioResult:
 class Snapshot:
     """An episode at the start of ``tick``, before that tick's events fire.
 
-    ``trace`` is the episode's own trace; its rows before ``tick`` are final.
+    ``rows`` and ``bot_records`` are the episode's own row buffer and bot
+    list (see ``run_episode``); their entries before ``tick`` are final.
     """
 
     tick: int
     state: WorldState
     rng_state: tuple
-    trace: EpisodeTrace
+    rows: np.ndarray
+    bot_records: list
 
 
 def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
@@ -166,7 +168,10 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
 
     Each tick's row is recorded after any events scheduled for that tick
     have fired and before agents act, so tick 0 shows the pristine world
-    and an event's impact is visible from its trigger tick onward.
+    and an event's impact is visible from its trigger tick onward.  Rows go
+    to one int64 buffer (live apples per tree, then consumed, hunger ticks,
+    row and column per agent, then the three ledgers), split into the
+    trace's arrays when the episode ends.
 
     ``snapshots`` lists ticks by its keys; the episode's state at the
     start of each is stored under it.  ``start`` continues from such a
@@ -180,66 +185,58 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     # Events draw from their own stream so that the with/without-events twin
     # runs keep identical agent stochasticity wherever the world state agrees.
     event_rng = random.Random(f"coopres-events-{seed}")
-    engine = EventEngine(config.schedule) if with_events else None
+    engine = EventEngine(config.schedule if with_events else EventSchedule())
 
-    h = config.episode_length
-    n = config.n_agents
-    trace = EpisodeTrace(
-        n_agents=n, apples_per_tree=np.zeros((h, len(grid.trees)), dtype=np.int32),
-        consumed=np.zeros((h, n), dtype=np.int64),
-        hunger_ticks=np.zeros((h, n), dtype=np.int64),
-        ledger_consumed=np.zeros(h, dtype=np.int64),
-        ledger_regrown=np.zeros(h, dtype=np.int64),
-        ledger_event_vanished=np.zeros(h, dtype=np.int64),
-        positions=np.zeros((h, n, 2), dtype=np.int32))
+    h, n, nt = config.episode_length, config.n_agents, len(grid.trees)
+    rows = np.empty((h, nt + 4 * n + 3), dtype=np.int64)
     if start is None:
         t0 = 0
         state = make_world(grid, n, config.regrowth_table)
+        bot_records = []
     else:
         t0 = start.tick
-        if engine is not None and any(e.trigger_tick < t0 for e in config.schedule):
+        if any(e.trigger_tick < t0 for e in engine.schedule):
             raise ValueError(f"cannot continue from tick {t0}: an event triggers before it")
         state = start.state.copy()
         rng.setstate(start.rng_state)
-        for name in ("apples_per_tree", "consumed", "hunger_ticks", "positions",
-                     "ledger_consumed", "ledger_regrown", "ledger_event_vanished"):
-            getattr(trace, name)[:t0] = getattr(start.trace, name)[:t0]
-        trace.bot_records.extend(start.trace.bot_records[:t0])
+        rows[:t0] = start.rows[:t0]
+        bot_records = start.bot_records[:t0]
 
-    apples, consumed, hunger = trace.apples_per_tree, trace.consumed, trace.hunger_ticks
-    positions, bot_records = trace.positions, trace.bot_records
-    led_consumed, led_regrown = trace.ledger_consumed, trace.ledger_regrown
-    led_vanished = trace.ledger_event_vanished
+    # The welfare agents keep their objects for the whole episode; bots come after them.
+    trees, agents, welfare = state.trees, state.agents, [state.agents[i] for i in range(n)]
     for t in range(t0, h):
         if snapshots is not None and t in snapshots:
             snapshots[t] = Snapshot(tick=t, state=state.copy(), rng_state=rng.getstate(),
-                                    trace=trace)
-        if engine is not None:
+                                    rows=rows, bot_records=bot_records)
+        if t == engine.next_due:
             engine.fire_events(state, t, event_rng)
 
         # Every decision comes before step_world: one stock vector serves them all.
-        stocks = tuple([tree.live for tree in state.trees])
-        apples[t] = stocks
-        welfare = [state.agents[i] for i in range(n)]
-        consumed[t] = [a.cumulative_consumed for a in welfare]
-        hunger[t] = [a.ticks_since_meal for a in welfare]
-        positions[t] = [a.position for a in welfare]
-        led_consumed[t] = state.total_consumed
-        led_regrown[t] = state.total_regrown
-        led_vanished[t] = state.total_event_vanished
-        bot_records.append([(b.id, b.position, b.cumulative_consumed)
-                            for b in state.bots()])
+        stocks = [tree.live for tree in trees]
+        row = stocks.copy()
+        for a in welfare:
+            row += a.cumulative_consumed, a.ticks_since_meal, *a.position
+        row += state.total_consumed, state.total_regrown, state.total_event_vanished
+        rows[t] = row
+        bot_records.append([(b.id, b.position, b.cumulative_consumed) for b in state.bots()]
+                           if len(agents) > n else [])
 
         actions = {}
-        for agent_id in sorted(state.agents):
-            agent = state.agents[agent_id]
+        for agent_id in sorted(agents):
+            agent = agents[agent_id]
             policy = (PolicyKind.UNSUSTAINABLE_BOT if agent.is_bot
                       else config.policies[agent_id])
             actions[agent_id] = policy_action(policy, state, agent_id,
                                               build_view(state, agent_id, stocks), rng)
         step_world(state, actions, rng)
 
-    trace.fired_triggers = tuple(engine.fired) if engine is not None else ()
+    per_agent = rows[:, nt:-3].reshape(h, n, 4)
+    trace = EpisodeTrace(
+        n_agents=n, apples_per_tree=rows[:, :nt].astype(np.int32),
+        consumed=per_agent[:, :, 0].copy(), hunger_ticks=per_agent[:, :, 1].copy(),
+        ledger_consumed=rows[:, -3].copy(), ledger_regrown=rows[:, -2].copy(),
+        ledger_event_vanished=rows[:, -1].copy(), fired_triggers=tuple(engine.fired),
+        positions=per_agent[:, :, 2:].astype(np.int32), bot_records=bot_records)
     trace.validate()
     return trace
 

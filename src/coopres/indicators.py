@@ -45,11 +45,17 @@ class EpisodeTrace:
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
-        h = self.horizon
-        for name in ("consumed", "hunger_ticks"):
-            arr = getattr(self, name)
-            if arr.shape != (h, self.n_agents):
-                raise ValueError(f"{name} shape {arr.shape} != ({h}, {self.n_agents})")
+        if self.apples_per_tree.ndim != 2:
+            raise ValueError(f"apples_per_tree shape {self.apples_per_tree.shape} is not 2-D")
+        h, n = self.horizon, self.n_agents
+        shapes = {"consumed": (h, n), "hunger_ticks": (h, n), "ledger_consumed": (h,),
+                  "ledger_regrown": (h,), "ledger_event_vanished": (h,),
+                  "positions": (h, n, 2) if self.positions is not None else None}
+        for name, shape in shapes.items():
+            if shape is not None and getattr(self, name).shape != shape:
+                raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
+        if len(self.bot_records) not in (0, h):
+            raise ValueError(f"bot_records has {len(self.bot_records)} entries, not 0 or {h}")
         if np.any(np.diff(self.consumed, axis=0) < 0):
             raise ValueError("cumulative consumption must be non-decreasing")
         trees = self.live_tree_count()

@@ -114,11 +114,11 @@ class Tree:
 class GridMap:
     """Static geometry of a map: walls, tree layout, spawn and respawn cells.
 
-    Also owns two lazily built tables over floor cells.  The all-pairs
-    shortest-path table is the scripted policies' knowledge of the
-    (static) map layout.  The visibility table lists, for each floor
-    cell, the apple cells an agent standing there can see: within
-    ``VIEW_RADIUS`` in both axes and in line of sight.
+    Also owns two tables over floor cells.  The all-pairs shortest-path
+    table, built on first use, is the scripted policies' knowledge of the
+    (static) map layout.  ``visible``, built here, maps each floor cell to
+    the (apple cell, tree index) pairs an agent standing there can see:
+    within ``VIEW_RADIUS`` in both axes and in line of sight.
     """
 
     def __init__(self, width: int, height: int, walls: frozenset[Cell],
@@ -133,7 +133,6 @@ class GridMap:
         self._floor_index = {cell: i for i, cell in enumerate(self.floor)}
         self.respawn_zone = self._compute_respawn_zone()
         self._dist: np.ndarray | None = None
-        self._visible: dict[Cell, tuple[tuple[Cell, int], ...]] | None = None
 
         # apple cell -> (tree index, slot in the tree's apple_cells)
         self.apple_slots: dict[Cell, tuple[int, int]] = {}
@@ -144,6 +143,7 @@ class GridMap:
                 if cell in self.apple_slots:
                     raise ValueError(f"apple cell {cell} belongs to two trees")
                 self.apple_slots[cell] = (idx, i)
+        self.visible = self._build_visibility_table()
 
     def is_wall(self, cell: Cell) -> bool:
         r, c = cell
@@ -222,12 +222,6 @@ class GridMap:
                 if abs(cell[0] - r0) <= VIEW_RADIUS and abs(cell[1] - c0) <= VIEW_RADIUS
                 and line_of_sight(self, a, cell))
         return table
-
-    def visible_apple_cells(self, cell: Cell) -> tuple[tuple[Cell, int], ...]:
-        """(apple cell, tree index) pairs an agent on floor ``cell`` can see."""
-        if self._visible is None:
-            self._visible = self._build_visibility_table()
-        return self._visible[cell]
 
 
 @dataclass
@@ -383,22 +377,20 @@ def regrow(state: WorldState, rng: random.Random) -> WorldState:
     tick.  Cells under an agent do not regrow.  A full tree has no dead
     cell and is skipped; either way it draws nothing from ``rng``.
     """
-    table, occupied = state.regrowth_table, state.occupied
+    table, occupied, draw = state.regrowth_table, state.occupied, rng.random
     top = len(table) - 1
     for tree in state.trees:
-        if tree.vanished:
-            continue
         live = tree.live
+        if live == len(tree.alive) or tree.vanished:
+            continue
         if live == 0:
             tree.vanished = True
             continue
-        p = table[min(live, top)]
-        if p <= 0.0 or live == len(tree.alive):
+        p = table[live if live < top else top]
+        if p <= 0.0:
             continue
         for cell, alive in zip(tree.apple_cells, tree.alive):
-            if alive or cell in occupied:
-                continue
-            if rng.random() < p:
+            if not alive and cell not in occupied and draw() < p:
                 state.revive_apple(cell)
                 state.total_regrown += 1
     return state
@@ -409,9 +401,10 @@ def step_world(state: WorldState, actions: dict[int, Action],
     """Advance the world one tick.
 
     Agents act in a seeded-random order, in two passes.  In the first each
-    agent rotates or moves (walls and occupied cells block; entering a live
-    apple cell consumes it) and counts the ticks since its last meal.  In
-    the second each agent's zap cooldown runs down, then its zap resolves.
+    agent counts the ticks since its last meal, then rotates or moves
+    (walls and occupied cells block; entering a live apple cell consumes
+    it).  The second covers only the agents that zap this tick or are
+    cooling down: each one's cooldown runs down, then its zap resolves.
     Regrowth comes last.
     """
     if actions.keys() != state.agents.keys():
@@ -421,11 +414,14 @@ def step_world(state: WorldState, actions: dict[int, Action],
         missing = sorted(state.agents.keys() - actions.keys())
         raise ValueError(f"missing actions for agents {missing}")
 
-    order = sorted(state.agents)
+    agents, occupied = state.agents, state.occupied
+    order = sorted(agents)
     rng.shuffle(order)
     for agent_id in order:
-        agent, action = state.agents[agent_id], actions[agent_id]
+        agent, action = agents[agent_id], actions[agent_id]
         agent.ticks_since_meal += 1
+        if action is Action.NOOP:
+            continue
         if action is Action.ROTATE_LEFT or action is Action.ROTATE_RIGHT:
             agent.orientation = rotate(agent.orientation,
                                        clockwise=action is Action.ROTATE_RIGHT)
@@ -437,19 +433,19 @@ def step_world(state: WorldState, actions: dict[int, Action],
             continue
         r, c = agent.position
         target = (r + dr, c + dc)
-        if state.grid.is_wall(target) or target in state.occupied:
+        if state.grid.is_wall(target) or target in occupied:
             continue
-        del state.occupied[agent.position]
+        del occupied[agent.position]
         agent.position = target
-        state.occupied[target] = agent_id
+        occupied[target] = agent_id
         if target in state.live_apples:
             state.remove_apple(target)
             state.total_consumed += 1
             agent.cumulative_consumed += 1
             agent.ticks_since_meal = 0
 
-    for agent_id in order:
-        zapper = state.agents[agent_id]
+    for agent_id in [i for i in order if actions[i] is Action.ZAP or agents[i].zap_cooldown]:
+        zapper = agents[agent_id]
         if zapper.zap_cooldown > 0:
             zapper.zap_cooldown -= 1
         if actions[agent_id] is not Action.ZAP or zapper.zap_cooldown > 0:
@@ -461,9 +457,9 @@ def step_world(state: WorldState, actions: dict[int, Action],
             cell = (r + dr * k, c + dc * k)
             if state.grid.is_wall(cell):
                 break
-            hit = state.occupied.get(cell)
+            hit = occupied.get(cell)
             if hit is not None:
-                _relocate(state, state.agents[hit])
+                _relocate(state, agents[hit])
                 break
 
     regrow(state, rng)
@@ -502,7 +498,7 @@ def line_of_sight(grid: GridMap, a: Cell, b: Cell) -> bool:
     return True
 
 
-def build_view(state: WorldState, agent_id: int, stocks: tuple[int, ...]) -> dict[Cell, int]:
+def build_view(state: WorldState, agent_id: int, stocks: list[int]) -> dict[Cell, int]:
     """The live apples one agent sees, each mapped to its tree's stock.
 
     ``stocks`` is the tick's ``tree.live`` per tree.  Which apple cells the
@@ -511,8 +507,7 @@ def build_view(state: WorldState, agent_id: int, stocks: tuple[int, ...]) -> dic
     with a live apple enter the view, in table order.
     """
     live = state.live_apples
-    return {cell: stocks[idx]
-            for cell, idx in state.grid.visible_apple_cells(state.agents[agent_id].position)
+    return {cell: stocks[idx] for cell, idx in state.grid.visible[state.agents[agent_id].position]
             if cell in live}
 
 

@@ -3,7 +3,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from xml.etree import ElementTree
 
@@ -445,6 +448,15 @@ class TestPreset:
     def test_unknown_preset(self, capsys):
         assert main(["preset", "meteor"]) == 1
         assert capsys.readouterr().err.startswith("error:config:")
+
+    def test_runs_as_python_dash_m(self):
+        src = os.path.dirname(os.path.dirname(coopres.harness.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "coopres", "preset"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "bots: 3 scenarios (1x3)\ntable2: 9 scenarios (3x3)\n"
 
 
 class TestArgsAndExitCodes:

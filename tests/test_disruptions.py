@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coopres.disruptions import (
     Event,
@@ -13,7 +15,7 @@ from coopres.disruptions import (
     apply_bot_intrusion,
     parse_schedule,
 )
-from coopres.world import load_map, make_world
+from coopres.world import DEFAULT_MAP, PolicyKind, load_map, make_world, policy_action, step_world
 
 SIX_APPLE_MAP = "########\n#AAAAAA#\n#S.S.S.#\n########"
 
@@ -206,3 +208,73 @@ class TestEventEngine:
             fired += len(engine.fired)
         sigma = (trials * 0.25) ** 0.5
         assert abs(fired - trials * 0.5) <= 3 * sigma
+
+
+DUE_TICKS = 50
+DEFAULT_GRID = load_map(DEFAULT_MAP)  # 8 spawn points: 2 agents and up to 4 bots always fit
+
+
+@st.composite
+def mixed_schedules(draw):
+    """1-4 events before tick 41, at most two of them bot intrusions, p_s in {0.5, 1}."""
+    events, intrusions = [], 0
+    for t in sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=4))):
+        p_s = draw(st.sampled_from([0.5, 1.0]))
+        if intrusions < 2 and draw(st.booleans()):
+            intrusions += 1
+            events.append(Event(kind=EventKind.BOT_INTRUSION, trigger_tick=t, p_s=p_s,
+                                duration=draw(st.integers(1, 60)),
+                                bot_count=draw(st.integers(0, 2))))
+        else:
+            events.append(Event(kind=EventKind.APPLE_VANISH, trigger_tick=t, p_s=p_s,
+                                v_s=draw(st.sampled_from([0.3, 0.7]))))
+    return EventSchedule(events=events)
+
+
+def stepped_world(schedule, seed, every_tick):
+    """The world after each of ``DUE_TICKS`` ticks, and the ``fire_events`` call count.
+
+    Random agents move and zap between ticks, so bots leave their spawn cells.
+    """
+    state = make_world(DEFAULT_GRID, 2, (0.0, 0.01, 0.05, 0.1))
+    engine = EventEngine(schedule)
+    event_rng, rng = random.Random(seed), random.Random(seed + 1)
+    history, calls = [], 0
+    for t in range(DUE_TICKS):
+        if every_tick or t == engine.next_due:
+            engine.fire_events(state, t, event_rng)
+            calls += 1
+        history.append((sorted((a.id, a.is_bot, a.position) for a in state.agents.values()),
+                        dict(state.occupied), dict(state.live_apples), list(engine.fired)))
+        actions = {i: policy_action(PolicyKind.RANDOM, state, i, {}, rng) for i in state.agents}
+        step_world(state, actions, rng)
+    return history, calls
+
+
+class TestDueTicks:
+    @given(schedule=mixed_schedules(), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    # Trigger at tick 0, overlapping intrusions, the second removed after the last tick.
+    @example(schedule=parse_schedule("bot_intrusion 0 30 2\nbot_intrusion 10 60 2 0.5\n"
+                                     "apple_vanish 20 0.7"), seed=0)
+    @example(schedule=parse_schedule("bot_intrusion 0 30 2\nbot_intrusion 10 60 2 0.5\n"
+                                     "apple_vanish 20 0.7"), seed=4)
+    def test_firing_on_due_ticks_equals_firing_every_tick(self, schedule, seed):
+        every, _ = stepped_world(schedule, seed, every_tick=True)
+        due, calls = stepped_world(schedule, seed, every_tick=False)
+        assert due == every
+        # Work is a trigger or a bot removal; nothing else is due.
+        intrusions = sum(e.kind is EventKind.BOT_INTRUSION for e in schedule)
+        assert calls <= len(schedule) + intrusions
+
+    def test_examples_cover_both_coin_outcomes(self):
+        schedule = parse_schedule("bot_intrusion 0 30 2\nbot_intrusion 10 60 2 0.5\n")
+        fired = {seed: stepped_world(schedule, seed, every_tick=False)[0][-1][-1]
+                 for seed in (0, 4)}
+        assert sorted(map(len, fired.values())) == [1, 2]
+
+    def test_nothing_due_without_events(self):
+        engine = EventEngine(EventSchedule())
+        assert engine.next_due is None
+        engine.fire_events(fresh_state(), 0, random.Random(0))
+        assert engine.next_due is None

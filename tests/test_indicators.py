@@ -193,6 +193,28 @@ class TestTraceValidation:
         with pytest.raises(ValueError, match="reset"):
             trace.validate()
 
+    # One slip per array, as a mis-split row buffer would leave it.
+    BAD_SHAPES = {
+        "apples_per_tree": lambda t: np.ones(t.horizon, dtype=np.int32),
+        "consumed": lambda t: t.consumed[:, :-1],
+        "hunger_ticks": lambda t: t.hunger_ticks[:-1],
+        "ledger_consumed": lambda t: t.ledger_consumed[:-1],
+        "ledger_regrown": lambda t: np.zeros((t.horizon, 1), dtype=np.int64),
+        "ledger_event_vanished": lambda t: t.ledger_event_vanished[:-1],
+        "positions": lambda t: np.zeros((t.horizon, t.n_agents), dtype=np.int32),
+        "bot_records": lambda t: [[]] * (t.horizon - 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_SHAPES))
+    def test_every_array_shape_is_checked(self, name):
+        trace = build_trace(np.ones((4, 2)), np.zeros((4, 3)),
+                            positions=np.zeros((4, 3, 2), dtype=np.int32),
+                            bot_records=[[]] * 4)
+        trace.validate()
+        setattr(trace, name, self.BAD_SHAPES[name](trace))
+        with pytest.raises(ValueError, match=name):
+            trace.validate()
+
 
 class TestComputeIndicators:
     def test_single_episode_identity(self, flat_trace):
