@@ -150,8 +150,8 @@ class ScenarioResult:
 class Snapshot:
     """An episode at the start of ``tick``, before that tick's events fire.
 
-    ``rows`` and ``bot_records`` are the episode's own row buffer and bot
-    list (see ``run_episode``); their entries before ``tick`` are final.
+    ``rows`` and ``bot_records`` copy the episode's rows (see ``run_episode``)
+    and bot records before ``tick``.
     """
 
     tick: int
@@ -199,15 +199,15 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
             raise ValueError(f"cannot continue from tick {t0}: an event triggers before it")
         state = start.state.copy()
         rng.setstate(start.rng_state)
-        rows[:t0] = start.rows[:t0]
-        bot_records = start.bot_records[:t0]
+        rows[:t0] = start.rows
+        bot_records = start.bot_records.copy()
 
     # The welfare agents keep their objects for the whole episode; bots come after them.
     trees, agents, welfare = state.trees, state.agents, [state.agents[i] for i in range(n)]
     for t in range(t0, h):
         if snapshots is not None and t in snapshots:
             snapshots[t] = Snapshot(tick=t, state=state.copy(), rng_state=rng.getstate(),
-                                    rows=rows, bot_records=bot_records)
+                                    rows=rows[:t].copy(), bot_records=bot_records[:t])
         if t == engine.next_due:
             engine.fire_events(state, t, event_rng)
 
