@@ -35,6 +35,8 @@ from .timeseries import TimeSeries
 from .world import (
     DEFAULT_MAP,
     DEFAULT_REGROWTH_TABLE,
+    SUSTAINABLE_MIN_STOCK,
+    Action,
     GridMap,
     PolicyKind,
     WorldState,
@@ -43,6 +45,7 @@ from .world import (
     make_world,
     policy_action,
     step_world,
+    wander,
 )
 
 
@@ -173,6 +176,12 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     row and column per agent, then the three ledgers), split into the
     trace's arrays when the episode ends.
 
+    Agents decide in id order, each as ``policy_action`` on its
+    ``build_view`` would, with the same draws.  A sustainable or greedy
+    welfare agent with no target in view skips both calls: it draws its
+    idle coin and, only if it moves, wanders.  A tick on which every
+    action is ``NOOP`` passes None to ``step_world``.
+
     ``snapshots`` lists ticks by its keys; the episode's state at the
     start of each is stored under it.  ``start`` continues from such a
     snapshot of the same seed, copying the rows before it.  That equals
@@ -204,6 +213,12 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
 
     # The welfare agents keep their objects for the whole episode; bots come after them.
     trees, agents, welfare = state.trees, state.agents, [state.agents[i] for i in range(n)]
+    policies, visible, live, noop = config.policies, grid.visible, state.live_apples, Action.NOOP
+    # Per welfare agent, the least stock of a tree whose apples it targets;
+    # 0 for the random and unsustainable_bot policies, which always decide
+    # through policy_action, as bots do.
+    floors = [SUSTAINABLE_MIN_STOCK if p is PolicyKind.SUSTAINABLE
+              else int(p is PolicyKind.GREEDY) for p in policies]
     for t in range(t0, h):
         if snapshots is not None and t in snapshots:
             snapshots[t] = Snapshot(tick=t, state=state.copy(), rng_state=rng.getstate(),
@@ -221,14 +236,21 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
         bot_records.append([(b.id, b.position, b.cumulative_consumed) for b in state.bots()]
                            if len(agents) > n else [])
 
-        actions = {}
+        actions, acting = {}, False
         for agent_id in sorted(agents):
-            agent = agents[agent_id]
-            policy = (PolicyKind.UNSUSTAINABLE_BOT if agent.is_bot
-                      else config.policies[agent_id])
-            actions[agent_id] = policy_action(policy, state, agent_id,
-                                              build_view(state, agent_id, stocks), rng)
-        step_world(state, actions, rng)
+            pos = agents[agent_id].position
+            seen, floor = visible[pos], floors[agent_id] if agent_id < n else 0
+            if floor and not (seen and any(stocks[i] >= floor for c, i in seen if c in live)):
+                # No target in view: policy_action would explore, idle coin first.
+                action = (noop if rng.random() < policies[agent_id].explore_idle_prob
+                          else wander(state, pos, rng, {c for c, _ in seen if c in live}))
+            else:
+                policy = policies[agent_id] if agent_id < n else PolicyKind.UNSUSTAINABLE_BOT
+                action = policy_action(policy, state, agent_id,
+                                       build_view(state, agent_id, stocks), rng)
+            actions[agent_id] = action
+            acting = acting or action is not noop
+        step_world(state, actions if acting else None, rng)
 
     per_agent = rows[:, nt:-3].reshape(h, n, 4)
     trace = EpisodeTrace(

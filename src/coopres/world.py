@@ -114,11 +114,12 @@ class Tree:
 class GridMap:
     """Static geometry of a map: walls, tree layout, spawn and respawn cells.
 
-    Also owns two tables over floor cells.  The all-pairs shortest-path
-    table, built on first use, is the scripted policies' knowledge of the
-    (static) map layout.  ``visible``, built here, maps each floor cell to
-    the (apple cell, tree index) pairs an agent standing there can see:
-    within ``VIEW_RADIUS`` in both axes and in line of sight.
+    Also owns two tables over floor cells.  Walking distances to a cell,
+    one BFS row per target cell built on first use, are the scripted
+    policies' knowledge of the (static) map layout.  ``visible``, built
+    here, maps each floor cell to the (apple cell, tree index) pairs an
+    agent standing there can see: within ``VIEW_RADIUS`` in both axes and
+    in line of sight.
     """
 
     def __init__(self, width: int, height: int, walls: frozenset[Cell],
@@ -131,8 +132,10 @@ class GridMap:
         self.floor = [(r, c) for r in range(height) for c in range(width)
                       if (r, c) not in walls]
         self._floor_index = {cell: i for i, cell in enumerate(self.floor)}
-        self.respawn_zone = self._compute_respawn_zone()
-        self._dist: np.ndarray | None = None
+        # floor index -> floor indices of the open cells next to it
+        self._nbr_idx = [[self._floor_index[n] for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                          if not self.is_wall(n := (r + dr, c + dc))] for r, c in self.floor]
+        self._dist_rows: dict[int, list[int]] = {}  # target floor index -> distances to it
 
         # apple cell -> (tree index, slot in the tree's apple_cells)
         self.apple_slots: dict[Cell, tuple[int, int]] = {}
@@ -143,6 +146,7 @@ class GridMap:
                 if cell in self.apple_slots:
                     raise ValueError(f"apple cell {cell} belongs to two trees")
                 self.apple_slots[cell] = (idx, i)
+        self.respawn_zone = self._compute_respawn_zone()
         self.visible = self._build_visibility_table()
 
     def is_wall(self, cell: Cell) -> bool:
@@ -151,65 +155,46 @@ class GridMap:
             return True
         return cell in self.walls
 
-    def _neighbors(self, cell: Cell) -> list[Cell]:
-        r, c = cell
-        out = []
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            n = (r + dr, c + dc)
-            if not self.is_wall(n):
-                out.append(n)
-        return out
-
-    def _multi_source_bfs(self, sources: list[Cell]) -> dict[Cell, int]:
-        dist = {cell: 0 for cell in sources}
+    def _bfs(self, sources: list[int]) -> list[int]:
+        """Walking distance from the nearest of ``sources`` to each floor cell, by floor index."""
+        nbr_idx = self._nbr_idx
+        row = [UNREACHABLE] * len(self.floor)
+        for s in sources:
+            row[s] = 0
         q = deque(sources)
         while q:
             u = q.popleft()
-            du = dist[u] + 1
-            for v in self._neighbors(u):
-                if v not in dist:
-                    dist[v] = du
+            du = row[u] + 1
+            for v in nbr_idx[u]:
+                if row[v] > du:
+                    row[v] = du
                     q.append(v)
-        return dist
+        return row
 
     def _compute_respawn_zone(self) -> list[Cell]:
-        apple_cells = [cell for tree in self.trees for cell in tree.apple_cells]
-        if not apple_cells:
+        if not self.apple_slots:
             return list(self.floor)
-        dist = self._multi_source_bfs(apple_cells)
-        reachable = [c for c in self.floor if c in dist]
-        far = max(dist[c] for c in reachable)
-        return [c for c in reachable if dist[c] == far]
+        dist = self._bfs([self._floor_index[cell] for cell in self.apple_slots])
+        far = max(d for d in dist if d < UNREACHABLE)
+        return [c for c, d in zip(self.floor, dist) if d == far]
 
-    def _build_distance_table(self) -> np.ndarray:
-        n = len(self.floor)
-        nbr_idx: list[list[int]] = []
-        for cell in self.floor:
-            nbr_idx.append([self._floor_index[v] for v in self._neighbors(cell)])
-        table = np.full((n, n), UNREACHABLE, dtype=np.int32)
-        for s in range(n):
-            row = [UNREACHABLE] * n
-            row[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                du = row[u] + 1
-                for v in nbr_idx[u]:
-                    if row[v] > du:
-                        row[v] = du
-                        q.append(v)
-            table[s] = row
-        return table
+    def _build_distance_table(self, s: int) -> list[int]:
+        """Walking distances between floor cell ``s`` and every floor cell, by floor index."""
+        return self._bfs([s])
 
     def distance(self, a: Cell, b: Cell) -> int:
-        """Shortest walking distance between two floor cells (walls block)."""
+        """Shortest walking distance between two floor cells (walls block).
+
+        Only ``b``'s row is built, on first use: policies pass apple cells as ``b``.
+        """
         ia = self._floor_index.get(a)
         ib = self._floor_index.get(b)
         if ia is None or ib is None:
             return UNREACHABLE
-        if self._dist is None:
-            self._dist = self._build_distance_table()
-        return int(self._dist[ia, ib])
+        row = self._dist_rows.get(ib)
+        if row is None:
+            row = self._dist_rows[ib] = self._build_distance_table(ib)
+        return row[ia]
 
     def _build_visibility_table(self) -> dict[Cell, tuple[tuple[Cell, int], ...]]:
         # One (cell, tree index) tuple per apple cell, shared by every entry.
@@ -396,7 +381,7 @@ def regrow(state: WorldState, rng: random.Random) -> WorldState:
     return state
 
 
-def step_world(state: WorldState, actions: dict[int, Action],
+def step_world(state: WorldState, actions: dict[int, Action] | None,
                rng: random.Random) -> WorldState:
     """Advance the world one tick.
 
@@ -406,15 +391,29 @@ def step_world(state: WorldState, actions: dict[int, Action],
     it).  The second covers only the agents that zap this tick or are
     cooling down: each one's cooldown runs down, then its zap resolves.
     Regrowth comes last.
+
+    ``actions`` None means every agent takes ``NOOP``.  Unless one is
+    cooling down, that tick draws the order's shuffle, counts every
+    agent's hunger and regrows, without either pass: the same draws and
+    the same world as passing ``NOOP`` for each.
     """
-    if actions.keys() != state.agents.keys():
+    agents, occupied = state.agents, state.occupied
+    if actions is None:
+        if not any(a.zap_cooldown for a in agents.values()):
+            rng.shuffle(list(agents))
+            for agent in agents.values():
+                agent.ticks_since_meal += 1
+            regrow(state, rng)
+            state.tick += 1
+            return state
+        actions = dict.fromkeys(agents, Action.NOOP)
+    if actions.keys() != agents.keys():
         for agent_id in actions:
             if agent_id not in state.agents:
                 raise ValueError(f"action for unknown agent {agent_id}")
         missing = sorted(state.agents.keys() - actions.keys())
         raise ValueError(f"missing actions for agents {missing}")
 
-    agents, occupied = state.agents, state.occupied
     order = sorted(agents)
     rng.shuffle(order)
     for agent_id in order:
@@ -531,10 +530,9 @@ def _step_toward(state: WorldState, pos: Cell, target: Cell,
     return min(options, key=lambda option: distance(option[1], target))[0]
 
 
-def _explore(state: WorldState, pos: Cell, rng: random.Random,
-             forbidden: Collection[Cell], idle_prob: float) -> Action:
-    if idle_prob > 0.0 and rng.random() < idle_prob:
-        return Action.NOOP
+def wander(state: WorldState, pos: Cell, rng: random.Random,
+           forbidden: Collection[Cell]) -> Action:
+    """A random open move from ``pos`` that avoids ``forbidden``; NOOP when there is none."""
     options = _open_moves(state, pos, forbidden)
     return rng.choice(options)[0] if options else Action.NOOP
 
@@ -583,7 +581,10 @@ def policy_action(policy: PolicyKind, state: WorldState, agent_id: int,
         site = _nearest_live_tree_cell(state, pos)
         if site is not None:
             return _step_toward(state, pos, site, forbidden)
-    return _explore(state, pos, rng, forbidden, policy.explore_idle_prob)
+    # Exploring: idle with the policy's probability, else wander.
+    if policy.explore_idle_prob > 0.0 and rng.random() < policy.explore_idle_prob:
+        return Action.NOOP
+    return wander(state, pos, rng, forbidden)
 
 
 # Ticks formatted per block: bounds the Python ints held at once.

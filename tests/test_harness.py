@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coopres.harness
-from coopres.disruptions import Event, EventKind, EventSchedule
+from coopres.disruptions import Event, EventEngine, EventKind, EventSchedule
 from coopres.harness import (
     ConfigError,
     ExperimentGrid,
@@ -25,7 +26,15 @@ from coopres.harness import (
 )
 from coopres.report import emit_report, export_indicators, grid_json_dict
 from coopres.indicators import EpisodeTrace, compute_indicators, write_indicator_csv
-from coopres.world import PolicyKind
+from coopres.world import (
+    DEFAULT_REGROWTH_TABLE,
+    PolicyKind,
+    build_view,
+    load_map,
+    make_world,
+    policy_action,
+    step_world,
+)
 
 
 def _config_error_episode(*args, **kwargs):
@@ -264,6 +273,81 @@ class TestForkAtFirstTrigger:
         run_episode(cfg, 2, with_events=False, snapshots=snapshots)
         with pytest.raises(ValueError, match="triggers before"):
             run_episode(cfg, 2, with_events=True, start=snapshots[80])
+
+
+def plain_episode(config, seed, with_events):
+    """The episode stepped with nothing skipped: the reference for ``run_episode``.
+
+    Events fire on every tick, every agent decides through ``build_view``
+    and ``policy_action``, and ``step_world`` gets every agent's action.
+    """
+    state = make_world(load_map(config.map_text), config.n_agents, config.regrowth_table)
+    rng, event_rng = random.Random(seed), random.Random(f"coopres-events-{seed}")
+    engine = EventEngine(config.schedule if with_events else EventSchedule())
+    apples, per_agent, ledgers, bot_records = [], [], [], []
+    for t in range(config.episode_length):
+        engine.fire_events(state, t, event_rng)
+        stocks = [tree.live for tree in state.trees]
+        apples.append(stocks)
+        per_agent.append([(a.cumulative_consumed, a.ticks_since_meal, *a.position)
+                          for a in (state.agents[i] for i in range(config.n_agents))])
+        ledgers.append((state.total_consumed, state.total_regrown, state.total_event_vanished))
+        bot_records.append([(b.id, b.position, b.cumulative_consumed) for b in state.bots()])
+        actions = {i: policy_action(PolicyKind.UNSUSTAINABLE_BOT if a.is_bot
+                                    else config.policies[i],
+                                    state, i, build_view(state, i, stocks), rng)
+                   for i, a in sorted(state.agents.items())}
+        step_world(state, actions, rng)
+    per_agent, ledgers = np.array(per_agent, dtype=np.int64), np.array(ledgers, dtype=np.int64)
+    return EpisodeTrace(
+        n_agents=config.n_agents, apples_per_tree=np.array(apples, dtype=np.int32),
+        consumed=per_agent[:, :, 0], hunger_ticks=per_agent[:, :, 1],
+        ledger_consumed=ledgers[:, 0], ledger_regrown=ledgers[:, 1],
+        ledger_event_vanished=ledgers[:, 2], fired_triggers=tuple(engine.fired),
+        positions=per_agent[:, :, 2:].astype(np.int32), bot_records=bot_records)
+
+
+@st.composite
+def idle_path_configs(draw):
+    """Short episodes mixing all four policies under vanishes and bot intrusions.
+
+    At most four agents and two bots per intrusion leave two of the default
+    map's eight spawn cells free for an overlapping second intrusion.
+    """
+    length = draw(st.integers(80, 120))
+    triggers = sorted(draw(st.sets(st.integers(0, length - 2), max_size=3)))
+    events = [draw(st.sampled_from([
+        vanish(t, draw(st.sampled_from([0.3, 0.7])), p_s=draw(st.sampled_from([0.5, 1.0]))),
+        bots(t, draw(st.integers(1, 60)), draw(st.integers(1, 2)),
+             p_s=draw(st.sampled_from([0.5, 1.0])))]))
+        for t in triggers]
+    return ScenarioConfig(
+        policies=tuple(draw(st.lists(st.sampled_from(list(PolicyKind)), min_size=1,
+                                     max_size=4))),
+        episode_length=length, schedule=EventSchedule(events=events),
+        regrowth_table=draw(st.sampled_from([DEFAULT_REGROWTH_TABLE, (0.0, 0.05, 0.1, 0.2)])))
+
+
+class TestIdlePath:
+    """Skipping idle decisions and idle ticks leaves every episode as the plain loop steps it."""
+
+    MIX = ScenarioConfig(policies=(PolicyKind.RANDOM, PolicyKind.SUSTAINABLE, PolicyKind.GREEDY),
+                         episode_length=100, schedule=EventSchedule(events=[bots(30, 40, 2)]))
+
+    @given(config=idle_path_configs(), seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    @example(config=MIX, seed=2, data=None)  # the sustainable agent sees a target
+    @example(config=MIX, seed=5, data=None)  # an all-NOOP tick while the random agent cools down
+    def test_run_episode_equals_plain_loop(self, config, seed, data):
+        performance = plain_episode(config, seed, with_events=True)
+        assert_same_trace(run_episode(config, seed, with_events=True), performance)
+        first = config.schedule.events[0].trigger_tick if config.schedule.events else 0
+        t = data.draw(st.integers(0, first)) if data is not None else first
+        snapshots = {t: None}
+        assert_same_trace(run_episode(config, seed, with_events=False, snapshots=snapshots),
+                          plain_episode(config, seed, with_events=False))
+        assert_same_trace(run_episode(config, seed, with_events=True, start=snapshots[t]),
+                          performance)
 
 
 def run_one(config, keep_traces=False):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -15,6 +15,7 @@ from coopres.world import (
     ACTIONS,
     DEFAULT_MAP,
     TRACE_BLOCK_TICKS,
+    UNREACHABLE,
     VIEW_RADIUS,
     ZAP_COOLDOWN,
     Action,
@@ -200,6 +201,22 @@ class TestStepWorld:
         state.agents[0].orientation = Orientation.E
         step_world(state, {0: Action.ZAP, 1: Action.NOOP}, random.Random(0))
         assert state.agents[1].position == (1, 11)
+
+    @pytest.mark.parametrize("cooling", [0, 3])
+    def test_nobody_acting_steps_like_every_agent_noop(self, cooling):
+        state = make_world(load_map(DEFAULT_MAP), 5, (0.0, 0.3, 0.3, 0.3))
+        for cell in sorted(state.live_apples)[::3]:  # dead cells draw to regrow
+            state.remove_apple(cell)
+        state.agents[2].zap_cooldown = cooling
+        twin, rng, twin_rng = state.copy(), random.Random(5), random.Random(5)
+        for _ in range(4):
+            step_world(state, None, rng)
+            step_world(twin, dict.fromkeys(twin.agents, Action.NOOP), twin_rng)
+        assert rng.getstate() == twin_rng.getstate()
+        assert [vars(a) for a in state.agents.values()] == [vars(a) for a in twin.agents.values()]
+        assert (state.live_apples, state.total_regrown, state.tick) == (
+            twin.live_apples, twin.total_regrown, twin.tick)
+        assert state.total_regrown > 0
 
     def test_unknown_agent_action_rejected(self):
         grid = corridor_map()
@@ -442,6 +459,14 @@ TRAJECTORY_DIGESTS = {
     1: "3c27cc2d222e35081c814135f5e2db99ce9a79ab4e21b027ef0d595c3db342af",
 }
 
+# sha256 of run_episode's trace arrays and bot records for the same policies
+# and schedule over 300 ticks, taken before idle agents and idle ticks
+# skipped the decision and step machinery.
+EPISODE_DIGESTS = {
+    0: "ff06ca58a0222c9062d4bbebb566b967e947581e696c8ebc16ac6ec9abb08d86",
+    1: "6acbd846548cc4d3b61cd1e2390e27b98e3a796ee99ba170279ece8e341e304e",
+}
+
 
 class TestTrajectoryPinned:
     # Neither preset rotates or zaps; random agents do both.
@@ -469,6 +494,22 @@ class TestTrajectoryPinned:
                 seen["bot"] += a.is_bot
         assert min(seen.values()) > 0
         assert digest.hexdigest() == TRAJECTORY_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(EPISODE_DIGESTS))
+    def test_run_episode_steps_as_pinned(self, seed):
+        from coopres.harness import ScenarioConfig, run_episode
+
+        config = ScenarioConfig(policies=self.POLICIES, episode_length=300,
+                                regrowth_table=(0.0, 0.05, 0.1, 0.2), schedule=parse_schedule(
+                                    "apple_vanish 60 0.5\nbot_intrusion 100 120 2\n"))
+        trace = run_episode(config, seed, with_events=True)
+        digest = hashlib.sha256()
+        for name in ("apples_per_tree", "consumed", "hunger_ticks", "ledger_consumed",
+                     "ledger_regrown", "ledger_event_vanished", "positions"):
+            digest.update(getattr(trace, name).tobytes())
+        digest.update(repr(trace.bot_records).encode())
+        assert trace.fired_triggers == (60, 100)
+        assert digest.hexdigest() == EPISODE_DIGESTS[seed]
 
 
 def dumped_records(trace):
@@ -544,6 +585,31 @@ WALLED_MAP_TEXT = ("##############\n"
                    "#333...##....#\n"
                    "##############")
 WALLED_MAP = load_map(WALLED_MAP_TEXT)
+
+
+def plain_distances(grid, a):
+    """Walking distance from ``a`` to each floor cell it reaches: the reference for ``distance``."""
+    dist, queue = {a: 0}, deque([a])
+    while queue:
+        r, c = u = queue.popleft()
+        for n in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if n not in dist and not grid.is_wall(n):
+                dist[n] = dist[u] + 1
+                queue.append(n)
+    return dist
+
+
+class TestDistanceRows:
+    @pytest.mark.parametrize("text", [DEFAULT_MAP, WALLED_MAP_TEXT], ids=["default", "walled"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_distance_equals_plain_bfs_in_any_query_order(self, text, data):
+        grid = load_map(text)  # no distance row built yet
+        cells = st.sampled_from(grid.floor + sorted(grid.walls)[:4])
+        for a, b in data.draw(st.lists(st.tuples(cells, cells), min_size=1, max_size=30)):
+            expected = (UNREACHABLE if grid.is_wall(a) or grid.is_wall(b)
+                        else plain_distances(grid, a).get(b, UNREACHABLE))
+            assert grid.distance(a, b) == expected
 
 
 def scanned_view(state, agent_id, radius=VIEW_RADIUS):
