@@ -213,12 +213,14 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
 
     # The welfare agents keep their objects for the whole episode; bots come after them.
     trees, agents, welfare = state.trees, state.agents, [state.agents[i] for i in range(n)]
-    policies, visible, live, noop = config.policies, grid.visible, state.live_apples, Action.NOOP
-    # Per welfare agent, the least stock of a tree whose apples it targets;
-    # 0 for the random and unsustainable_bot policies, which always decide
-    # through policy_action, as bots do.
-    floors = [SUSTAINABLE_MIN_STOCK if p is PolicyKind.SUSTAINABLE
-              else int(p is PolicyKind.GREEDY) for p in policies]
+    visible, live, noop, draw = grid.visible, state.live_apples, Action.NOOP, rng.random
+    # Per welfare agent: id, object, policy, idle probability while exploring,
+    # and the least stock of a tree whose apples it targets; 0 for the random
+    # and unsustainable_bot policies, which always decide through
+    # policy_action, as bots do.
+    floors = {PolicyKind.SUSTAINABLE: SUSTAINABLE_MIN_STOCK, PolicyKind.GREEDY: 1}
+    deciders = [(i, welfare[i], p, p.explore_idle_prob, floors.get(p, 0))
+                for i, p in enumerate(config.policies)]
     for t in range(t0, h):
         if snapshots is not None and t in snapshots:
             snapshots[t] = Snapshot(tick=t, state=state.copy(), rng_state=rng.getstate(),
@@ -237,19 +239,22 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
                            if len(agents) > n else [])
 
         actions, acting = {}, False
-        for agent_id in sorted(agents):
-            pos = agents[agent_id].position
-            seen, floor = visible[pos], floors[agent_id] if agent_id < n else 0
+        for agent_id, agent, policy, idle_prob, floor in deciders if len(agents) == n else (
+                deciders + [(i, agents[i], PolicyKind.UNSUSTAINABLE_BOT, 0.0, 0)
+                            for i in sorted(agents) if i >= n]):
+            seen = visible[agent.position]
             if floor and not (seen and any(stocks[i] >= floor for c, i in seen if c in live)):
                 # No target in view: policy_action would explore, idle coin first.
-                action = (noop if rng.random() < policies[agent_id].explore_idle_prob
-                          else wander(state, pos, rng, {c for c, _ in seen if c in live}))
+                if draw() < idle_prob:
+                    actions[agent_id] = noop
+                    continue
+                action = wander(state, agent.position, rng, {c for c, _ in seen if c in live})
             else:
-                policy = policies[agent_id] if agent_id < n else PolicyKind.UNSUSTAINABLE_BOT
                 action = policy_action(policy, state, agent_id,
                                        build_view(state, agent_id, stocks), rng)
             actions[agent_id] = action
-            acting = acting or action is not noop
+            if action is not noop:
+                acting = True
         step_world(state, actions if acting else None, rng)
 
     per_agent = rows[:, nt:-3].reshape(h, n, 4)
