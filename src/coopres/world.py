@@ -581,7 +581,6 @@ def policy_action(policy: PolicyKind, state: WorldState, agent_id: int,
         site = _nearest_live_tree_cell(state, pos)
         if site is not None:
             return _step_toward(state, pos, site, forbidden)
-    # Exploring: idle with the policy's probability, else wander.
     if policy.explore_idle_prob > 0.0 and rng.random() < policy.explore_idle_prob:
         return Action.NOOP
     return wander(state, pos, rng, forbidden)
