@@ -151,17 +151,24 @@ class EventEngine:
     trigger or a bot removal), or None when none is left.  Calling
     ``fire_events`` only on that tick, then on the one it names next, and
     so on, leaves the world exactly as calling it on every tick would.
+
+    An engine starts at ``tick`` with copies of ``fired`` and ``removals``
+    (tick -> bot ids to remove): another engine's, to resume them.
     """
 
-    def __init__(self, schedule: EventSchedule):
+    def __init__(self, schedule: EventSchedule, fired=(), removals=None, tick: int = 0):
         self.schedule = schedule
-        self.fired: list[int] = []
-        self._pending_removals: dict[int, list[int]] = {}  # tick -> bot ids
-        self.next_due = min((e.trigger_tick for e in schedule), default=None)
+        self.fired: list[int] = list(fired)
+        self.removals = {t: list(ids) for t, ids in (removals or {}).items()}
+        self.next_due = self._due_from(tick)
+
+    def _due_from(self, tick: int) -> int | None:
+        return min([e.trigger_tick for e in self.schedule if e.trigger_tick >= tick]
+                   + list(self.removals), default=None)
 
     def fire_events(self, state: WorldState, tick: int, rng: random.Random) -> WorldState:
-        for removal_tick in [t for t in self._pending_removals if t <= tick]:
-            for bot_id in self._pending_removals.pop(removal_tick):
+        for removal_tick in [t for t in self.removals if t <= tick]:
+            for bot_id in self.removals.pop(removal_tick):
                 del state.occupied[state.agents.pop(bot_id).position]
         for event in self.schedule:
             if event.trigger_tick != tick:
@@ -173,10 +180,9 @@ class EventEngine:
             elif event.bot_count > 0:
                 first_id = state.next_agent_id
                 apply_bot_intrusion(state, event, rng)
-                self._pending_removals.setdefault(tick + event.duration, []).extend(
+                self.removals.setdefault(tick + event.duration, []).extend(
                     range(first_id, state.next_agent_id))
             self.fired.append(tick)
         # Every removal left is after this tick.
-        self.next_due = min([e.trigger_tick for e in self.schedule if e.trigger_tick > tick]
-                            + list(self._pending_removals), default=None)
+        self.next_due = self._due_from(tick + 1)
         return state

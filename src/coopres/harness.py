@@ -5,15 +5,15 @@ event schedule live (performance) and one with it disabled (reference) —
 by feeding their averaged indicator curves through the resilience
 pipeline.  A single scenario runs as a one-cell grid.
 
-One seed is the unit of work.  Both twins draw their agent decisions
-from the same seeded stream (common random numbers), so they agree tick
-for tick until the first trigger.  For each seed the reference episode
-is therefore simulated once and shared by every cell of a grid; it is
-snapshotted at the start of each cell's first trigger tick, and each
-performance episode continues from its snapshot with the reference's
-rows before it.  A cell with no events reuses the reference outright.
-Traces are reduced to indicator curves as soon as they are simulated,
-unless the caller keeps them.
+One seed is the unit of work.  Every episode of a seed draws its agent
+decisions from one seeded stream (common random numbers) and its events
+from another, so two episodes agree tick for tick until the first trigger
+past the longest prefix their schedules share.  The reference (the empty
+schedule) is simulated once per seed and shared by every cell of a grid;
+each performance episode continues from a snapshot of the episode, run
+before it, with the longest prefix in common, or reuses it outright if
+the schedules are equal.  Traces are reduced to indicator curves as soon
+as they are simulated, unless the caller keeps them.
 """
 
 from __future__ import annotations
@@ -154,12 +154,16 @@ class Snapshot:
     """An episode at the start of ``tick``, before that tick's events fire.
 
     ``rows`` and ``bot_records`` copy the episode's rows (see ``run_episode``)
-    and bot records before ``tick``.
+    and bot records before ``tick``.  ``engine`` copies its event engine:
+    the schedule (whose events before ``tick`` are the ones applied), the
+    triggers fired and the bot removals still pending.
     """
 
     tick: int
     state: WorldState
     rng_state: tuple
+    event_rng_state: tuple
+    engine: EventEngine
     rows: np.ndarray
     bot_records: list
 
@@ -180,36 +184,55 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     ``build_view`` would, with the same draws.  A sustainable or greedy
     welfare agent with no target in view skips both calls: it draws its
     idle coin and, only if it moves, wanders.  A tick on which every
-    action is ``NOOP`` passes None to ``step_world``.
+    action is ``NOOP`` passes None to ``step_world``.  The tick after it
+    is quiet if it revived no apple and no event is due: only hunger
+    counts have moved, so it writes no row and keeps the stock vector and
+    each agent's has-a-target flag.  Skipped rows are filled in place from
+    the last row written, before a snapshot and at the end.
 
     ``snapshots`` lists ticks by its keys; the episode's state at the
     start of each is stored under it.  ``start`` continues from such a
     snapshot of the same seed, copying the rows before it.  That equals
-    stepping from tick 0 as long as none of the events triggers before
-    the snapshot's tick: the event stream is drawn from only at trigger
-    ticks, so it is still fresh there.
+    stepping from tick 0 when the events before the snapshot's tick are
+    those the snapshot's episode applied.
     """
     grid = _grid_for(config.map_text)
     rng = random.Random(seed)
     # Events draw from their own stream so that the with/without-events twin
     # runs keep identical agent stochasticity wherever the world state agrees.
     event_rng = random.Random(f"coopres-events-{seed}")
-    engine = EventEngine(config.schedule if with_events else EventSchedule())
+    schedule = config.schedule if with_events else EventSchedule()
 
     h, n, nt = config.episode_length, config.n_agents, len(grid.trees)
-    rows = np.empty((h, nt + 4 * n + 3), dtype=np.int64)
+    rows = np.zeros((h, nt + 4 * n + 3), dtype=np.int64)
     if start is None:
-        t0 = 0
+        t0, engine = 0, EventEngine(schedule)
         state = make_world(grid, n, config.regrowth_table)
         bot_records = []
     else:
-        t0 = start.tick
-        if any(e.trigger_tick < t0 for e in engine.schedule):
-            raise ValueError(f"cannot continue from tick {t0}: an event triggers before it")
+        t0, engine = start.tick, EventEngine(schedule, start.engine.fired,
+                                             start.engine.removals, start.tick)
+        if ([e for e in schedule if e.trigger_tick < t0]
+                != [e for e in start.engine.schedule if e.trigger_tick < t0]):
+            raise ValueError(
+                f"cannot continue from tick {t0}: an event that triggers before it differs")
         state = start.state.copy()
         rng.setstate(start.rng_state)
+        event_rng.setstate(start.event_rng_state)
         rows[:t0] = start.rows
         bot_records = start.bot_records.copy()
+
+    written = bytearray(b"\x01") * t0 + bytearray(h - t0)  # 1 for each row written
+    hunger = slice(nt + 1, nt + 4 * n, 4)  # each welfare agent's hunger column
+
+    def fill(stop: int) -> None:
+        """Fill the rows before ``stop`` that quiet ticks skipped, in place."""
+        head, ticks = rows[:stop], np.arange(stop)
+        src = np.maximum.accumulate(np.where(np.frombuffer(written, np.uint8, stop), ticks, 0))
+        for a in range(0, stop, 256):  # blocks bound the gathered copy
+            head[a:a + 256] = head[src[a:a + 256]]
+        head[:, hunger] += (ticks - src)[:, None]
+        written[:stop] = b"\x01" * stop
 
     # The welfare agents keep their objects for the whole episode; bots come after them.
     trees, agents, welfare = state.trees, state.agents, [state.agents[i] for i in range(n)]
@@ -221,41 +244,58 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     floors = {PolicyKind.SUSTAINABLE: SUSTAINABLE_MIN_STOCK, PolicyKind.GREEDY: 1}
     deciders = [(i, welfare[i], p, p.explore_idle_prob, floors.get(p, 0))
                 for i, p in enumerate(config.policies)]
+    quiet = False
     for t in range(t0, h):
         if snapshots is not None and t in snapshots:
-            snapshots[t] = Snapshot(tick=t, state=state.copy(), rng_state=rng.getstate(),
-                                    rows=rows[:t].copy(), bot_records=bot_records[:t])
+            fill(t)
+            snapshots[t] = Snapshot(
+                tick=t, state=state.copy(), rng_state=rng.getstate(),
+                event_rng_state=event_rng.getstate(),
+                engine=EventEngine(engine.schedule, engine.fired, engine.removals, t),
+                rows=rows[:t].copy(), bot_records=bot_records[:t])
         if t == engine.next_due:
             engine.fire_events(state, t, event_rng)
+            quiet = False
 
-        # Every decision comes before step_world: one stock vector serves them all.
-        stocks = [tree.live for tree in trees]
-        row = stocks.copy()
-        for a in welfare:
-            row += a.cumulative_consumed, a.ticks_since_meal, *a.position
-        row += state.total_consumed, state.total_regrown, state.total_event_vanished
-        rows[t] = row
-        bot_records.append([(b.id, b.position, b.cumulative_consumed) for b in state.bots()]
-                           if len(agents) > n else [])
+        if not quiet:
+            written[t] = 1
+            # Every decision comes before step_world: one stock vector serves them all.
+            stocks = [tree.live for tree in trees]
+            row = stocks.copy()
+            for a in welfare:
+                row += a.cumulative_consumed, a.ticks_since_meal, *a.position
+            row += state.total_consumed, state.total_regrown, state.total_event_vanished
+            rows[t] = row
+            present = ([(b.id, b.position, b.cumulative_consumed) for b in state.bots()]
+                       if len(agents) > n else [])
+            # Each decider with whether it has no target in view.
+            plan = [(agent_id, agent, policy, idle_prob, floor and not (
+                        (seen := visible[agent.position])
+                        and any(stocks[i] >= floor for c, i in seen if c in live)))
+                    for agent_id, agent, policy, idle_prob, floor in (
+                        deciders if len(agents) == n else
+                        deciders + [(i, agents[i], PolicyKind.UNSUSTAINABLE_BOT, 0.0, 0)
+                                    for i in sorted(agents) if i >= n])]
+        bot_records.append(present)
 
         actions, acting = {}, False
-        for agent_id, agent, policy, idle_prob, floor in deciders if len(agents) == n else (
-                deciders + [(i, agents[i], PolicyKind.UNSUSTAINABLE_BOT, 0.0, 0)
-                            for i in sorted(agents) if i >= n]):
-            seen = visible[agent.position]
-            if floor and not (seen and any(stocks[i] >= floor for c, i in seen if c in live)):
+        for agent_id, agent, policy, idle_prob, blind in plan:
+            if blind:
                 # No target in view: policy_action would explore, idle coin first.
                 if draw() < idle_prob:
                     actions[agent_id] = noop
                     continue
-                action = wander(state, agent.position, rng, {c for c, _ in seen if c in live})
+                action = wander(state, agent.position, rng, live)
             else:
                 action = policy_action(policy, state, agent_id,
                                        build_view(state, agent_id, stocks), rng)
             actions[agent_id] = action
             if action is not noop:
                 acting = True
+        regrown = state.total_regrown
         step_world(state, actions if acting else None, rng)
+        quiet = not acting and state.total_regrown == regrown
+    fill(h)
 
     per_agent = rows[:, nt:-3].reshape(h, n, 4)
     trace = EpisodeTrace(
@@ -277,43 +317,62 @@ class _Episode:
     traces: tuple[EpisodeTrace, EpisodeTrace] | None = None
 
 
+def _fork_tick(a: tuple[Event, ...], b: tuple[Event, ...], h: int) -> int:
+    """The trigger of the first event past the prefix ``a`` and ``b`` share; ``h`` if none."""
+    p = next((p for p, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return min([s[p].trigger_tick for s in (a, b) if p < len(s)], default=h)
+
+
 def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
               keep_traces: bool = False
               ) -> tuple[dict[str, np.ndarray], list[_Episode]]:
     """The reference curves of seed ``k``, and episode ``k`` of every cell.
 
-    Cells differ only in their schedules, so the reference is simulated
-    once; each performance episode continues from it at the cell's first
-    trigger.  A failure raises ``RuntimeError``
-    naming the cell being run (the first while the reference runs), unless
-    it is a ``ConfigError``.
+    Cells differ only in their schedules.  Each performance episode forks
+    from the episode run before it (the reference first) that shares the
+    longest prefix of its schedule, the first such on a tie, at
+    ``_fork_tick``; a snapshot is dropped once its last fork has started.
+    A failure raises ``RuntimeError`` naming the cell being run (the first
+    while the reference runs), unless it is a ``ConfigError``.
     """
     cell, config = cells[0]
-    seed = config.base_seed + k
+    seed, h = config.base_seed + k, config.episode_length
 
     def curves(trace: EpisodeTrace) -> dict[str, np.ndarray]:
         return compute_indicators(trace, config.indicators, config.h_max)
 
-    snapshots: dict[int, Snapshot | None] = {
-        cfg.schedule.events[0].trigger_tick: None for _, cfg in cells if cfg.schedule.events}
-    episodes = []
+    # Episode 0 is the reference, i > 0 cell i - 1's.  Sorted by their events'
+    # reprs, each schedule runs just before those it is a prefix of, which
+    # bounds the snapshots held.  forks[i] = (tick, j) continues i from j.
+    schedules = [()] + [tuple(cfg.schedule) for _, cfg in cells]
+    order = sorted(range(len(schedules)), key=lambda i: [repr(e) for e in schedules[i]])
+    forks = {i: max(((_fork_tick(schedules[j], schedules[i], h), j) for j in order[:n]),
+                    key=lambda fork: fork[0]) for n, i in enumerate(order) if n}
+    snapshots: list[dict[int, Snapshot | None]] = [
+        {tick: None for tick, j in forks.values() if j == i and tick < h}
+        for i in range(len(schedules))]
+    last_use = {forks[i]: n for n, i in enumerate(order) if n}
+    episodes: dict[int, _Episode] = {}
     try:
-        reference = run_episode(config, seed, with_events=False, snapshots=snapshots)
-        ref_curves = curves(reference)
-        for cell, cfg in cells:
-            if cfg.schedule.events:
-                performance = run_episode(cfg, seed, with_events=True,
-                                          start=snapshots[cfg.schedule.events[0].trigger_tick])
-                perf_curves = curves(performance)
+        for n, i in enumerate(order):
+            cell, cfg = cells[max(i - 1, 0)]
+            if n == 0:
+                start = None
+            elif (fork := forks[i])[0] == h:
+                episodes[i] = episodes[fork[1]]
+                continue
             else:
-                performance, perf_curves = reference, ref_curves
-            episodes.append(_Episode(perf_curves, performance.fired_triggers,
-                                     (performance, reference) if keep_traces else None))
+                tick, j = fork
+                start = snapshots[j][tick] if last_use[fork] > n else snapshots[j].pop(tick)
+            trace = run_episode(cfg, seed, with_events=n > 0, snapshots=snapshots[i], start=start)
+            reference = trace if n == 0 else reference
+            episodes[i] = _Episode(curves(trace), trace.fired_triggers,
+                                   (trace, reference) if keep_traces else None)
     except ConfigError:
         raise
     except Exception as exc:
         raise RuntimeError(f"grid cell {cell} failed: {exc}") from exc
-    return ref_curves, episodes
+    return episodes[0].performance, [episodes[i] for i in range(1, len(schedules))]
 
 
 def _score(config: ScenarioConfig, episodes: list[_Episode],

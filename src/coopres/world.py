@@ -114,12 +114,12 @@ class Tree:
 class GridMap:
     """Static geometry of a map: walls, tree layout, spawn and respawn cells.
 
-    Also owns two tables over floor cells.  Walking distances to a cell,
+    Also owns three tables over floor cells.  Walking distances to a cell,
     one BFS row per target cell built on first use, are the scripted
     policies' knowledge of the (static) map layout.  ``visible``, built
     here, maps each floor cell to the (apple cell, tree index) pairs an
     agent standing there can see: within ``VIEW_RADIUS`` in both axes and
-    in line of sight.
+    in line of sight.  ``moves`` lists each cell's moves into open cells.
     """
 
     def __init__(self, width: int, height: int, walls: frozenset[Cell],
@@ -131,10 +131,13 @@ class GridMap:
         self.spawn_points = spawn_points
         self.floor = [(r, c) for r in range(height) for c in range(width)
                       if (r, c) not in walls]
-        self._floor_index = {cell: i for i, cell in enumerate(self.floor)}
+        index = self._floor_index = {cell: i for i, cell in enumerate(self.floor)}
+        # floor cell -> (move, floor cell) for each open cell next to it, in MOVES order
+        self.moves = {a: tuple((move, self.floor[index[n]]) for move, (dr, dc) in MOVES
+                               if (n := (a[0] + dr, a[1] + dc)) in index)
+                      for a in self.floor}
         # floor index -> floor indices of the open cells next to it
-        self._nbr_idx = [[self._floor_index[n] for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
-                          if not self.is_wall(n := (r + dr, c + dc))] for r, c in self.floor]
+        self._nbr_idx = [[index[n] for _, n in self.moves[a]] for a in self.floor]
         self._dist_rows: dict[int, list[int]] = {}  # target floor index -> distances to it
 
         # apple cell -> (tree index, slot in the tree's apple_cells)
@@ -381,6 +384,21 @@ def regrow(state: WorldState, rng: random.Random) -> WorldState:
     return state
 
 
+def shuffle_order(rng: random.Random, n: int, order: list | None = None) -> None:
+    """Shuffle ``order``, of ``n`` items, with the draws of ``rng.shuffle(order)``.
+
+    CPython's Fisher–Yates with its rejection sampling over ``getrandbits``.
+    With ``order`` None only the bits are drawn; ``rng`` ends the same.
+    """
+    bits = rng.getrandbits
+    for i in range(n - 1, 0, -1):
+        k = (i + 1).bit_length()
+        while (j := bits(k)) > i:
+            pass
+        if order is not None:
+            order[i], order[j] = order[j], order[i]
+
+
 def step_world(state: WorldState, actions: dict[int, Action] | None,
                rng: random.Random) -> WorldState:
     """Advance the world one tick.
@@ -393,14 +411,14 @@ def step_world(state: WorldState, actions: dict[int, Action] | None,
     Regrowth comes last.
 
     ``actions`` None means every agent takes ``NOOP``.  Unless one is
-    cooling down, that tick draws the order's shuffle, counts every
-    agent's hunger and regrows, without either pass: the same draws and
-    the same world as passing ``NOOP`` for each.
+    cooling down, that tick draws only the bits of the order's shuffle,
+    counts every agent's hunger and regrows, without either pass: the same
+    draws and the same world as passing ``NOOP`` for each.
     """
     agents, occupied = state.agents, state.occupied
     if actions is None:
         if not any(a.zap_cooldown for a in agents.values()):
-            rng.shuffle(list(agents))
+            shuffle_order(rng, len(agents))
             for agent in agents.values():
                 agent.ticks_since_meal += 1
             regrow(state, rng)
@@ -415,7 +433,7 @@ def step_world(state: WorldState, actions: dict[int, Action] | None,
         raise ValueError(f"missing actions for agents {missing}")
 
     order = sorted(agents)
-    rng.shuffle(order)
+    shuffle_order(rng, len(order), order)
     for agent_id in order:
         agent, action = agents[agent_id], actions[agent_id]
         agent.ticks_since_meal += 1
@@ -425,14 +443,12 @@ def step_world(state: WorldState, actions: dict[int, Action] | None,
             agent.orientation = rotate(agent.orientation,
                                        clockwise=action is Action.ROTATE_RIGHT)
             continue
-        for move, (dr, dc) in MOVES:
+        for move, target in state.grid.moves[agent.position]:
             if action is move:
                 break
-        else:
+        else:  # a zap, or a move into a wall
             continue
-        r, c = agent.position
-        target = (r + dr, c + dc)
-        if state.grid.is_wall(target) or target in occupied:
+        if target in occupied:
             continue
         del occupied[agent.position]
         agent.position = target
@@ -513,11 +529,8 @@ def build_view(state: WorldState, agent_id: int, stocks: list[int]) -> dict[Cell
 def _open_moves(state: WorldState, pos: Cell,
                 forbidden: Collection[Cell]) -> list[tuple[Action, Cell]]:
     """(move, cell) for each neighbour of ``pos`` that is free and allowed, in ``MOVES`` order."""
-    grid, occupied = state.grid, state.occupied
-    r, c = pos
-    return [(move, n) for move, (dr, dc) in MOVES
-            if not grid.is_wall(n := (r + dr, c + dc)) and n not in occupied
-            and n not in forbidden]
+    return [(move, n) for move, n in state.grid.moves[pos]
+            if n not in state.occupied and n not in forbidden]
 
 
 def _step_toward(state: WorldState, pos: Cell, target: Cell,

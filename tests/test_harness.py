@@ -267,6 +267,39 @@ class TestForkAtFirstTrigger:
             assert_same_trace(run_episode(cfg, 6, with_events=True, start=snapshots[40]),
                               run_episode(cfg, 6, with_events=True))
 
+    @given(seed=st.integers(0, 10_000), t=st.integers(0, 80), gap=st.integers(2, 60),
+           kind=st.sampled_from(sorted(EVENTS)), duration=st.integers(1, 60),
+           second=st.sampled_from(["vanish", "vanish_coin"]))
+    @settings(max_examples=40, deadline=None)
+    @example(seed=0, t=50, gap=20, kind="vanish_coin", duration=1, second="vanish")
+    @example(seed=1, t=50, gap=20, kind="vanish_coin", duration=1, second="vanish")
+    @example(seed=3, t=20, gap=10, kind="bots", duration=30, second="vanish_coin")
+    def test_fork_from_a_performance_episode(self, seed, t, gap, kind, duration, second):
+        """A schedule continued from an episode that shares its first event is the full episode.
+
+        The shared event fires or not by the same coin in both; a bot removal
+        is still pending at the fork tick when ``duration > gap``.
+        """
+        shared = self.EVENTS[kind](t, duration)
+        source = quick_config(episode_length=150, schedule=EventSchedule(events=[shared]))
+        target = replace(source, schedule=EventSchedule(
+            events=[shared, self.EVENTS[second](t + gap, duration)]))
+        snapshots = {t + gap: None}
+        run_episode(source, seed, with_events=True, snapshots=snapshots)
+        assert_same_trace(run_episode(target, seed, with_events=True, start=snapshots[t + gap]),
+                          run_episode(target, seed, with_events=True))
+
+    def test_performance_examples_cover_the_coin_and_a_pending_removal(self):
+        cfg = quick_config(episode_length=150,
+                           schedule=EventSchedule(events=[vanish(50, 0.6, p_s=0.5)]))
+        fired = {seed: run_episode(cfg, seed, with_events=True).fired_triggers
+                 for seed in (0, 1)}
+        assert sorted(fired.values()) == [(), (50,)]
+        snapshots = {30: None}
+        run_episode(replace(cfg, schedule=EventSchedule(events=[bots(20, 30, 2)])), 3,
+                    with_events=True, snapshots=snapshots)
+        assert snapshots[30].engine.removals == {50: [5, 6]}
+
     def test_fork_after_an_event_rejected(self):
         cfg = quick_config(episode_length=150)  # vanish at 60
         snapshots = {80: None}
@@ -333,11 +366,17 @@ class TestIdlePath:
 
     MIX = ScenarioConfig(policies=(PolicyKind.RANDOM, PolicyKind.SUSTAINABLE, PolicyKind.GREEDY),
                          episode_length=100, schedule=EventSchedule(events=[bots(30, 40, 2)]))
+    FORAGERS = ScenarioConfig(policies=(PolicyKind.SUSTAINABLE, PolicyKind.GREEDY),
+                              episode_length=100, schedule=EventSchedule(events=[vanish(30, 0.7)]),
+                              regrowth_table=(0.0, 0.05, 0.1, 0.2))
 
     @given(config=idle_path_configs(), seed=st.integers(0, 10_000), data=st.data())
     @settings(max_examples=60, deadline=None)
     @example(config=MIX, seed=2, data=None)  # the sustainable agent sees a target
     @example(config=MIX, seed=5, data=None)  # an all-NOOP tick while the random agent cools down
+    @example(config=FORAGERS, seed=0, data=None)  # quiet ticks 38-39, then an apple revives
+    @example(config=MIX, seed=0, data=None)  # quiet tick 5 while the random agent cools down
+    @example(config=MIX, seed=94, data=None)  # snapshot at 30 after quiet ticks 29-30
     def test_run_episode_equals_plain_loop(self, config, seed, data):
         performance = plain_episode(config, seed, with_events=True)
         assert_same_trace(run_episode(config, seed, with_events=True), performance)
@@ -519,6 +558,48 @@ class TestGrids:
         for cell in cells:
             assert (parallel.results[cell].report.to_json_dict()
                     == sequential.results[cell].report.to_json_dict())
+
+
+@st.composite
+def prefix_grids(draw):
+    """Small grids whose cells' schedules are prefixes of one schedule, some with the
+    last event swapped for another at its tick, and some equal to each other.
+
+    Every schedule starts with an event that always fires, so every cell can be scored.
+    """
+    triggers = sorted(5 * t for t in draw(st.sets(st.integers(1, 16), min_size=1, max_size=3)))
+
+    def event(k):
+        t = triggers[k]
+        return draw(st.sampled_from([vanish(t, 0.3), bots(t, draw(st.integers(1, 40)), 1)]
+                                    + ([vanish(t, 0.7, p_s=0.5)] if k else [])))
+
+    events = [event(k) for k in range(len(triggers))]
+    schedules = []
+    for _ in range(draw(st.integers(2, 4))):
+        schedule = events[:draw(st.integers(1, len(events)))]
+        if draw(st.booleans()):
+            schedule = schedule[:-1] + [event(len(schedule) - 1)]
+        schedules.append(schedule)
+    base = ScenarioConfig(episode_length=100, episodes=2, base_seed=draw(st.integers(0, 1000)))
+    return ExperimentGrid(
+        grid_id="prefixes", row_labels=["r"], col_labels=[str(c) for c in range(len(schedules))],
+        cells={(0, c): replace(base, scenario_id=f"S{c}", schedule=EventSchedule(events=s))
+               for c, s in enumerate(schedules)})
+
+
+class TestPrefixForks:
+    @given(grid=prefix_grids())
+    @settings(max_examples=20, deadline=None)
+    def test_each_cell_scores_as_run_alone(self, grid):
+        together = run_grid(grid)
+        for cell, cfg in grid.cells.items():
+            alone, forked = run_one(cfg), together.results[cell]
+            for name in cfg.indicators:
+                assert np.array_equal(forked.performance[name], alone.performance[name])
+                assert np.array_equal(forked.reference[name], alone.reference[name])
+            assert forked.report.to_json_dict() == alone.report.to_json_dict()
+            assert forked.per_episode_j == alone.per_episode_j
 
 
 @pytest.fixture(scope="module")

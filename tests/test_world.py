@@ -29,6 +29,7 @@ from coopres.world import (
     policy_action,
     regrow,
     rotate,
+    shuffle_order,
     step_world,
     write_trace_jsonl,
 )
@@ -217,6 +218,17 @@ class TestStepWorld:
         assert (state.live_apples, state.total_regrown, state.tick) == (
             twin.live_apples, twin.total_regrown, twin.tick)
         assert state.total_regrown > 0
+
+    @given(n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_shuffle_order_draws_as_random_shuffle(self, n, seed):
+        expected, rng = list(range(n)), random.Random(seed)
+        rng.shuffle(expected)
+        order, own, bits_only = list(range(n)), random.Random(seed), random.Random(seed)
+        shuffle_order(own, n, order)
+        shuffle_order(bits_only, n)
+        assert order == expected
+        assert own.getstate() == rng.getstate() == bits_only.getstate()
 
     def test_unknown_agent_action_rejected(self):
         grid = corridor_map()
