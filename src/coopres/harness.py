@@ -204,7 +204,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     schedule = config.schedule if with_events else EventSchedule()
 
     h, n, nt = config.episode_length, config.n_agents, len(grid.trees)
-    rows = np.zeros((h, nt + 4 * n + 3), dtype=np.int64)
+    rows = np.full((h, nt + 4 * n + 3), -1, dtype=np.int64)  # -1: no row value, so gaps show
     if start is None:
         t0, engine = 0, EventEngine(schedule)
         state = make_world(grid, n, config.regrowth_table)
