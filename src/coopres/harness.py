@@ -204,7 +204,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     schedule = config.schedule if with_events else EventSchedule()
 
     h, n, nt = config.episode_length, config.n_agents, len(grid.trees)
-    rows = np.full((h, nt + 4 * n + 3), -1, dtype=np.int64)  # -1: no row value, so gaps show
+    rows = np.full((h, nt + 4 * n + 3), -1, dtype=np.int64)  # -1 is no row's value: gaps show
     if start is None:
         t0, engine = 0, EventEngine(schedule)
         state = make_world(grid, n, config.regrowth_table)
@@ -331,7 +331,8 @@ def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
     Cells differ only in their schedules.  Each performance episode forks
     from the episode run before it (the reference first) that shares the
     longest prefix of its schedule, the first such on a tie, at
-    ``_fork_tick``; a snapshot is dropped once its last fork has started.
+    ``_fork_tick``, or reuses it outright when the schedules are equal.  A
+    snapshot is dropped once its last fork has started.
     A failure raises ``RuntimeError`` naming the cell being run (the first
     while the reference runs), unless it is a ``ConfigError``.
     """
