@@ -16,10 +16,11 @@ from .resilience import (
     ResilienceReport,
     assemble_variables,
     fold_events,
+    guarded_ratio,
     resilience_pipeline,
     summary_metric,
 )
-from .timeseries import TimeSeries, Window, guarded_ratio, trapezoid_integral
+from .timeseries import TimeSeries
 
 __version__ = "0.1.0"
 
@@ -30,13 +31,11 @@ __all__ = [
     "Milestones",
     "ResilienceReport",
     "TimeSeries",
-    "Window",
     "assemble_variables",
     "compute_indicators",
     "fold_events",
     "guarded_ratio",
     "resilience_pipeline",
     "summary_metric",
-    "trapezoid_integral",
     "__version__",
 ]

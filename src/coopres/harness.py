@@ -446,26 +446,23 @@ def run_scenario(config: ScenarioConfig, keep_traces: bool = False) -> GridResul
     return run_grid(grid, keep_traces=keep_traces)
 
 
-def run_grid(grid: ExperimentGrid, workers: int | None = None,
-             keep_traces: bool = False) -> GridResult:
+def run_grid(grid: ExperimentGrid, keep_traces: bool = False) -> GridResult:
     """Run every cell of the grid, one seed at a time.
 
     Each seed's reference episode is simulated once and shared by all
-    cells (see the module docstring).  Seeds run in order, or spread
-    over at most ``workers`` processes; ``workers`` defaults to the
-    COOPRES_THREADS environment variable (sequential when unset).
+    cells (see the module docstring).  Seeds run in order, or spread over
+    at most COOPRES_THREADS processes (sequential when it is unset).
     Either way a failing episode raises ``RuntimeError`` naming its cell,
     and a ``ConfigError`` passes through unchanged.  With ``keep_traces``
     each result also holds its episodes' traces.
     """
-    if workers is None:
-        raw = os.environ.get("COOPRES_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(f"COOPRES_THREADS must be a positive integer, got {raw!r}")
+    raw = os.environ.get("COOPRES_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"COOPRES_THREADS must be a positive integer, got {raw!r}")
     grid.validate()
     cells = grid.sorted_cells()
     seeds = range(cells[0][1].episodes)

@@ -3,7 +3,9 @@
 The pipeline takes a performance/reference curve pair per well-being
 variable plus the trigger ticks of the disruptive events, scores each
 (variable, event) window, folds the per-event scores over time, and
-couples the per-variable scores with a harmonic mean.
+couples the per-variable scores with a harmonic mean.  The module holds
+every step of it, with the ratio guard and the threshold trigger detector,
+and scores the raw value arrays of the ``TimeSeries`` curves it is given.
 """
 
 from __future__ import annotations
@@ -15,14 +17,26 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .timeseries import (
-    DEFAULT_CAP,
-    DEFAULT_EPS,
-    TimeSeries,
-    Window,
-    guarded_ratio,
-    trapezoid_integral,
-)
+from .timeseries import TimeSeries
+
+EPS = 1e-9
+CAP = 2.0
+TRIGGER_THRESHOLD = 0.95
+
+
+def guarded_ratio(num: float | np.ndarray, den: float | np.ndarray) -> float | np.ndarray:
+    """Quotient ``num/den`` with defined behavior for a vanishing denominator.
+
+    Elementwise over arrays; two scalars give a Python float.  Where the
+    denominator falls below ``EPS``: both tiny -> 1.0 (no evidence of
+    deviation); numerator alive -> ``CAP`` (bounded exceeding-expectation).
+    Total on all finite inputs; never returns NaN or infinity.
+    """
+    num = np.asarray(num, dtype=np.float64)
+    den = np.asarray(den, dtype=np.float64)
+    live = den >= EPS
+    out = np.where(live, num / np.where(live, den, 1.0), np.where(num < EPS, 1.0, CAP))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -109,8 +123,9 @@ class ResilienceReport:
             fh.write("\n")
 
 
-def partition_windows(schedule: Iterable[int], horizon: int, t0: int = 0) -> list[Window]:
-    """Split ``[t0, t0 + horizon)`` into one window per event.
+def partition_windows(schedule: Iterable[int], horizon: int,
+                      t0: int = 0) -> list[tuple[int, int]]:
+    """Split ``[t0, t0 + horizon)`` into one ``(start, end)`` window per event.
 
     Window l runs from the previous window's end (``t0`` for the first) to
     the next event's trigger (the end of the range for the last), so each
@@ -133,58 +148,42 @@ def partition_windows(schedule: Iterable[int], horizon: int, t0: int = 0) -> lis
         if stop - start < 2:
             raise ValueError(f"event window [{start}, {stop}) is shorter than 2 ticks; "
                              "space the triggers at least 2 ticks apart")
-    return [Window(start, stop) for start, stop in zip(bounds, bounds[1:])]
+    return list(zip(bounds, bounds[1:]))
 
 
-def detect_milestones(pair: CurvePair, trigger: int, window: Window,
-                      eps: float = DEFAULT_EPS, cap: float = DEFAULT_CAP) -> Milestones:
-    """Locate the failure point of one event window.
+def _trapezoid(values: np.ndarray, a: int, b: int) -> float:
+    """Trapezoidal-rule area of ``values`` over indices ``a..b``; 0 when ``a == b``.
 
-    The failure tick minimizes the per-tick performance/reference ratio
-    between the trigger and the window's last tick (earliest tick on
-    ties); the recovery reference is pinned to the window's last tick.
+    Exact for piecewise-linear series with breakpoints on the tick grid.
     """
-    if window.length < 2:
-        raise ValueError(f"window {window} is shorter than 2 ticks")
-    if not window.start <= trigger < window.end:
-        raise ValueError(f"trigger {trigger} outside window {window}")
-    t_r = window.end - 1
-    p = pair.performance.slice_values(trigger, t_r)
-    r = pair.reference.slice_values(trigger, t_r)
-    t_f = trigger + int(np.argmin(guarded_ratio(p, r, eps, cap)))
-    return Milestones(t_i=trigger, t_f=t_f, t_r=t_r, window_start=window.start)
+    span = values[a:b + 1]
+    return float(np.sum((span[:-1] + span[1:]) * 0.5))
 
 
-def failure_profile(pair: CurvePair, m: Milestones,
-                    eps: float = DEFAULT_EPS, cap: float = DEFAULT_CAP) -> float:
-    """Ratio of performance to reference area between incident and failure.
-
-    A zero-length interval yields 1.0 (both integrals vanish and the
-    guard treats that as no observable deviation).
-    """
-    w = Window(m.t_i, m.t_f)
-    return guarded_ratio(trapezoid_integral(pair.performance, w),
-                         trapezoid_integral(pair.reference, w), eps, cap)
+def _area_ratio(pair: CurvePair, start: int, end: int) -> float:
+    """Performance over reference area between ticks ``start`` and ``end`` (1.0 if they meet)."""
+    a, b = start - pair.performance.t0, end - pair.performance.t0
+    return guarded_ratio(_trapezoid(pair.performance.values, a, b),
+                         _trapezoid(pair.reference.values, a, b))
 
 
-def recovery_profile(pair: CurvePair, m: Milestones,
-                     eps: float = DEFAULT_EPS, cap: float = DEFAULT_CAP) -> float:
-    """Ratio of performance to reference area between failure and recovery."""
-    w = Window(m.t_f, m.t_r)
-    return guarded_ratio(trapezoid_integral(pair.performance, w),
-                         trapezoid_integral(pair.reference, w), eps, cap)
-
-
-def summary_metric(pair: CurvePair, m: Milestones,
-                   eps: float = DEFAULT_EPS, cap: float = DEFAULT_CAP) -> EventResilience:
+def summary_metric(pair: CurvePair, m: Milestones) -> EventResilience:
     """Time-weighted event score.
 
     With times measured from the window start, the pre-incident span
     carries an implicit profile of 1, the failure span is weighted by the
-    failure profile and the recovery span by the recovery profile:
+    failure profile F (the area ratio from incident to failure) and the
+    recovery span by the recovery profile G (failure to recovery):
 
         J = (t_i' + F * dt_f + G * dt_r) / (t_i' + dt_f + dt_r)
+
+    Milestones outside the curves' ticks are refused.
     """
+    first = pair.performance.t0
+    last = first + pair.horizon - 1
+    if m.window_start < first or m.t_r > last:
+        raise ValueError(f"milestones [{m.window_start}, {m.t_r}] lie outside the "
+                         f"curves' ticks [{first}, {last}]")
     t_i_rel = m.t_i - m.window_start
     dt_f = m.t_f - m.t_i
     dt_r = m.t_r - m.t_f
@@ -192,8 +191,8 @@ def summary_metric(pair: CurvePair, m: Milestones,
     if denom == 0:
         raise ValueError("degenerate window: incident, failure and recovery coincide "
                          "at the window start")
-    f = failure_profile(pair, m, eps, cap)
-    g = recovery_profile(pair, m, eps, cap)
+    f = _area_ratio(pair, m.t_i, m.t_f)
+    g = _area_ratio(pair, m.t_f, m.t_r)
     j = (t_i_rel + f * dt_f + g * dt_r) / denom
     return EventResilience(j_value=j, f_profile=f, g_profile=g, milestones=m)
 
@@ -240,16 +239,15 @@ def assemble_variables(folded: Mapping[str, float]) -> float:
     return len(values) / sum(1.0 / v for v in values)
 
 
-def detect_triggers(pair: CurvePair, threshold: float = 0.95,
-                    eps: float = DEFAULT_EPS, cap: float = DEFAULT_CAP) -> list[int]:
+def detect_triggers(pair: CurvePair) -> list[int]:
     """Threshold-based incident detector for curves without a known schedule.
 
     Returns the ticks where the per-tick performance/reference ratio
-    crosses from ``>= threshold`` to ``< threshold``, and the first tick
-    if the ratio starts below it.
+    crosses from ``>= TRIGGER_THRESHOLD`` to ``< TRIGGER_THRESHOLD``, and
+    the first tick if the ratio starts below it.
     """
-    ratios = guarded_ratio(pair.performance.values, pair.reference.values, eps, cap)
-    below = ratios < threshold
+    ratios = guarded_ratio(pair.performance.values, pair.reference.values)
+    below = ratios < TRIGGER_THRESHOLD
     crossings = np.flatnonzero(below[1:] & ~below[:-1]) + 1
     if below[0]:
         crossings = np.concatenate(([0], crossings))
@@ -257,13 +255,16 @@ def detect_triggers(pair: CurvePair, threshold: float = 0.95,
     return [t0 + int(i) for i in crossings]
 
 
-def resilience_pipeline(pairs: Mapping[str, CurvePair], schedule: Iterable[int],
-                        eps: float = DEFAULT_EPS, cap: float = DEFAULT_CAP) -> ResilienceReport:
+def resilience_pipeline(pairs: Mapping[str, CurvePair],
+                        schedule: Iterable[int]) -> ResilienceReport:
     """Run window partitioning, event scoring, folding and assembly.
 
     ``schedule`` is the ordered trigger ticks of the events that actually
     occurred, on the curves' tick axis: the windows cover the ticks
-    ``[t0, t0 + horizon)`` that the curves hold.
+    ``[t0, t0 + horizon)`` that the curves hold.  In each window the
+    failure tick minimizes the per-tick performance/reference ratio from
+    the trigger to the window's last tick (the earliest tick on ties), and
+    the recovery reference is pinned to that last tick.
     """
     if not pairs:
         raise ValueError("resilience_pipeline needs at least one variable")
@@ -276,15 +277,16 @@ def resilience_pipeline(pairs: Mapping[str, CurvePair], schedule: Iterable[int],
         raise ValueError("no disruptive events: the pipeline needs at least one trigger")
     windows = partition_windows(triggers, horizon, t0)
     per_variable: dict[str, VariableResilience] = {}
-    folded_scores: dict[str, float] = {}
     for name, pair in pairs.items():
         events = []
-        for trigger, window in zip(triggers, windows):
-            m = detect_milestones(pair, trigger, window, eps, cap)
-            events.append(summary_metric(pair, m, eps, cap))
-        folded = fold_events([e.j_value for e in events])
-        per_variable[name] = VariableResilience(events=events, folded=folded)
-        folded_scores[name] = folded
-    assembled = assemble_variables(folded_scores)
+        for trigger, (start, end) in zip(triggers, windows):
+            ratios = guarded_ratio(pair.performance.values[trigger - t0:end - t0],
+                                   pair.reference.values[trigger - t0:end - t0])
+            m = Milestones(t_i=trigger, t_f=trigger + int(np.argmin(ratios)), t_r=end - 1,
+                           window_start=start)
+            events.append(summary_metric(pair, m))
+        per_variable[name] = VariableResilience(
+            events=events, folded=fold_events([e.j_value for e in events]))
+    assembled = assemble_variables({name: vr.folded for name, vr in per_variable.items()})
     return ResilienceReport(per_variable=per_variable, assembled=assembled,
                             event_count=len(triggers), variable_count=len(pairs))

@@ -1,18 +1,13 @@
-"""Uniform-grid scalar time series and the numeric primitives built on them."""
+"""Uniform-grid scalar time series and their ``tick,value`` CSV reader."""
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-
-# Defaults for the ratio guard used throughout the metric pipeline.
-DEFAULT_EPS = 1e-9
-DEFAULT_CAP = 2.0
 
 _CSV_ROW = np.dtype([("tick", np.int64), ("value", np.float64)])
 
@@ -43,27 +38,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return self.values.size
-
-    @property
-    def end_tick(self) -> int:
-        """Tick index of the last sample."""
-        return self.t0 + self.values.size - 1
-
-    def slice_values(self, start_tick: int, end_tick: int) -> np.ndarray:
-        """Values for ticks ``start_tick..end_tick`` inclusive."""
-        if not (self.t0 <= start_tick <= end_tick <= self.end_tick):
-            raise ValueError(
-                f"tick range [{start_tick}, {end_tick}] outside series "
-                f"range [{self.t0}, {self.end_tick}]")
-        return self.values[start_tick - self.t0:end_tick - self.t0 + 1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return self.t0 == other.t0 and np.array_equal(self.values, other.values)
-
-    def __hash__(self):  # pragma: no cover - mutable payload
-        raise TypeError("TimeSeries is not hashable")
 
     def __repr__(self) -> str:
         return f"TimeSeries(t0={self.t0}, n={len(self)})"
@@ -118,55 +92,3 @@ def _first_bad_line(path: str | Path) -> str | None:
                     return (f"line {lineno}: could not convert string {field!r} "
                             f"to {dtype.__name__}")
     return None
-
-
-@dataclass(frozen=True)
-class Window:
-    """Tick interval ``[start, end)`` used to isolate one disruptive event.
-
-    A degenerate window (start == end) is tolerated so that zero-length
-    integrals are well defined; producers of windows never emit one.
-    """
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError(f"window start {self.start} > end {self.end}")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-
-def trapezoid_integral(ts: TimeSeries, w: Window) -> float:
-    """Trapezoidal-rule integral of ``ts`` over ticks ``[w.start, w.end]``.
-
-    Exact for piecewise-linear series with breakpoints on the tick grid.
-    A zero-length window integrates to 0.
-    """
-    if w.start == w.end:
-        return 0.0
-    vals = ts.slice_values(w.start, w.end)
-    return float(np.sum((vals[:-1] + vals[1:]) * 0.5))
-
-
-def guarded_ratio(num: float | np.ndarray, den: float | np.ndarray,
-                  eps: float = DEFAULT_EPS, cap: float = DEFAULT_CAP) -> float | np.ndarray:
-    """Quotient ``num/den`` with defined behavior for a vanishing denominator.
-
-    Elementwise over arrays; two scalars give a Python float.  Where the
-    denominator falls below ``eps``: both tiny -> 1.0 (no evidence of
-    deviation); numerator alive -> ``cap`` (bounded exceeding-expectation).
-    Total on all finite inputs; never returns NaN or infinity.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    num = np.asarray(num, dtype=np.float64)
-    den = np.asarray(den, dtype=np.float64)
-    live = den >= eps
-    out = np.where(live, num / np.where(live, den, 1.0), np.where(num < eps, 1.0, cap))
-    return float(out) if out.ndim == 0 else out

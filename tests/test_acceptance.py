@@ -240,8 +240,9 @@ def test_output_bytes_pinned(preset, request, tmp_path):
 
 
 @pytest.mark.parametrize("preset", sorted(OUTPUT_DIGESTS))
-def test_output_bytes_pinned_at_two_workers(preset, tmp_path):
+def test_output_bytes_pinned_at_two_workers(preset, tmp_path, monkeypatch):
     build = {"table2": table2_preset, "bots": bots_preset}[preset]
-    emit_report(run_grid(build(), workers=2), tmp_path, ("json",))
+    monkeypatch.setenv("COOPRES_THREADS", "2")
+    emit_report(run_grid(build()), tmp_path, ("json",))
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == OUTPUT_DIGESTS[preset][1]

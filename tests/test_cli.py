@@ -223,16 +223,16 @@ class TestMeasure:
         assert capsys.readouterr().err.startswith("error:input:")
 
     # A window of one tick has no failure-recovery span: refused while the
-    # windows are laid out, before any milestone is looked for.
+    # windows are laid out, before any event is scored.
     @pytest.mark.parametrize("p, schedule, window", [
         ([1.0] * 20 + [0.5] * 40, "20\n30\n31\n", "[30, 31)"),
         ([1.0] * 10 + [0.5] * 10 + [1.0] * 39 + [0.5], None, "[59, 60)"),
     ], ids=["scheduled", "detected_on_the_last_tick"])
     def test_one_tick_window_refused_before_scoring(self, tmp_path, capsys, monkeypatch,
                                                     p, schedule, window):
-        def no_milestones(*args, **kwargs):
-            raise AssertionError("milestones computed for an unscorable layout")
-        monkeypatch.setattr(coopres.resilience, "detect_milestones", no_milestones)
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("event scored for an unscorable layout")
+        monkeypatch.setattr(coopres.resilience, "summary_metric", no_scoring)
         p_path, r_path = write_curves(tmp_path, p, [1.0] * 60)
         argv = ["measure", "--performance", str(p_path), "--reference", str(r_path)]
         if schedule is not None:

@@ -534,8 +534,9 @@ class TestGrids:
                       schedule=EventSchedule(events=[bots(10, 20, 2)]))
         grid = ExperimentGrid(grid_id="boom", row_labels=["r"], col_labels=["a", "b"],
                               cells={(0, 0): base, (0, 1): bad})
+        monkeypatch.setenv("COOPRES_THREADS", "2")
         with pytest.raises(RuntimeError, match=r"grid cell \(0, 1\) failed: bot intrusion"):
-            run_grid(grid, workers=2)
+            run_grid(grid)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_config_error_passes_through(self, monkeypatch, workers):
@@ -543,18 +544,21 @@ class TestGrids:
         monkeypatch.setattr(coopres.harness, "run_episode", _config_error_episode)
         grid = ExperimentGrid(grid_id="cfg", row_labels=["r"], col_labels=["c"],
                               cells={(0, 0): quick_config()})
+        monkeypatch.setenv("COOPRES_THREADS", str(workers))
         with pytest.raises(ConfigError, match="^episode refused$"):
-            run_grid(grid, workers=workers)
+            run_grid(grid)
 
-    def test_parallel_workers_match_sequential(self):
+    def test_parallel_workers_match_sequential(self, monkeypatch):
         base = quick_config(episode_length=150, episodes=1)
         cells = {(0, 0): replace(base, scenario_id="P1"),
                  (0, 1): replace(base, scenario_id="P2",
                                  schedule=EventSchedule(events=[vanish(60, 0.4)]))}
         grid = ExperimentGrid(grid_id="par", row_labels=["r"],
                               col_labels=["a", "b"], cells=cells)
-        sequential = run_grid(grid, workers=1)
-        parallel = run_grid(grid, workers=2)
+        monkeypatch.setenv("COOPRES_THREADS", "1")
+        sequential = run_grid(grid)
+        monkeypatch.setenv("COOPRES_THREADS", "2")
+        parallel = run_grid(grid)
         for cell in cells:
             assert (parallel.results[cell].report.to_json_dict()
                     == sequential.results[cell].report.to_json_dict())

@@ -13,24 +13,27 @@ from coopres.resilience import (
     CurvePair,
     Milestones,
     assemble_variables,
-    detect_milestones,
     detect_triggers,
-    failure_profile,
     fold_events,
     partition_windows,
-    recovery_profile,
     resilience_pipeline,
     summary_metric,
 )
-from coopres.timeseries import TimeSeries, Window
+from coopres.timeseries import TimeSeries
 
 
-def pair_from(p, r):
-    return CurvePair(performance=TimeSeries(p), reference=TimeSeries(r))
+def pair_from(p, r, t0=0):
+    return CurvePair(performance=TimeSeries(p, t0=t0), reference=TimeSeries(r, t0=t0))
 
 
-def flat_pair(horizon, p_level=1.0, r_level=1.0):
-    return pair_from([p_level] * horizon, [r_level] * horizon)
+def flat_pair(horizon, p_level=1.0, r_level=1.0, t0=0):
+    return pair_from([p_level] * horizon, [r_level] * horizon, t0)
+
+
+def milestones_of(pair, schedule, event=0):
+    """``(t_i, t_f, t_r, window_start)`` the pipeline finds for one event of ``pair``."""
+    m = resilience_pipeline({"v": pair}, schedule).per_variable["v"].events[event].milestones
+    return (m.t_i, m.t_f, m.t_r, m.window_start)
 
 
 # Exact rational mirror of the event-score arithmetic, used as the
@@ -57,11 +60,11 @@ def oracle_event_score(p_vals, r_vals, window_start, t_i, t_f, t_r):
 
 class TestPartitionWindows:
     def test_single_event_spans_everything(self):
-        assert partition_windows([250], 1500) == [Window(0, 1500)]
+        assert partition_windows([250], 1500) == [(0, 1500)]
 
     def test_three_events(self):
         assert partition_windows([50, 250, 400], 1500) == [
-            Window(0, 250), Window(250, 400), Window(400, 1500)]
+            (0, 250), (250, 400), (400, 1500)]
 
     def test_empty_schedule(self):
         assert partition_windows([], 1500) == []
@@ -79,8 +82,8 @@ class TestPartitionWindows:
             partition_windows([1500], 1500)
 
     def test_windows_lie_on_the_curves_ticks(self):
-        assert partition_windows([22], 20, t0=5) == [Window(5, 25)]
-        assert partition_windows([8, 22], 20, t0=5) == [Window(5, 22), Window(22, 25)]
+        assert partition_windows([22], 20, t0=5) == [(5, 25)]
+        assert partition_windows([8, 22], 20, t0=5) == [(5, 22), (22, 25)]
 
     @pytest.mark.parametrize("trigger", [4, 25])
     def test_trigger_outside_the_curves_ticks_rejected(self, trigger):
@@ -89,68 +92,74 @@ class TestPartitionWindows:
 
 
 class TestDetectMilestones:
+    """The failure tick and recovery reference the pipeline picks in each window."""
+
     def test_identical_curves_fail_at_incident(self):
-        m = detect_milestones(flat_pair(100), trigger=10, window=Window(0, 100))
-        assert (m.t_i, m.t_f, m.t_r, m.window_start) == (10, 10, 99, 0)
+        assert milestones_of(flat_pair(100), [10]) == (10, 10, 99, 0)
 
     def test_unique_dip(self):
         p = [1.0] * 200
         p[120] = 0.2
-        m = detect_milestones(pair_from(p, [1.0] * 200), trigger=100, window=Window(0, 200))
-        assert m.t_f == 120
+        assert milestones_of(pair_from(p, [1.0] * 200), [100])[1] == 120
 
     def test_recovery_reference_is_window_end(self):
-        m = detect_milestones(flat_pair(500), trigger=250, window=Window(250, 400))
-        assert (m.t_i, m.t_r) == (250, 399)
+        assert milestones_of(flat_pair(150, t0=250), [250]) == (250, 250, 399, 250)
+        assert milestones_of(flat_pair(500), [100, 250, 400], event=1) == (250, 250, 399, 250)
 
     def test_declining_reference_not_mistaken_for_failure(self):
         # performance falls, but the reference falls just as fast: ratio flat
         p = [1.0 - 0.01 * t for t in range(50)]
-        m = detect_milestones(pair_from(p, p), trigger=5, window=Window(0, 50))
-        assert m.t_f == 5
+        assert milestones_of(pair_from(p, p), [5])[1] == 5
 
     def test_short_window_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
-            detect_milestones(flat_pair(10), trigger=3, window=Window(3, 4))
+            milestones_of(flat_pair(1, t0=3), [3])
 
     def test_trigger_outside_window_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            detect_milestones(flat_pair(100), trigger=50, window=Window(0, 50))
+        with pytest.raises(ValueError, match=r"\[0, 50\)"):
+            milestones_of(flat_pair(50), [50])
 
 
 class TestProfiles:
     def test_identity_failure_profile(self):
         m = Milestones(t_i=10, t_f=20, t_r=50, window_start=0)
-        assert failure_profile(flat_pair(60), m) == 1.0
+        assert summary_metric(flat_pair(60), m).f_profile == 1.0
 
     def test_total_failure(self):
         m = Milestones(t_i=10, t_f=20, t_r=50, window_start=0)
-        assert failure_profile(flat_pair(60, p_level=0.0), m) == 0.0
+        assert summary_metric(flat_pair(60, p_level=0.0), m).f_profile == 0.0
 
     def test_linear_collapse_is_half(self):
         p = [1.0] * 10 + [1.0 - 0.1 * k for k in range(11)] + [0.0] * 39
         m = Milestones(t_i=10, t_f=20, t_r=59, window_start=0)
-        assert failure_profile(pair_from(p, [1.0] * 60), m) == pytest.approx(0.5)
+        assert summary_metric(pair_from(p, [1.0] * 60), m).f_profile == pytest.approx(0.5)
 
     def test_zero_length_failure_interval(self):
         m = Milestones(t_i=10, t_f=10, t_r=50, window_start=0)
-        assert failure_profile(flat_pair(60, p_level=0.3), m) == 1.0
+        assert summary_metric(flat_pair(60, p_level=0.3), m).f_profile == 1.0
 
     def test_identity_recovery_profile(self):
         m = Milestones(t_i=10, t_f=20, t_r=50, window_start=0)
-        assert recovery_profile(flat_pair(60), m) == 1.0
+        assert summary_metric(flat_pair(60), m).g_profile == 1.0
 
     def test_proportional_recovery(self):
         m = Milestones(t_i=10, t_f=20, t_r=50, window_start=0)
-        assert recovery_profile(flat_pair(60, p_level=0.5), m) == pytest.approx(0.5)
+        assert summary_metric(flat_pair(60, p_level=0.5), m).g_profile == pytest.approx(0.5)
 
     def test_exceeding_expectations(self):
         m = Milestones(t_i=10, t_f=20, t_r=50, window_start=0)
-        assert recovery_profile(flat_pair(60, p_level=1.2), m) == pytest.approx(1.2)
+        assert summary_metric(flat_pair(60, p_level=1.2), m).g_profile == pytest.approx(1.2)
 
     def test_zero_length_recovery_interval(self):
         m = Milestones(t_i=10, t_f=50, t_r=50, window_start=0)
-        assert recovery_profile(flat_pair(60, p_level=0.3), m) == 1.0
+        assert summary_metric(flat_pair(60, p_level=0.3), m).g_profile == 1.0
+
+    @pytest.mark.parametrize("p_level, profile", [(0.5, 2.0), (0.0, 1.0)])
+    def test_vanished_reference(self, p_level, profile):
+        # A report's F or G of exactly 2.0 marks a reference that vanished.
+        ev = summary_metric(flat_pair(60, p_level=p_level, r_level=0.0),
+                            Milestones(t_i=10, t_f=20, t_r=50, window_start=0))
+        assert (ev.f_profile, ev.g_profile) == (profile, profile)
 
 
 class TestSummaryMetric:
@@ -180,6 +189,17 @@ class TestSummaryMetric:
         m = Milestones(t_i=5, t_f=5, t_r=5, window_start=5)
         with pytest.raises(ValueError, match="degenerate"):
             summary_metric(flat_pair(10), m)
+
+    # Zero-length spans have no area to compute, so nothing else reads the
+    # ticks: the range check must come first.
+    @pytest.mark.parametrize("t0, m", [
+        (0, Milestones(t_i=200, t_f=200, t_r=200, window_start=0)),
+        (0, Milestones(t_i=50, t_f=60, t_r=100, window_start=0)),
+        (10, Milestones(t_i=3, t_f=3, t_r=3, window_start=0)),
+    ], ids=["past_the_last_tick", "recovery_one_past_the_end", "incident_before_t0"])
+    def test_milestones_outside_the_curves_refused(self, t0, m):
+        with pytest.raises(ValueError, match="outside the curves' ticks"):
+            summary_metric(flat_pair(100, t0=t0), m)
 
     @given(data=st.data())
     @settings(max_examples=100)
@@ -413,8 +433,8 @@ class TestPipeline:
         # pairs whose ratios tie up to rounding may swap order once scaled,
         # which moves the failure tick; such inputs are outside the property.
         for p, r in curves.values():
-            for trigger, window in zip(triggers, partition_windows(triggers, horizon)):
-                ticks = range(trigger, window.end)
+            for trigger, (_, end) in zip(triggers, partition_windows(triggers, horizon)):
+                ticks = range(trigger, end)
                 lowest = min(p[t] / r[t] for t in ticks)
                 near = {(p[t], r[t]) for t in ticks if p[t] / r[t] <= lowest * (1 + 1e-9)}
                 assume(len(near) == 1)
