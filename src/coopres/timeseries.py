@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import os
+import stat
 import warnings
 from pathlib import Path
 from typing import Iterable
@@ -10,6 +12,8 @@ from typing import Iterable
 import numpy as np
 
 _CSV_ROW = np.dtype([("tick", np.int64), ("value", np.float64)])
+# Suffixes that make np.loadtxt open a path through a decompressor.
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
 
 
 class TimeSeries:
@@ -47,30 +51,37 @@ class TimeSeries:
         """Read a ``tick,value`` CSV; ticks must be consecutive integers.
 
         Columns after the second are ignored.  Every refusal raises
-        ``ValueError`` with the path as its prefix.
+        ``ValueError`` with the path as its prefix.  ``np.loadtxt`` gets the
+        path, not the open file: a file object it reads line by line in
+        Python, a path in chunks through its C reader.
         """
-        with open(path) as fh:
-            header = next(csv.reader([fh.readline()]))
+        try:
+            if (suffix := os.path.splitext(path)[1]) in _COMPRESSED_SUFFIXES:
+                raise ValueError(f"suffix {suffix!r} marks a compressed file; use plain text")
+            with open(path) as fh:
+                if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    raise ValueError("not a regular file (it is opened twice)")
+                header = next(csv.reader([fh.readline()]))
             if [h.strip() for h in header[:2]] != ["tick", "value"]:
-                raise ValueError(f"{path}: expected header 'tick,value'")
+                raise ValueError("expected header 'tick,value'")
             try:
                 with warnings.catch_warnings():
                     # An empty body is refused below, not warned about.
                     warnings.simplefilter("ignore", UserWarning)
-                    rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=1,
-                                      comments=None, dtype=_CSV_ROW)
+                    # An absolute path keeps numpy from taking the name for a URL.
+                    rows = np.loadtxt(os.path.abspath(path), delimiter=",", usecols=(0, 1),
+                                      skiprows=1, ndmin=1, comments=None, dtype=_CSV_ROW)
             except ValueError as exc:
                 # numpy counts data rows, not file lines: name the line instead.
-                raise ValueError(f"{path}: {_first_bad_line(path) or exc}") from None
-        if rows.size == 0:
-            raise ValueError(f"{path}: no data rows")
-        ticks = rows["tick"]
-        gaps = np.flatnonzero(np.diff(ticks) != 1)
-        if gaps.size:
-            i = gaps[0]
-            raise ValueError(f"{path}: ticks must be consecutive, "
-                             f"got {ticks[i]} then {ticks[i + 1]}")
-        try:
+                # A decode error is raised again by the second read.
+                raise ValueError(_first_bad_line(path) or exc) from None
+            if rows.size == 0:
+                raise ValueError("no data rows")
+            ticks = rows["tick"]
+            gaps = np.flatnonzero(np.diff(ticks) != 1)
+            if gaps.size:
+                i = gaps[0]
+                raise ValueError(f"ticks must be consecutive, got {ticks[i]} then {ticks[i + 1]}")
             return cls(np.ascontiguousarray(rows["value"]), t0=int(ticks[0]))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gzip
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import warnings
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 import coopres.harness
@@ -253,11 +255,16 @@ class TestMeasure:
         ("0,1.0\n\n1,x\n", "line 4: could not convert string 'x' to float64"),
         ("0,1.0\n99999999999999999999,2.0\n",
          "line 3: could not convert string '99999999999999999999' to int64"),
+        # Bytes are the whole file, header included.
+        (gzip.compress(b"tick,value\n0,1.0\n1,2.0\n"), "can't decode byte 0x8b"),
+        (b"tick,value\n0,1.0\n1,\xff\n", "can't decode byte 0xff"),
     ], ids=["header_only", "fractional_tick", "non_numeric_tick", "short_row",
-            "bad_value_after_a_blank_line", "tick_beyond_int64"])
+            "bad_value_after_a_blank_line", "tick_beyond_int64", "gzip_bytes",
+            "undecodable_byte_in_a_row"])
     def test_bad_curve_file_rejected(self, tmp_path, capsys, body, message):
         p_path = tmp_path / "p.csv"
-        p_path.write_text("tick,value\n" + body)
+        p_path.write_bytes(body if isinstance(body, bytes)
+                           else ("tick,value\n" + body).encode())
         r_path = write_raw_curve(tmp_path / "r.csv", [1.0] * 2)
         out = tmp_path / "report.json"
         with warnings.catch_warnings(record=True) as caught:
@@ -291,6 +298,53 @@ class TestMeasure:
             reports.append(out.read_text())
         assert reports[0] == reports[1]
 
+    # numpy opens a name with one of these suffixes through a decompressor,
+    # so such a curve file is refused even when it holds plain text.
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_refused(self, tmp_path, capsys, suffix):
+        p_path = write_raw_curve(tmp_path / f"p.csv{suffix}", [1.0] * 20 + [0.5] * 20)
+        r_path = write_raw_curve(tmp_path / "r.csv", [1.0] * 40)
+        out = tmp_path / "report.json"
+        assert main(["measure", "--performance", str(p_path), "--reference", str(r_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:input: {p_path}: ") and f"'{suffix}'" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_long_curve_pair_report_pinned(self, tmp_path, capsys):
+        # The digest was taken before the reader handed numpy the path instead
+        # of the open file: any change in the values read moves it.
+        p_path, r_path, dips = write_seeded_curve_pair(tmp_path)
+        out = tmp_path / "report.json"
+        assert main(["measure", "--performance", str(p_path), "--reference", str(r_path),
+                     "--out", str(out)]) == 0
+        assert f"(L={dips})" in capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == MEASURE_DIGEST
+
+
+def write_seeded_curve_pair(tmp_path, ticks=100_000, dips=12, t0=37):
+    """Write a seeded curve pair from tick ``t0`` with ``dips`` detectable dips.
+
+    Performance values are written by ``repr`` at full precision with LF line
+    endings; reference values are rounded to six decimals first and written
+    with CRLF line endings.  Outside the dips the ratio stays above 0.97.
+    """
+    rng = np.random.default_rng(15)
+    reference = rng.uniform(0.5, 2.0, ticks)
+    factor = rng.uniform(0.97, 1.03, ticks)
+    segment = ticks // dips
+    for start in range(segment // 4, ticks, segment):
+        width = int(rng.integers(segment // 10, segment // 2))
+        factor[start:start + width] = np.linspace(rng.uniform(0.2, 0.8), 1.0, width)
+    for path, values, newline in ((tmp_path / "p.csv", reference * factor, "\n"),
+                                  (tmp_path / "r.csv", np.round(reference, 6), "\r\n")):
+        path.write_bytes(("tick,value" + newline + "".join(
+            f"{t0 + i},{v!r}{newline}" for i, v in enumerate(values.tolist()))).encode())
+    return tmp_path / "p.csv", tmp_path / "r.csv", dips
+
+
+MEASURE_DIGEST = "a887d60456aefc180937ae1b3133f76041f42cba048eff6b913be258694f8dde"
 
 RUN_DIGESTS = {
     "report.json": "b401576d47482ed30bdfa5a06bb7545378dfb00d9304876beec365bb3eb2161e",

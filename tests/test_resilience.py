@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopres.resilience import (
+    TRIGGER_THRESHOLD,
     CurvePair,
     Milestones,
     assemble_variables,
@@ -325,6 +328,15 @@ class TestDetectTriggers:
         p = [0.5] * 5 + [1.0] * 5 + [0.5] * 10
         pair = CurvePair(performance=TimeSeries(p, t0=7), reference=TimeSeries([1.0] * 20, t0=7))
         assert detect_triggers(pair) == [7, 17]
+
+    def test_benchmark_plants_dips_against_the_same_threshold(self):
+        # bench/inputs.py keeps its own copy of the threshold to compute the
+        # triggers it expects; the two must not drift apart.
+        path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("bench_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        assert inputs.DETECT_THRESHOLD == TRIGGER_THRESHOLD
 
 
 class TestPipeline:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,10 +10,15 @@ from hypothesis import strategies as st
 
 from coopres.indicators import stack_episodes
 from coopres.resilience import CurvePair, Milestones, _trapezoid, guarded_ratio, summary_metric
-from coopres.timeseries import TimeSeries
+from coopres.timeseries import _COMPRESSED_SUFFIXES, TimeSeries
 
 from conftest import write_raw_curve
 
+# Finite non-negative curve values: most reprs run to 17 significant digits,
+# and the second strategy draws only subnormals.
+curve_value = st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                        st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+                        st.sampled_from([5e-324, 0.1 + 0.2, 1 / 3, 1.7976931348623157e308]))
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 # Mixes live values with ones on either side of the guard's EPS = 1e-9.
 ratio_operand = st.one_of(finite, st.floats(min_value=-1e-8, max_value=1e-8),
@@ -71,6 +77,36 @@ class TestTimeSeries:
         path.write_text("time,value\n0,1.0\n")
         with pytest.raises(ValueError, match="header"):
             TimeSeries.from_csv(path)
+
+    @given(rows=st.lists(st.tuples(curve_value, st.sampled_from(["{!r}", "{:.6f}", "{:.17e}"])),
+                         min_size=1, max_size=40),
+           t0=st.integers(min_value=0, max_value=2**40))
+    @settings(max_examples=200, deadline=None)
+    def test_csv_reads_each_value_as_python_float_does(self, tmp_path_factory, rows, t0):
+        fields = [fmt.format(v) for v, fmt in rows]
+        path = write_raw_curve(tmp_path_factory.getbasetemp() / "round_trip.csv", fields, t0=t0)
+        back = TimeSeries.from_csv(path)
+        assert back.t0 == t0
+        assert back.values.tobytes() == np.array([float(f) for f in fields]).tobytes()
+
+    def test_refused_suffixes_are_the_ones_numpy_decompresses(self):
+        # np.loadtxt opens a path through np.lib._datasource, which picks a
+        # decompressor by suffix; a suffix a later numpy adds must be refused too.
+        openers = np.lib._datasource._file_openers.keys()
+        assert sorted(s for s in openers if s is not None) == sorted(_COMPRESSED_SUFFIXES)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_csv_rejects_a_pipe(self):
+        # The header and the rows are read through two opens; a pipe would lose
+        # the rows buffered by the first and silently start at a later tick.
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as fh:
+            fh.write("tick,value\n" + "".join(f"{t},1.0\n" for t in range(2000)))
+        try:
+            with pytest.raises(ValueError, match="regular file"):
+                TimeSeries.from_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
 
 
 class TestTrapezoidIntegral:
