@@ -313,8 +313,8 @@ class TestMeasure:
         assert not out.exists()
 
     def test_long_curve_pair_report_pinned(self, tmp_path, capsys):
-        # The digest was taken before the reader handed numpy the path instead
-        # of the open file: any change in the values read moves it.
+        # Pinned like RUN_DIGESTS: a reader that returns any value or tick
+        # other than float() and int() of its field moves the digest.
         p_path, r_path, dips = write_seeded_curve_pair(tmp_path)
         out = tmp_path / "report.json"
         assert main(["measure", "--performance", str(p_path), "--reference", str(r_path),
