@@ -111,10 +111,9 @@ def apply_apple_vanish(state: WorldState, v_s: float, rng: random.Random) -> Wor
     """
     if not 0.0 <= v_s <= 1.0:
         raise ValueError("v_s must be in [0, 1]")
-    for tree in state.trees:
-        if tree.vanished:
-            continue
-        live_cells = [cell for cell, alive in zip(tree.apple_cells, tree.alive) if alive]
+    live = state.live_apples
+    for cells in state.grid.trees:
+        live_cells = [cell for cell in cells if cell in live]
         for cell in live_cells[:-1]:  # the last live cell is always spared
             if rng.random() < v_s:
                 state.remove_apple(cell)
@@ -122,7 +121,7 @@ def apply_apple_vanish(state: WorldState, v_s: float, rng: random.Random) -> Wor
     return state
 
 
-def apply_bot_intrusion(state: WorldState, event: Event, rng: random.Random) -> WorldState:
+def apply_bot_intrusion(state: WorldState, event: Event) -> WorldState:
     """Spawn the event's bots at the free spawn cells nearest the map center."""
     center = (state.grid.height / 2.0, state.grid.width / 2.0)
     free = [c for c in state.grid.spawn_points if c not in state.occupied]
@@ -179,7 +178,7 @@ class EventEngine:
                 apply_apple_vanish(state, event.v_s, rng)
             elif event.bot_count > 0:
                 first_id = state.next_agent_id
-                apply_bot_intrusion(state, event, rng)
+                apply_bot_intrusion(state, event)
                 self.removals.setdefault(tick + event.duration, []).extend(
                     range(first_id, state.next_agent_id))
             self.fired.append(tick)

@@ -235,7 +235,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
         written[:stop] = b"\x01" * stop
 
     # The welfare agents keep their objects for the whole episode; bots come after them.
-    trees, agents, welfare = state.trees, state.agents, [state.agents[i] for i in range(n)]
+    agents, welfare = state.agents, [state.agents[i] for i in range(n)]
     visible, live, noop, draw = grid.visible, state.live_apples, Action.NOOP, rng.random
     # Per welfare agent: id, object, policy, idle probability while exploring,
     # and the least stock of a tree whose apples it targets; 0 for the random
@@ -260,7 +260,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
         if not quiet:
             written[t] = 1
             # Every decision comes before step_world: one stock vector serves them all.
-            stocks = [tree.live for tree in trees]
+            stocks = state.stock.copy()
             row = stocks.copy()
             for a in welfare:
                 row += a.cumulative_consumed, a.ticks_since_meal, *a.position

@@ -88,31 +88,11 @@ class PolicyKind(Enum):
         return member
 
 
-@dataclass
-class Tree:
-    """A fixed group of apple cells, ``alive[i]`` telling whether cell i bears one.
-
-    ``live`` counts the true entries of ``alive``.  Within a world it is
-    kept by ``WorldState.remove_apple`` and ``WorldState.revive_apple``,
-    which must be the only writers of ``alive``.
-    """
-
-    id: int
-    apple_cells: tuple[Cell, ...]
-    alive: list[bool]
-    vanished: bool = False
-    live: int = field(init=False)
-
-    def __post_init__(self):
-        self.live = sum(self.alive)
-
-    def copy(self) -> "Tree":
-        return Tree(id=self.id, apple_cells=self.apple_cells,
-                    alive=list(self.alive), vanished=self.vanished)
-
-
 class GridMap:
     """Static geometry of a map: walls, tree layout, spawn and respawn cells.
+
+    ``trees`` lists each tree's apple cells, in map order, and
+    ``apple_tree`` maps each apple cell to the index of its tree.
 
     Also owns three tables over floor cells.  Walking distances to a cell,
     one BFS row per target cell built on first use, are the scripted
@@ -123,7 +103,7 @@ class GridMap:
     """
 
     def __init__(self, width: int, height: int, walls: frozenset[Cell],
-                 trees: list[Tree], spawn_points: list[Cell]):
+                 trees: list[tuple[Cell, ...]], spawn_points: list[Cell]):
         self.width = width
         self.height = height
         self.walls = walls
@@ -140,15 +120,14 @@ class GridMap:
         self._nbr_idx = [[index[n] for _, n in self.moves[a]] for a in self.floor]
         self._dist_rows: dict[int, list[int]] = {}  # target floor index -> distances to it
 
-        # apple cell -> (tree index, slot in the tree's apple_cells)
-        self.apple_slots: dict[Cell, tuple[int, int]] = {}
-        for idx, tree in enumerate(trees):
-            for i, cell in enumerate(tree.apple_cells):
+        self.apple_tree: dict[Cell, int] = {}
+        for idx, cells in enumerate(trees):
+            for cell in cells:
                 if cell in walls:
                     raise ValueError(f"apple cell {cell} is a wall")
-                if cell in self.apple_slots:
+                if cell in self.apple_tree:
                     raise ValueError(f"apple cell {cell} belongs to two trees")
-                self.apple_slots[cell] = (idx, i)
+                self.apple_tree[cell] = idx
         self.respawn_zone = self._compute_respawn_zone()
         self.visible = self._build_visibility_table()
 
@@ -175,9 +154,9 @@ class GridMap:
         return row
 
     def _compute_respawn_zone(self) -> list[Cell]:
-        if not self.apple_slots:
+        if not self.apple_tree:
             return list(self.floor)
-        dist = self._bfs([self._floor_index[cell] for cell in self.apple_slots])
+        dist = self._bfs([self._floor_index[cell] for cell in self.apple_tree])
         far = max(d for d in dist if d < UNREACHABLE)
         return [c for c, d in zip(self.floor, dist) if d == far]
 
@@ -201,12 +180,12 @@ class GridMap:
 
     def _build_visibility_table(self) -> dict[Cell, tuple[tuple[Cell, int], ...]]:
         # One (cell, tree index) tuple per apple cell, shared by every entry.
-        pairs = [(cell, idx) for cell, (idx, _) in self.apple_slots.items()]
+        pairs = list(self.apple_tree.items())
         table = {}
         for a in self.floor:
             r0, c0 = a
             table[a] = tuple(
-                pair for pair, cell in zip(pairs, self.apple_slots)
+                pair for pair, cell in zip(pairs, self.apple_tree)
                 if abs(cell[0] - r0) <= VIEW_RADIUS and abs(cell[1] - c0) <= VIEW_RADIUS
                 and line_of_sight(self, a, cell))
         return table
@@ -226,7 +205,7 @@ class AgentState:
 @dataclass
 class WorldState:
     grid: GridMap
-    trees: list[Tree]
+    stock: list[int]  # live apples per tree
     agents: dict[int, AgentState]
     regrowth_table: tuple[float, ...]
     tick: int = 0
@@ -242,21 +221,14 @@ class WorldState:
 
     def remove_apple(self, cell: Cell) -> None:
         """Take the live apple off ``cell``."""
-        idx, i = self.grid.apple_slots[cell]
-        del self.live_apples[cell]
-        tree = self.trees[idx]
-        tree.alive[i] = False
-        tree.live -= 1
+        self.stock[self.live_apples.pop(cell)] -= 1
 
     def revive_apple(self, cell: Cell) -> None:
         """Put an apple back on the dead apple cell ``cell``."""
-        idx, i = self.grid.apple_slots[cell]
-        tree = self.trees[idx]
-        if tree.alive[i]:
+        if cell in self.live_apples:
             raise ValueError(f"apple cell {cell} already bears an apple")
-        tree.alive[i] = True
-        tree.live += 1
-        self.live_apples[cell] = idx
+        idx = self.live_apples[cell] = self.grid.apple_tree[cell]
+        self.stock[idx] += 1
 
     def copy(self) -> "WorldState":
         """An independent copy of the dynamic state; the static map is shared.
@@ -264,7 +236,7 @@ class WorldState:
         Dicts keep their insertion order, so a copy steps exactly like the
         original under the same random stream.
         """
-        return replace(self, trees=[t.copy() for t in self.trees],
+        return replace(self, stock=self.stock.copy(),
                        agents={i: replace(a) for i, a in self.agents.items()},
                        live_apples=dict(self.live_apples), occupied=dict(self.occupied))
 
@@ -326,13 +298,8 @@ def load_map(ascii_text: str) -> GridMap:
         groups.append(sorted(cluster))
 
     groups.sort(key=lambda cells: cells[0])
-    trees = []
-    for i, cells in enumerate(groups):
-        if not cells:
-            raise ValueError(f"tree {i} has no apple cells")
-        trees.append(Tree(id=i, apple_cells=tuple(cells), alive=[True] * len(cells)))
     return GridMap(width=width, height=height, walls=frozenset(walls),
-                   trees=trees, spawn_points=spawns)
+                   trees=[tuple(cells) for cells in groups], spawn_points=spawns)
 
 
 def make_world(grid: GridMap, n_agents: int,
@@ -343,13 +310,9 @@ def make_world(grid: GridMap, n_agents: int,
             f"need {n_agents} spawn points, map has {len(grid.spawn_points)}")
     if not regrowth_table or any(not 0.0 <= p <= 1.0 for p in regrowth_table):
         raise ValueError("regrowth table must be non-empty probabilities in [0, 1]")
-    trees = [t.copy() for t in grid.trees]
-    state = WorldState(grid=grid, trees=trees, agents={},
-                       regrowth_table=tuple(regrowth_table), next_agent_id=n_agents)
-    for idx, tree in enumerate(trees):
-        for cell, alive in zip(tree.apple_cells, tree.alive):
-            if alive:
-                state.live_apples[cell] = idx
+    state = WorldState(grid=grid, stock=[len(cells) for cells in grid.trees], agents={},
+                       regrowth_table=tuple(regrowth_table),
+                       live_apples=dict(grid.apple_tree), next_agent_id=n_agents)
     for i in range(n_agents):
         pos = grid.spawn_points[i]
         state.agents[i] = AgentState(id=i, position=pos)
@@ -360,25 +323,22 @@ def make_world(grid: GridMap, n_agents: int,
 def regrow(state: WorldState, rng: random.Random) -> WorldState:
     """Stock-dependent apple regrowth; a fully stripped tree is dead for good.
 
-    Each dead cell of a living tree revives independently with the
-    probability keyed by the tree's live-apple count at the start of the
-    tick.  Cells under an agent do not regrow.  A full tree has no dead
-    cell and is skipped; either way it draws nothing from ``rng``.
+    Each dead cell of a tree with stock revives independently with the
+    probability keyed by the tree's stock (``state.stock``) at the start
+    of the tick.  Cells under an agent do not regrow.  A tree with no
+    stock and a full tree are skipped; neither draws from ``rng``.
     """
-    table, occupied, draw = state.regrowth_table, state.occupied, rng.random
+    table, occupied, live_apples, draw = (state.regrowth_table, state.occupied,
+                                          state.live_apples, rng.random)
     top = len(table) - 1
-    for tree in state.trees:
-        live = tree.live
-        if live == len(tree.alive) or tree.vanished:
-            continue
-        if live == 0:
-            tree.vanished = True
+    for cells, live in zip(state.grid.trees, state.stock):
+        if live == 0 or live == len(cells):
             continue
         p = table[live if live < top else top]
         if p <= 0.0:
             continue
-        for cell, alive in zip(tree.apple_cells, tree.alive):
-            if not alive and cell not in occupied and draw() < p:
+        for cell in cells:
+            if cell not in live_apples and cell not in occupied and draw() < p:
                 state.revive_apple(cell)
                 state.total_regrown += 1
     return state
@@ -516,7 +476,7 @@ def line_of_sight(grid: GridMap, a: Cell, b: Cell) -> bool:
 def build_view(state: WorldState, agent_id: int, stocks: list[int]) -> dict[Cell, int]:
     """The live apples one agent sees, each mapped to its tree's stock.
 
-    ``stocks`` is the tick's ``tree.live`` per tree.  Which apple cells the
+    ``stocks`` is the tick's ``state.stock``.  Which apple cells the
     agent can see (within ``VIEW_RADIUS`` in both axes and in line of
     sight) is read from the map's visibility table; of those, the cells
     with a live apple enter the view, in table order.
@@ -553,10 +513,10 @@ def wander(state: WorldState, pos: Cell, rng: random.Random,
 def _nearest_live_tree_cell(state: WorldState, pos: Cell) -> Cell | None:
     """Closest apple cell of any tree that still has stock, map-wide."""
     best: tuple[int, Cell] | None = None
-    for tree in state.trees:
-        if tree.live == 0:
+    for cells, live in zip(state.grid.trees, state.stock):
+        if live == 0:
             continue
-        for cell in tree.apple_cells:
+        for cell in cells:
             d = state.grid.distance(pos, cell)
             if d < UNREACHABLE and (best is None or (d, cell) < best):
                 best = (d, cell)

@@ -139,16 +139,15 @@ def test_criterion_5_vanish_event_constraint():
     start = time.perf_counter()
     rng = random.Random(99)
     state = make_world(load_map("########\n#AAAAAA#\n#S.....#\n########"), 0, (0.0,))
-    tree = state.trees[0]
     total_survivors = 0
     trials = 10_000
     ok = True
     for _ in range(trials):
-        for i, cell in enumerate(tree.apple_cells):
-            if not tree.alive[i]:
+        for cell in state.grid.trees[0]:
+            if cell not in state.live_apples:
                 state.revive_apple(cell)
         apply_apple_vanish(state, 0.7, rng)
-        live = tree.live
+        live = state.stock[0]
         ok &= live >= 1
         total_survivors += live
     mean = total_survivors / trials

@@ -75,25 +75,21 @@ class TestAppleVanish:
     def test_full_magnitude_leaves_one_per_tree(self):
         state = fresh_state()
         apply_apple_vanish(state, 1.0, random.Random(0))
-        for tree in state.trees:
-            assert tree.live == 1
-            assert not tree.vanished
+        assert state.stock == [1]
 
     def test_never_below_one_apple(self):
         rng = random.Random(42)
         for _ in range(500):
             state = fresh_state()
             apply_apple_vanish(state, 0.95, rng)
-            assert all(t.live >= 1 for t in state.trees)
+            assert all(live >= 1 for live in state.stock)
 
     def test_vanished_trees_untouched(self):
         state = fresh_state()
-        tree = state.trees[0]
-        for cell in tree.apple_cells:
+        for cell in state.grid.trees[0]:
             state.remove_apple(cell)
-        tree.vanished = True
         apply_apple_vanish(state, 1.0, random.Random(0))
-        assert tree.live == 0
+        assert state.stock == [0]
         assert state.total_event_vanished == 0
 
     def test_only_removes_apples(self):
@@ -110,13 +106,12 @@ class TestAppleVanish:
         rng = random.Random(2024)
         total = 0
         state = fresh_state()
-        tree = state.trees[0]
         for _ in range(trials):
-            for i, cell in enumerate(tree.apple_cells):
-                if not tree.alive[i]:
+            for cell in state.grid.trees[0]:
+                if cell not in state.live_apples:
                     state.revive_apple(cell)
             apply_apple_vanish(state, v_s, rng)
-            total += tree.live
+            total += state.stock[0]
         mean = total / trials
         expected = 1 + 5 * (1 - v_s)
         sigma_mean = (5 * v_s * (1 - v_s) / trials) ** 0.5
@@ -128,7 +123,7 @@ class TestBotIntrusion:
         state = fresh_state(n_agents=0)
         event = Event(kind=EventKind.BOT_INTRUSION, trigger_tick=0, duration=10,
                       bot_count=2)
-        apply_bot_intrusion(state, event, random.Random(0))
+        apply_bot_intrusion(state, event)
         bots = state.bots()
         assert len(bots) == 2
         assert all(b.is_bot for b in bots)
@@ -139,7 +134,7 @@ class TestBotIntrusion:
         event = Event(kind=EventKind.BOT_INTRUSION, trigger_tick=0, duration=10,
                       bot_count=1)
         with pytest.raises(ValueError, match="free spawn"):
-            apply_bot_intrusion(state, event, random.Random(0))
+            apply_bot_intrusion(state, event)
 
     def test_zero_bots_is_noop(self):
         state = fresh_state()

@@ -320,7 +320,7 @@ def plain_episode(config, seed, with_events):
     apples, per_agent, ledgers, bot_records = [], [], [], []
     for t in range(config.episode_length):
         engine.fire_events(state, t, event_rng)
-        stocks = [tree.live for tree in state.trees]
+        stocks = state.stock.copy()
         apples.append(stocks)
         per_agent.append([(a.cumulative_consumed, a.ticks_since_meal, *a.position)
                           for a in (state.agents[i] for i in range(config.n_agents))])

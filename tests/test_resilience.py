@@ -272,15 +272,22 @@ class TestFoldEvents:
         with pytest.raises(ValueError):
             fold_events([0.5, -0.1])
 
-    @given(st.lists(st.floats(min_value=0, max_value=2), min_size=1, max_size=12))
+    def test_first_of_several_scores_enters_unclamped(self):
+        assert fold_events([1.4, 1.0]) == pytest.approx(0.72, abs=1e-12)
+        assert fold_events([1.0, 1.0]) == 1.0
+
+    def test_not_monotone_in_an_earlier_score(self):
+        assert fold_events([0.9, 0.9]) == pytest.approx(0.9, abs=1e-12)
+        assert fold_events([0.95, 0.9]) == pytest.approx(0.87875, abs=1e-12)
+
+    @given(st.lists(st.floats(min_value=0, allow_infinity=False), min_size=1, max_size=12))
     @settings(max_examples=500)
     def test_output_in_unit_interval(self, values):
         assert 0.0 <= fold_events(values) <= 1.0
 
-    @given(st.floats(min_value=0, max_value=2), st.integers(min_value=1, max_value=8))
+    @given(st.floats(min_value=0, max_value=3), st.integers(min_value=1, max_value=8))
     def test_constant_list_folds_to_clamp(self, value, n):
-        expected = min(max(value, 0.0), 1.0)
-        assert fold_events([value] * n) == pytest.approx(expected)
+        assert fold_events([value] * n) == min(value, 1.0)
 
 
 class TestAssembleVariables:

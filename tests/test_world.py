@@ -39,7 +39,7 @@ NO_REGROWTH = (0.0,)
 
 def stocks(state):
     """The tick's tree stocks, as ``run_episode`` passes them to ``build_view``."""
-    return tuple([tree.live for tree in state.trees])
+    return tuple(state.stock)
 
 
 def decide(policy, state, agent_id, rng):
@@ -72,12 +72,12 @@ class TestLoadMap:
     def test_single_apple_cell(self):
         grid = load_map("#####\n#.A.#\n#####")
         assert len(grid.trees) == 1
-        assert grid.trees[0].apple_cells == ((1, 2),)
+        assert grid.trees[0] == ((1, 2),)
 
     def test_wall_separated_clusters_are_two_trees(self):
         grid = load_map("AA#AA")
         assert len(grid.trees) == 2
-        assert {t.apple_cells for t in grid.trees} == {((0, 0), (0, 1)), ((0, 3), (0, 4))}
+        assert set(grid.trees) == {((0, 0), (0, 1)), ((0, 3), (0, 4))}
 
     def test_diagonal_cells_are_separate_trees(self):
         grid = load_map("A.\n.A")
@@ -86,7 +86,7 @@ class TestLoadMap:
     def test_digit_labels_group_disconnected_cells(self):
         grid = load_map("1.1\n...\n2.2")
         assert len(grid.trees) == 2
-        assert grid.trees[0].apple_cells == ((0, 0), (0, 2))
+        assert grid.trees[0] == ((0, 0), (0, 2))
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="row 1"):
@@ -100,7 +100,7 @@ class TestLoadMap:
         grid = load_map(DEFAULT_MAP)
         assert (grid.width, grid.height) == (24, 18)
         assert len(grid.trees) == 6
-        assert all(len(t.apple_cells) == 6 for t in grid.trees)
+        assert all(len(cells) == 6 for cells in grid.trees)
         assert len(grid.spawn_points) == 8
         assert grid.respawn_zone
 
@@ -254,21 +254,34 @@ class TestRegrow:
     def _one_tree_state(self, table, live_cells=3):
         grid = load_map("########\n#AAAAAA#\n#S.....#\n########")
         state = make_world(grid, 0, table)
-        tree = state.trees[0]
+        cells = grid.trees[0]
         for i in range(live_cells, 6):
-            state.remove_apple(tree.apple_cells[i])
-        return state, tree
+            state.remove_apple(cells[i])
+        return state, cells
 
     def test_vanished_tree_never_regrows(self):
-        state, tree = self._one_tree_state((0.0, 1.0, 1.0, 1.0), live_cells=0)
+        state, _ = self._one_tree_state((0.0, 1.0, 1.0, 1.0), live_cells=0)
         rng = random.Random(0)
         for _ in range(50):
             regrow(state, rng)
-        assert tree.vanished
-        assert tree.live == 0
+        assert state.stock == [0]
+        assert state.live_apples == {}
+
+    def test_tree_without_stock_draws_nothing(self):
+        # Why a stock of 0 needs no flag of its own: neither regrowth nor a
+        # vanish draws for the tree, so the tree stays dead and the stream stays put.
+        state, _ = self._one_tree_state((1.0, 1.0, 1.0, 1.0), live_cells=0)
+        rng = random.Random(4)
+        before = rng.getstate()
+        for _ in range(3):
+            regrow(state, rng)
+            apply_apple_vanish(state, 1.0, rng)
+        assert rng.getstate() == before
+        assert state.stock == [0]
+        assert state.total_regrown == state.total_event_vanished == 0
 
     def test_zero_probability_table_is_inert(self):
-        state, tree = self._one_tree_state((0.0, 0.0, 0.0, 0.0), live_cells=3)
+        state, _ = self._one_tree_state((0.0, 0.0, 0.0, 0.0), live_cells=3)
         before = dict(state.live_apples)
         regrow(state, random.Random(0))
         assert state.live_apples == before
@@ -280,12 +293,12 @@ class TestRegrow:
         rng = random.Random(123)
         revived = 0
         trials = 10_000
-        state, tree = self._one_tree_state(table, live_cells=3)
-        dead_cells = [i for i in range(6) if not tree.alive[i]]
+        state, cells = self._one_tree_state(table, live_cells=3)
+        dead_cells = [cell for cell in cells if cell not in state.live_apples]
         for _ in range(trials):
-            for i in dead_cells:
-                if tree.alive[i]:
-                    state.remove_apple(tree.apple_cells[i])
+            for cell in dead_cells:
+                if cell in state.live_apples:
+                    state.remove_apple(cell)
             state.total_regrown = 0
             regrow(state, rng)
             revived += state.total_regrown
@@ -295,12 +308,12 @@ class TestRegrow:
         assert abs(revived - expected) <= 3 * sigma
 
     def test_regrowth_skips_occupied_cells(self):
-        state, tree = self._one_tree_state((1.0, 1.0, 1.0, 1.0), live_cells=3)
-        dead_cell = tree.apple_cells[4]
+        state, cells = self._one_tree_state((1.0, 1.0, 1.0, 1.0), live_cells=3)
+        dead_cell = cells[4]
         state.occupied[dead_cell] = 99
         regrow(state, random.Random(0))
         assert dead_cell not in state.live_apples
-        assert tree.live == 5  # the other two dead cells revived
+        assert state.stock == [5]  # the other two dead cells revived
 
 
 class TestPolicies:
@@ -390,9 +403,8 @@ class TestWorldInvariants:
         grid = load_map(DEFAULT_MAP)
         state = make_world(grid, 0, (0.0, 0.3, 0.3, 0.3))
         # knock out a few apples so regrowth has room
-        tree = state.trees[0]
-        for i in range(3):
-            state.remove_apple(tree.apple_cells[i])
+        for cell in grid.trees[0][:3]:
+            state.remove_apple(cell)
         rng = random.Random(3)
         last = len(state.live_apples)
         for _ in range(200):
@@ -404,12 +416,11 @@ class TestWorldInvariants:
     def test_tree_death_is_permanent(self):
         grid = corridor_map()
         state = make_world(grid, 0, (0.5, 0.5))
-        tree = state.trees[0]
-        state.remove_apple(tree.apple_cells[0])
+        state.remove_apple(grid.trees[0][0])
         rng = random.Random(1)
         for _ in range(100):
             regrow(state, rng)
-        assert tree.vanished and tree.live == 0
+        assert state.stock == [0] and state.live_apples == {}
 
     def test_agents_never_share_a_cell(self):
         grid = load_map(DEFAULT_MAP)
@@ -455,7 +466,7 @@ class TestWorldInvariants:
                            for i in sorted(world.agents)}
                 step_world(world, actions, stream)
                 history.append((dict(world.occupied), dict(world.live_apples),
-                                [list(t.alive) for t in world.trees], world.total_consumed))
+                                list(world.stock), world.total_consumed))
             return history
 
         # The twin runs first: any state it shared would change the original's run.
@@ -628,7 +639,8 @@ def scanned_view(state, agent_id, radius=VIEW_RADIUS):
     """The view as a scan over every live apple; the reference for ``build_view``."""
     agent = state.agents[agent_id]
     r0, c0 = agent.position
-    live_counts = [sum(t.alive) for t in state.trees]
+    per_tree = Counter(state.live_apples.values())
+    live_counts = [per_tree[idx] for idx in range(len(state.grid.trees))]
     apples = {}
     for cell, tree_idx in state.live_apples.items():
         if (abs(cell[0] - r0) <= radius and abs(cell[1] - c0) <= radius
@@ -638,10 +650,8 @@ def scanned_view(state, agent_id, radius=VIEW_RADIUS):
 
 
 def assert_stocks_consistent(state):
-    for idx, tree in enumerate(state.trees):
-        entries = sum(1 for i in state.live_apples.values() if i == idx)
-        assert tree.live == sum(tree.alive) == entries
-        assert [cell in state.live_apples for cell in tree.apple_cells] == tree.alive
+    per_tree = Counter(state.live_apples.values())
+    assert state.stock == [per_tree[idx] for idx in range(len(state.grid.trees))]
 
 
 class TestVisibilityTable:
@@ -651,7 +661,7 @@ class TestVisibilityTable:
     @settings(max_examples=60, deadline=None)
     def test_view_equals_scan_over_live_apples(self, grid, data):
         state = make_world(grid, 0, NO_REGROWTH)
-        apple_cells = sorted(grid.apple_slots)
+        apple_cells = sorted(grid.apple_tree)
         for cell in data.draw(st.sets(st.sampled_from(apple_cells))):
             state.remove_apple(cell)
         floor = [c for c in grid.floor if c not in state.live_apples]
@@ -705,7 +715,7 @@ class TestDecisionPath:
     @settings(max_examples=80, deadline=None)
     def test_decision_equals_frozen_view(self, grid, data, seed):
         state = make_world(grid, 0, NO_REGROWTH)
-        for cell in data.draw(st.sets(st.sampled_from(sorted(grid.apple_slots)))):
+        for cell in data.draw(st.sets(st.sampled_from(sorted(grid.apple_tree)))):
             state.remove_apple(cell)
         floor = [c for c in grid.floor if c not in state.live_apples]
         # Agents crowd around an anchor cell, so neighbouring cells are often taken.
@@ -752,6 +762,6 @@ class TestTreeStock:
                 state = state.copy()
                 states.append(state)
             assert_stocks_consistent(state)
-        # A copy that shared trees with its original would break the original's counts.
+        # A copy that shared its stock with its original would break the original's counts.
         for world in states:
             assert_stocks_consistent(world)
