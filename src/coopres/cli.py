@@ -92,9 +92,19 @@ def _formats(args) -> list[str]:
     return formats
 
 
-def _write_outputs(result: GridResult, out_dir: str, formats: list[str]) -> None:
-    """Reports, indicator CSVs and any kept traces of a grid, under ``out_dir``."""
-    out = Path(out_dir)
+def _check_out(out: str, kind: str) -> Path:
+    """``--out`` as a path, refused when it cannot be a ``kind`` ("directory" or "file")."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing == path and path.is_dir() != (kind == "directory"):
+        raise ValueError(f"--out {out} exists and is not a {kind}")
+    if existing != path and not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
+    return path
+
+
+def _write_outputs(result: GridResult, out: Path, formats: list[str]) -> None:
+    """Reports, indicator CSVs and any kept traces of a grid, under ``out``."""
     out.mkdir(parents=True, exist_ok=True)
     emit_report(result, out, formats)
     export_indicators(result, out)
@@ -106,11 +116,12 @@ def _write_outputs(result: GridResult, out_dir: str, formats: list[str]) -> None
 
 def _cmd_run(args) -> int:
     formats = _formats(args)
+    out = _check_out(args.out, "directory")
     config = parse_scenario_config(args.config)
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
     result = run_scenario(config, keep_traces=args.traces)
-    _write_outputs(result, args.out, formats)
+    _write_outputs(result, out, formats)
     report = result.results[(0, 0)].report
     print(f"J = {report.assembled:.6f} "
           f"(L={report.event_count}, K={report.variable_count})")
@@ -118,6 +129,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    out = _check_out(args.out, "file")
     performance = TimeSeries.from_csv(args.performance)
     reference = TimeSeries.from_csv(args.reference)
     pair = CurvePair(performance=performance, reference=reference)
@@ -128,7 +140,6 @@ def _cmd_measure(args) -> int:
         if not triggers:
             raise ValueError("no disruption detected in the curves and no schedule given")
     report = resilience_pipeline({args.name: pair}, triggers)
-    out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     report.to_json(out)
@@ -138,12 +149,13 @@ def _cmd_measure(args) -> int:
 
 def _cmd_grid(args) -> int:
     formats = _formats(args)
+    out = _check_out(args.out, "directory")
     grid = PRESETS[args.preset]()
     if args.seed is not None:
         grid.cells = {cell: replace(cfg, base_seed=args.seed)
                       for cell, cfg in grid.cells.items()}
     result = run_grid(grid)
-    _write_outputs(result, args.out, formats)
+    _write_outputs(result, out, formats)
     for res in result.scenario_results():
         print(f"{res.scenario_id}: J = {res.report.assembled:.6f}")
     return EXIT_OK

@@ -149,6 +149,25 @@ def stack_episodes(per_episode: Sequence[Mapping[str, np.ndarray]]) -> dict[str,
             for name in per_episode[0]}
 
 
+# Ticks the writers format and join at once: bounds the strings held.
+BLOCK_TICKS = 256
+
+
+def join_rows(pieces: Sequence[str], fields: np.ndarray) -> str:
+    """Every row of an object array of strings, its fields set between the literal ``pieces``."""
+    cells = np.empty((len(fields), 2 * fields.shape[1] + 1), dtype=object)
+    cells[:, 0::2] = np.array(pieces, dtype=object)
+    cells[:, 1::2] = fields
+    return "".join(cells.ravel().tolist())
+
+
+def _repr_strings(column: np.ndarray) -> np.ndarray:
+    """``repr`` of each float of a 1-D column, taken once per distinct bit pattern."""
+    bits, inverse = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    return np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
+
+
 def write_indicator_csv(curves: Mapping[str, np.ndarray], path: str | Path) -> None:
     """Write equal-length curves as a ``tick`` column plus one column per indicator.
 
@@ -156,8 +175,11 @@ def write_indicator_csv(curves: Mapping[str, np.ndarray], path: str | Path) -> N
     needs quoting, since names come from ``INDICATORS`` and a float's
     ``repr`` holds no comma or quote.
     """
-    row = "{}," + ",".join(["{!r}"] * len(curves)) + "\r\n"
-    columns = [c.tolist() for c in curves.values()]
+    h = len(next(iter(curves.values()), ()))
+    fields = np.stack([np.array([str(t) for t in range(h)], dtype=object),
+                       *map(_repr_strings, curves.values())], axis=1)
+    pieces = ["", *[","] * len(curves), "\r\n"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["tick", *curves]) + "\r\n")
-        fh.writelines(row.format(i, *values) for i, values in enumerate(zip(*columns)))
+        for start in range(0, h, BLOCK_TICKS):
+            fh.write(join_rows(pieces, fields[start:start + BLOCK_TICKS]))

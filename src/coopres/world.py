@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .indicators import EpisodeTrace
+from .indicators import BLOCK_TICKS, EpisodeTrace, join_rows
 
 Cell = tuple[int, int]
 
@@ -559,22 +559,29 @@ def policy_action(policy: PolicyKind, state: WorldState, agent_id: int,
     return wander(state, pos, rng, forbidden)
 
 
-# Ticks formatted per block: bounds the Python ints held at once.
-TRACE_BLOCK_TICKS = 256
+def _trace_record_pieces(n_trees: int, n_agents: int) -> list[str]:
+    """Literal text of a trace record around its fields, as ``json.dumps`` writes it.
 
-
-def _trace_record_format(n_trees: int, n_agents: int) -> str:
-    """``str.format`` template of a trace record, without its closing brace.
-
-    Its fields take the tick, the live apples per tree, then consumed,
-    hunger ticks, row and column for each agent in turn; filled with
-    Python ints it reads as ``json.dumps`` would write the record.
+    The fields are the tick, the live apples per tree, then consumed, hunger
+    ticks, row and column for each agent in turn, and last the ``bots``
+    entry, empty on ticks without bots.
     """
     agents = ", ".join(f'"{i}": {{"consumed": @, "hunger_ticks": @, "pos": [@, @]}}'
                        for i in range(n_agents))
-    record = ('{"tick": @, "apples_per_tree": [' + ", ".join(["@"] * n_trees)
-              + '], "per_agent": {' + agents + "}")
-    return record.replace("{", "{{").replace("}", "}}").replace("@", "{}")
+    return ('{"tick": @, "apples_per_tree": [' + ", ".join(["@"] * n_trees)
+            + '], "per_agent": {' + agents + "}@}\n").split("@")
+
+
+def _int_strings(block: np.ndarray) -> np.ndarray:
+    """``str`` of each int of ``block``, as an object array of its shape.
+
+    Looked up in a table over ``min..max`` when that range is no wider than
+    the block, else taken value by value, so any int64 comes out right.
+    """
+    lo, hi = int(block.min()), int(block.max())
+    if hi - lo >= block.size:
+        return np.array(list(map(str, block.ravel().tolist())), dtype=object).reshape(block.shape)
+    return np.array([str(v) for v in range(lo, hi + 1)], dtype=object)[block - lo]
 
 
 def write_trace_jsonl(trace: EpisodeTrace, path: str | Path) -> None:
@@ -587,25 +594,24 @@ def write_trace_jsonl(trace: EpisodeTrace, path: str | Path) -> None:
     if trace.positions is None:
         raise ValueError("trace has no recorded positions")
     h, n = trace.horizon, trace.n_agents
-    head = _trace_record_format(trace.apples_per_tree.shape[1], n)
-    line = head + "}}\n"
+    pieces = _trace_record_pieces(trace.apples_per_tree.shape[1], n)
     with open(path, "w") as fh:
-        for start in range(0, h, TRACE_BLOCK_TICKS):
-            ticks = slice(start, min(start + TRACE_BLOCK_TICKS, h))
-            # One column per template field: agent i's four sit side by side.
+        for start in range(0, h, BLOCK_TICKS):
+            ticks = slice(start, min(start + BLOCK_TICKS, h))
+            # One column per record field: agent i's four sit side by side.
             per_agent = np.stack([trace.consumed[ticks], trace.hunger_ticks[ticks],
                                   trace.positions[ticks, :, 0], trace.positions[ticks, :, 1]],
                                  axis=2)
             rows = np.concatenate([np.arange(h)[ticks, None], trace.apples_per_tree[ticks],
                                    per_agent.reshape(len(per_agent), 4 * n)],
-                                  axis=1, dtype=np.int64).tolist()
-            lines = [line.format(*row) for row in rows]
+                                  axis=1, dtype=np.int64)
+            ends = np.full(len(rows), "", dtype=object)
             for i, bots in enumerate(trace.bot_records[ticks]):
                 if bots:
                     listed = [{"id": bid, "pos": [pos[0], pos[1]], "consumed": consumed}
                               for bid, pos, consumed in bots]
-                    lines[i] = head.format(*rows[i]) + ', "bots": ' + json.dumps(listed) + "}\n"
-            fh.writelines(lines)
+                    ends[i] = ', "bots": ' + json.dumps(listed)
+            fh.write(join_rows(pieces, np.column_stack([_int_strings(rows), ends])))
 
 
 # The bundled 24x18 map: six 6-apple trees, eight spawn points.

@@ -14,6 +14,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+import coopres.cli
 import coopres.harness
 import coopres.resilience
 from coopres.cli import main
@@ -363,6 +364,40 @@ RUN_DIGESTS = {
 }
 
 
+# sha256 of every file that `run --traces` writes for PIN_CONFIG, as written
+# by CPython 3.11.7 with numpy 2.4.6: the indicator CSVs and the traces are
+# pinned byte for byte, across a BLOCK_TICKS boundary with bots on the
+# map.
+PIN_CONFIG = """\
+[events]
+schedule =
+    apple_vanish 200 0.5
+    bot_intrusion 240 40 2
+[pipeline]
+episode_length = 320
+episodes = 2
+"""
+
+RUN_TRACES_DIGESTS = {
+    "heatmap.svg": "35804097e7644cf1198099f55949119dc579a71c2bea4077eb6298e7228ad3d7",
+    "pin_performance.csv": "2607a1d4c77d883e6e3cb8bc3579c7e0084bfcc05d378782fe859b47b8be685f",
+    "pin_performance_std.csv":
+        "c2f99649289b9fd5b7ce8f6ea8aacc806e2ce79a7a79b46d1708ff2dcaf19748",
+    "pin_reference.csv": "5f483693a9b35d9ac6c05a0848db2d692f0870d85d403e4d819c3d71488f9308",
+    "pin_reference_std.csv": "793568009f9d09b166207b1b12715721251c274c414bd7b659a7d3de58f774b6",
+    "report.csv": "9e71980ed988e628a70a256cdcaae3b36481377a9988afd6bdc805db6bc0aa05",
+    "report.json": "67cc630abd37ab5e7d5a00557f2ad74aa5579b16d0cec510a808b0dd5a1b8ce5",
+    "trace_performance_ep0.jsonl":
+        "5c017be2b6fb2adca23475b12e01cb5dd8b9abf44dc0f6df91f5b34d08ca3a04",
+    "trace_performance_ep1.jsonl":
+        "d25d8b48df032b9230c96612b2b4bd3878d4e235f8fd4ce9e7e60ea6e471745c",
+    "trace_reference_ep0.jsonl":
+        "1880f38bd4c368021ec833ddb9d1832879aa88619e52a92d7fad285dad1fa756",
+    "trace_reference_ep1.jsonl":
+        "9591fde4f47f1a5aee4f3aabd5a544ce1be3ff8d726bfdc357ce91090747177a",
+}
+
+
 class TestRun:
     def test_outputs_land_under_out_dir(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "results"
@@ -448,6 +483,15 @@ class TestRun:
                    if p.name == "report.json" or p.name.startswith("trace_")}
         assert digests == RUN_DIGESTS
 
+    def test_every_output_file_pinned(self, tmp_path):
+        path = tmp_path / "pin.ini"
+        path.write_text(PIN_CONFIG)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out), "--traces"]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(out.iterdir())}
+        assert digests == RUN_TRACES_DIGESTS
+
     def test_heatmap_is_well_formed_for_any_scenario_id(self, tmp_path):
         path = tmp_path / "tiny.ini"
         path.write_text(TINY_CONFIG + "scenario_id = a<b&c\n")
@@ -523,3 +567,30 @@ class TestArgsAndExitCodes:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["dance"]) == 1
+
+    # An --out that cannot be made was once refused only when the outputs
+    # were written, after every episode had run.
+    @pytest.mark.parametrize("command, out", [
+        (["run", "--config", "{config}", "--traces"], "a_file"),
+        (["run", "--config", "{config}"], "a_file/sub"),
+        (["grid", "--preset", "bots"], "a_file"),
+        (["grid", "--preset", "table2"], "a_file/sub/deeper"),
+        (["measure", "--performance", "p.csv", "--reference", "r.csv"], "a_dir"),
+        (["measure", "--performance", "p.csv", "--reference", "r.csv"], "a_file/r.json"),
+    ], ids=["run_file", "run_under_file", "grid_file", "grid_under_file", "measure_dir",
+            "measure_under_file"])
+    def test_unusable_out_refused_before_any_work(self, tiny_config, tmp_path, capsys,
+                                                  monkeypatch, command, out):
+        def never(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(coopres.harness, "run_episode", never)
+        monkeypatch.setattr(coopres.cli.TimeSeries, "from_csv", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "a_dir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        argv = [arg.format(config=tiny_config) for arg in command]
+        assert main([*argv, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error:input: --out {out}")
+        assert sorted(tmp_path.rglob("*")) == before

@@ -296,11 +296,33 @@ class TestIndicatorCsv:
     def test_bytes_equal_csv_writer(self, names, tmp_path):
         awkward = [-0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3, 6.0]
         curves = {name: np.roll(awkward, k) for k, name in enumerate(names)}
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["tick", *names])
-        writer.writerows([i, *(repr(v) for v in row)]
-                         for i, row in enumerate(zip(*(c.tolist() for c in curves.values()))))
         path = tmp_path / "indicators.csv"
         write_indicator_csv(curves, path)
-        assert path.read_bytes() == expected.getvalue().encode()
+        assert path.read_bytes() == csv_writer_bytes(curves)
+
+    # Values repeat within and across columns, as piecewise-constant curves
+    # do; the pool always holds both zeros, subnormals and 17-digit values.
+    @given(data=st.data(),
+           drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+           n_columns=st.integers(1, len(INDICATOR_NAMES)), h=st.integers(0, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_csv_writer_on_repeated_values(self, tmp_path_factory, data, drawn,
+                                                       n_columns, h):
+        pool = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 0.1 + 0.2, 1 / 3,
+                1.7976931348623157e308, *drawn]
+        picks = st.lists(st.integers(0, len(pool) - 1), min_size=h, max_size=h)
+        curves = {name: np.array([pool[i] for i in data.draw(picks)], dtype=np.float64)
+                  for name in INDICATOR_NAMES[:n_columns]}
+        path = tmp_path_factory.getbasetemp() / "repeated.csv"
+        write_indicator_csv(curves, path)
+        assert path.read_bytes() == csv_writer_bytes(curves)
+
+
+def csv_writer_bytes(curves):
+    """The file ``csv.writer`` writes, each value by its ``repr``: the reference for the writer."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["tick", *curves])
+    writer.writerows([i, *(repr(v) for v in row)]
+                     for i, row in enumerate(zip(*(c.tolist() for c in curves.values()))))
+    return expected.getvalue().encode()

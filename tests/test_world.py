@@ -6,15 +6,16 @@ import random
 from collections import Counter, deque
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopres.disruptions import EventEngine, apply_apple_vanish, parse_schedule
+from coopres.indicators import BLOCK_TICKS, EpisodeTrace
 from coopres.world import (
     ACTIONS,
     DEFAULT_MAP,
-    TRACE_BLOCK_TICKS,
     UNREACHABLE,
     VIEW_RADIUS,
     ZAP_COOLDOWN,
@@ -550,7 +551,7 @@ def dumped_records(trace):
                 for i in range(trace.n_agents)
             },
         }
-        if trace.bot_records[t]:
+        if trace.bot_records and trace.bot_records[t]:
             record["bots"] = [{"id": bid, "pos": [pos[0], pos[1]], "consumed": consumed}
                               for bid, pos, consumed in trace.bot_records[t]]
         yield json.dumps(record)
@@ -582,14 +583,46 @@ class TestTraceExport:
             "5 agents": ScenarioConfig(),
             # Two bots stay across the boundary between the first two blocks.
             "bots": ScenarioConfig(schedule=parse_schedule(
-                f"bot_intrusion {TRACE_BLOCK_TICKS - 6} 12 2\n")),
+                f"bot_intrusion {BLOCK_TICKS - 6} 12 2\n")),
             "walled map": ScenarioConfig(map_text=WALLED_MAP_TEXT, policies=(greedy, sustainable)),
         }[shape]
-        config = replace(config, episode_length=2 * TRACE_BLOCK_TICKS + 3)
+        config = replace(config, episode_length=2 * BLOCK_TICKS + 3)
         trace = run_episode(config, seed=3, with_events=True)
         if shape == "bots":
             assert {len(bots) for bots in trace.bot_records} == {0, 2}
         path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(trace, path)
+        assert path.read_text().splitlines() == list(dumped_records(trace))
+
+    # Values far outside any episode's (negative, beyond 2**40, int64's
+    # ends) and blocks whose values span more than the block holds.
+    @given(seed=st.integers(0, 2**32 - 1), lo=st.integers(-2**63, 2**63 - 1),
+           span=st.sampled_from([0, 6, 1500, 2**40, 2**64]),
+           h=st.integers(BLOCK_TICKS + 1, 3 * BLOCK_TICKS),
+           n_trees=st.integers(0, 6), n_agents=st.integers(1, 5), with_bots=st.booleans())
+    @example(seed=0, lo=-2**63, span=2**64, h=BLOCK_TICKS + 1, n_trees=6, n_agents=5,
+             with_bots=True)
+    @example(seed=1, lo=2**40, span=6, h=2 * BLOCK_TICKS + 3, n_trees=6, n_agents=2,
+             with_bots=False)
+    @settings(max_examples=40, deadline=None)
+    def test_jsonl_lines_equal_json_dumps_for_any_int64(self, tmp_path_factory, seed, lo, span,
+                                                         h, n_trees, n_agents, with_bots):
+        rng = np.random.default_rng(seed)
+        hi = min(lo + span, 2**63 - 1)
+
+        def ints(*shape):
+            return rng.integers(lo, hi, size=shape, dtype=np.int64, endpoint=True)
+
+        # Ticks with zero, one or two bots, their ints drawn like the rest.
+        bot_records = [[(n_agents + b, (v, -v), v) for b, v in enumerate(ints(t % 3).tolist())]
+                       for t in range(h)] if with_bots else []
+        zeros = np.zeros(h, dtype=np.int64)
+        trace = EpisodeTrace(n_agents=n_agents, apples_per_tree=ints(h, n_trees),
+                             consumed=ints(h, n_agents), hunger_ticks=ints(h, n_agents),
+                             ledger_consumed=zeros, ledger_regrown=zeros,
+                             ledger_event_vanished=zeros, positions=ints(h, n_agents, 2),
+                             bot_records=bot_records)
+        path = tmp_path_factory.getbasetemp() / "any_int64.jsonl"
         write_trace_jsonl(trace, path)
         assert path.read_text().splitlines() == list(dumped_records(trace))
 
