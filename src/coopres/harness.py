@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .disruptions import Event, EventEngine, EventKind, EventSchedule, parse_schedule
-from .indicators import INDICATOR_NAMES, EpisodeTrace, compute_indicators, stack_episodes
+from .indicators import (DEFAULT_H_MAX, INDICATOR_NAMES, EpisodeTrace, compute_indicators,
+                         stack_episodes)
 from .resilience import CurvePair, ResilienceReport, partition_windows, resilience_pipeline
 from .timeseries import TimeSeries
 from .world import (
@@ -74,7 +75,7 @@ class ScenarioConfig:
     schedule: EventSchedule = field(default_factory=EventSchedule)
     base_seed: int = DEFAULT_SEED
     regrowth_table: tuple[float, ...] = DEFAULT_REGROWTH_TABLE
-    h_max: int = 100
+    h_max: int = DEFAULT_H_MAX
     indicators: tuple[str, ...] = INDICATOR_NAMES
 
     @property
@@ -88,6 +89,9 @@ class ScenarioConfig:
                 f"scenario_id {self.scenario_id!r} must be a plain file name component")
         if self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
+        # random.Random(-s) seeds as Random(s): a negative seed would repeat a positive one.
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed {self.base_seed} must be >= 0")
         if not self.policies:
             raise ConfigError("at least one agent policy is required")
         if self.episode_length < 2:
@@ -175,10 +179,8 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
 
     Each tick's row is recorded after any events scheduled for that tick
     have fired and before agents act, so tick 0 shows the pristine world
-    and an event's impact is visible from its trigger tick onward.  Rows go
-    to one int64 buffer (live apples per tree, then consumed, hunger ticks,
-    row and column per agent, then the three ledgers), split into the
-    trace's arrays when the episode ends.
+    and an event's impact is visible from its trigger tick onward.  The
+    rows fill one int64 buffer, laid out as ``EpisodeTrace.rows``.
 
     Agents decide in id order, each as ``policy_action`` on its
     ``build_view`` would, with the same draws.  A sustainable or greedy
@@ -297,13 +299,8 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
         quiet = not acting and state.total_regrown == regrown
     fill(h)
 
-    per_agent = rows[:, nt:-3].reshape(h, n, 4)
-    trace = EpisodeTrace(
-        n_agents=n, apples_per_tree=rows[:, :nt].astype(np.int32),
-        consumed=per_agent[:, :, 0].copy(), hunger_ticks=per_agent[:, :, 1].copy(),
-        ledger_consumed=rows[:, -3].copy(), ledger_regrown=rows[:, -2].copy(),
-        ledger_event_vanished=rows[:, -1].copy(), fired_triggers=tuple(engine.fired),
-        positions=per_agent[:, :, 2:].astype(np.int32), bot_records=bot_records)
+    trace = EpisodeTrace(n_agents=n, rows=rows, fired_triggers=tuple(engine.fired),
+                         bot_records=bot_records)
     trace.validate()
     return trace
 

@@ -17,43 +17,42 @@ DEFAULT_H_MAX = 100
 
 @dataclass
 class EpisodeTrace:
-    """Per-tick record of one simulated episode.
+    """Per-tick record of one simulated episode: one int64 row per tick.
 
-    Arrays are indexed by tick along axis 0.  ``consumed`` and
+    A row holds the live apples per tree in map order, then consumed,
+    hunger ticks, row and column of each welfare agent in turn, then the
+    cumulative ledgers of apples consumed, regrown and vanished by events.
+    ``apples_per_tree``, ``consumed``, ``hunger_ticks``, ``positions`` and
+    ``ledger_*`` are views of those columns.  ``consumed`` and
     ``hunger_ticks`` cover the welfare population only (bots excluded);
-    ``ledger_*`` columns are cumulative counts over the whole world and
-    include bot consumption.
+    the ledgers count the whole world and include bot consumption.
     """
 
     n_agents: int
-    apples_per_tree: np.ndarray          # (horizon, n_trees) live apples per tree
-    consumed: np.ndarray                 # (horizon, n_agents) cumulative apples eaten
-    hunger_ticks: np.ndarray             # (horizon, n_agents) ticks since last meal
-    ledger_consumed: np.ndarray          # (horizon,) cumulative, all agents
-    ledger_regrown: np.ndarray           # (horizon,) cumulative
-    ledger_event_vanished: np.ndarray    # (horizon,) cumulative
+    rows: np.ndarray  # (horizon, n_trees + 4 * n_agents + 3)
     fired_triggers: tuple[int, ...] = ()
-    positions: np.ndarray | None = None  # (horizon, n_agents, 2), for trace export
     bot_records: list = field(default_factory=list)  # per tick: [(id, (r, c), consumed)]
+
+    def __post_init__(self) -> None:
+        n, rows = self.n_agents, self.rows
+        if rows.ndim != 2 or rows.shape[1] < 4 * n + 3:
+            raise ValueError(f"rows shape {rows.shape} leaves no room for {n} agents and 3 ledgers")
+        per_agent = rows[:, -4 * n - 3:-3].reshape(len(rows), n, 4)
+        self.apples_per_tree = rows[:, :-4 * n - 3]
+        self.consumed, self.hunger_ticks = per_agent[:, :, 0], per_agent[:, :, 1]
+        self.positions = per_agent[:, :, 2:]
+        self.ledger_consumed, self.ledger_regrown, self.ledger_event_vanished = rows[:, -3:].T
 
     @property
     def horizon(self) -> int:
-        return self.apples_per_tree.shape[0]
+        return len(self.rows)
 
     def live_tree_count(self) -> np.ndarray:
         return (self.apples_per_tree > 0).sum(axis=1)
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
-        if self.apples_per_tree.ndim != 2:
-            raise ValueError(f"apples_per_tree shape {self.apples_per_tree.shape} is not 2-D")
-        h, n = self.horizon, self.n_agents
-        shapes = {"consumed": (h, n), "hunger_ticks": (h, n), "ledger_consumed": (h,),
-                  "ledger_regrown": (h,), "ledger_event_vanished": (h,),
-                  "positions": (h, n, 2) if self.positions is not None else None}
-        for name, shape in shapes.items():
-            if shape is not None and getattr(self, name).shape != shape:
-                raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
+        h = self.horizon
         if len(self.bot_records) not in (0, h):
             raise ValueError(f"bot_records has {len(self.bot_records)} entries, not 0 or {h}")
         if np.any(np.diff(self.consumed, axis=0) < 0):

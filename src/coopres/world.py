@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -572,16 +572,17 @@ def _trace_record_pieces(n_trees: int, n_agents: int) -> list[str]:
             + '], "per_agent": {' + agents + "}@}\n").split("@")
 
 
-def _int_strings(block: np.ndarray) -> np.ndarray:
-    """``str`` of each int of ``block``, as an object array of its shape.
+def _int_strings(lo: int, hi: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``str`` of each int of a block whose values lie in ``lo..hi``, as an object array.
 
-    Looked up in a table over ``min..max`` when that range is no wider than
-    the block, else taken value by value, so any int64 comes out right.
+    Looked up in one table over ``lo..hi`` when that range is narrower than
+    ``size``, the count of ints to format, else taken value by value, so any
+    int64 comes out right.
     """
-    lo, hi = int(block.min()), int(block.max())
-    if hi - lo >= block.size:
-        return np.array(list(map(str, block.ravel().tolist())), dtype=object).reshape(block.shape)
-    return np.array([str(v) for v in range(lo, hi + 1)], dtype=object)[block - lo]
+    if hi - lo >= size:
+        return lambda block: block.astype(str).astype(object)
+    table = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+    return lambda block: table[block - lo]
 
 
 def write_trace_jsonl(trace: EpisodeTrace, path: str | Path) -> None:
@@ -589,29 +590,25 @@ def write_trace_jsonl(trace: EpisodeTrace, path: str | Path) -> None:
 
     A record holds ``tick``, ``apples_per_tree`` and ``per_agent`` (keyed by
     agent id: ``consumed``, ``hunger_ticks``, ``pos``), all ints, and a
-    ``bots`` list only on ticks with bots on the map.
+    ``bots`` list only on ticks with bots on the map.  Its fields are the
+    tick, then the tick's row without the ledgers.
     """
-    if trace.positions is None:
-        raise ValueError("trace has no recorded positions")
-    h, n = trace.horizon, trace.n_agents
-    pieces = _trace_record_pieces(trace.apples_per_tree.shape[1], n)
+    ticks, fields = np.arange(trace.horizon), trace.rows[:, :-3]
+    pieces = _trace_record_pieces(trace.apples_per_tree.shape[1], trace.n_agents)
+    # ``initial`` takes the ticks 0..horizon - 1 into the range.
+    strings = _int_strings(int(fields.min(initial=0)), int(fields.max(initial=len(ticks) - 1)),
+                           ticks.size + fields.size)
     with open(path, "w") as fh:
-        for start in range(0, h, BLOCK_TICKS):
-            ticks = slice(start, min(start + BLOCK_TICKS, h))
-            # One column per record field: agent i's four sit side by side.
-            per_agent = np.stack([trace.consumed[ticks], trace.hunger_ticks[ticks],
-                                  trace.positions[ticks, :, 0], trace.positions[ticks, :, 1]],
-                                 axis=2)
-            rows = np.concatenate([np.arange(h)[ticks, None], trace.apples_per_tree[ticks],
-                                   per_agent.reshape(len(per_agent), 4 * n)],
-                                  axis=1, dtype=np.int64)
-            ends = np.full(len(rows), "", dtype=object)
-            for i, bots in enumerate(trace.bot_records[ticks]):
+        for start in range(0, len(ticks), BLOCK_TICKS):
+            block = slice(start, start + BLOCK_TICKS)
+            ends = np.full(len(ticks[block]), "", dtype=object)
+            for i, bots in enumerate(trace.bot_records[block]):
                 if bots:
                     listed = [{"id": bid, "pos": [pos[0], pos[1]], "consumed": consumed}
                               for bid, pos, consumed in bots]
                     ends[i] = ', "bots": ' + json.dumps(listed)
-            fh.write(join_rows(pieces, np.column_stack([_int_strings(rows), ends])))
+            fh.write(join_rows(pieces, np.column_stack(
+                [strings(ticks[block]), strings(fields[block]), ends])))
 
 
 # The bundled 24x18 map: six 6-apple trees, eight spawn points.

@@ -7,12 +7,13 @@ from coopres.indicators import EpisodeTrace
 
 
 def build_trace(apples_per_tree, consumed, hunger_ticks=None, **kwargs) -> EpisodeTrace:
-    """Assemble a structurally valid trace from per-tick arrays.
+    """Assemble a structurally valid trace, its rows built from per-tick arrays.
 
     When ``hunger_ticks`` is omitted it is derived from the consumption
     matrix (reset on every increase, +1 otherwise, starting at 0).
+    Positions and ledgers are 0.
     """
-    apples = np.asarray(apples_per_tree, dtype=np.int32)
+    apples = np.asarray(apples_per_tree, dtype=np.int64)
     eaten = np.asarray(consumed, dtype=np.int64)
     h, n = eaten.shape
     if hunger_ticks is None:
@@ -22,12 +23,11 @@ def build_trace(apples_per_tree, consumed, hunger_ticks=None, **kwargs) -> Episo
             hunger[t] = np.where(ate, 0, hunger[t - 1] + 1)
     else:
         hunger = np.asarray(hunger_ticks, dtype=np.int64)
-    zeros = np.zeros(h, dtype=np.int64)
-    defaults = dict(ledger_consumed=zeros, ledger_regrown=zeros,
-                    ledger_event_vanished=zeros)
-    defaults.update(kwargs)
-    return EpisodeTrace(n_agents=n, apples_per_tree=apples, consumed=eaten,
-                        hunger_ticks=hunger, **defaults)
+    per_agent = np.zeros((h, n, 4), dtype=np.int64)
+    per_agent[:, :, 0], per_agent[:, :, 1] = eaten, hunger
+    rows = np.concatenate([apples, per_agent.reshape(h, 4 * n), np.zeros((h, 3), np.int64)],
+                          axis=1)
+    return EpisodeTrace(n_agents=n, rows=rows, **kwargs)
 
 
 def write_raw_curve(path, values, t0=0):

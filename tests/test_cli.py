@@ -448,6 +448,29 @@ class TestRun:
         assert a == (out_b / "report.json").read_text()
         assert a != (out_c / "report.json").read_text()
 
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_negative_seed_refused_before_any_episode(self, tiny_config, tmp_path, capsys,
+                                                      monkeypatch, command):
+        # random.Random(-1) seeds as Random(1): seeds -1.. would repeat episodes of 1..
+        episodes = []
+        monkeypatch.setattr(coopres.harness, "run_episode",
+                            lambda *args, **kwargs: episodes.append(args))
+        argv = {"run": ["run", "--config", str(tiny_config)],
+                "grid": ["grid", "--preset", "bots"]}[command]
+        assert main([*argv, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error:config: base_seed -1 must be >= 0\n"
+        assert episodes == []
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_config_seed_refused_and_seed_0_runs(self, tmp_path, capsys):
+        path = tmp_path / "negative.ini"
+        path.write_text(TINY_CONFIG + "base_seed = -2\n")
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error:config: base_seed -2 must be >= 0\n"
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
+        assert (out / "report.json").exists()
+
     def test_indicator_columns_in_canonical_order(self, tmp_path):
         path = tmp_path / "subset.ini"
         path.write_text(TINY_CONFIG + "indicators = hunger_index, apples_pc\n")

@@ -213,14 +213,9 @@ class TestRunEpisode:
         assert trace.consumed.shape == (120, cfg.n_agents)
 
 
-TRACE_ARRAYS = ("apples_per_tree", "consumed", "hunger_ticks", "ledger_consumed",
-                "ledger_regrown", "ledger_event_vanished", "positions")
-
-
 def assert_same_trace(a: EpisodeTrace, b: EpisodeTrace) -> None:
-    for name in TRACE_ARRAYS:
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert a.n_agents == b.n_agents
+    assert a.rows.dtype == b.rows.dtype and np.array_equal(a.rows, b.rows)
     assert a.bot_records == b.bot_records
     assert a.fired_triggers == b.fired_triggers
 
@@ -317,27 +312,22 @@ def plain_episode(config, seed, with_events):
     state = make_world(load_map(config.map_text), config.n_agents, config.regrowth_table)
     rng, event_rng = random.Random(seed), random.Random(f"coopres-events-{seed}")
     engine = EventEngine(config.schedule if with_events else EventSchedule())
-    apples, per_agent, ledgers, bot_records = [], [], [], []
+    rows, bot_records = [], []
     for t in range(config.episode_length):
         engine.fire_events(state, t, event_rng)
         stocks = state.stock.copy()
-        apples.append(stocks)
-        per_agent.append([(a.cumulative_consumed, a.ticks_since_meal, *a.position)
-                          for a in (state.agents[i] for i in range(config.n_agents))])
-        ledgers.append((state.total_consumed, state.total_regrown, state.total_event_vanished))
+        row = list(stocks)
+        for a in (state.agents[i] for i in range(config.n_agents)):
+            row += a.cumulative_consumed, a.ticks_since_meal, *a.position
+        rows.append(row + [state.total_consumed, state.total_regrown, state.total_event_vanished])
         bot_records.append([(b.id, b.position, b.cumulative_consumed) for b in state.bots()])
         actions = {i: policy_action(PolicyKind.UNSUSTAINABLE_BOT if a.is_bot
                                     else config.policies[i],
                                     state, i, build_view(state, i, stocks), rng)
                    for i, a in sorted(state.agents.items())}
         step_world(state, actions, rng)
-    per_agent, ledgers = np.array(per_agent, dtype=np.int64), np.array(ledgers, dtype=np.int64)
-    return EpisodeTrace(
-        n_agents=config.n_agents, apples_per_tree=np.array(apples, dtype=np.int32),
-        consumed=per_agent[:, :, 0], hunger_ticks=per_agent[:, :, 1],
-        ledger_consumed=ledgers[:, 0], ledger_regrown=ledgers[:, 1],
-        ledger_event_vanished=ledgers[:, 2], fired_triggers=tuple(engine.fired),
-        positions=per_agent[:, :, 2:].astype(np.int32), bot_records=bot_records)
+    return EpisodeTrace(n_agents=config.n_agents, rows=np.array(rows, dtype=np.int64),
+                        fired_triggers=tuple(engine.fired), bot_records=bot_records)
 
 
 @st.composite

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,27 +194,27 @@ class TestTraceValidation:
         with pytest.raises(ValueError, match="reset"):
             trace.validate()
 
-    # One slip per array, as a mis-split row buffer would leave it.
+    # Rows too narrow for the agents' columns and the ledgers, and a bot
+    # record missing.
     BAD_SHAPES = {
-        "apples_per_tree": lambda t: np.ones(t.horizon, dtype=np.int32),
-        "consumed": lambda t: t.consumed[:, :-1],
-        "hunger_ticks": lambda t: t.hunger_ticks[:-1],
-        "ledger_consumed": lambda t: t.ledger_consumed[:-1],
-        "ledger_regrown": lambda t: np.zeros((t.horizon, 1), dtype=np.int64),
-        "ledger_event_vanished": lambda t: t.ledger_event_vanished[:-1],
-        "positions": lambda t: np.zeros((t.horizon, t.n_agents), dtype=np.int32),
-        "bot_records": lambda t: [[]] * (t.horizon - 1),
+        "rows": lambda t: {"rows": t.rows[:, 3:]},
+        "bot_records": lambda t: {"bot_records": [[]] * (t.horizon - 1)},
     }
 
     @pytest.mark.parametrize("name", sorted(BAD_SHAPES))
     def test_every_array_shape_is_checked(self, name):
-        trace = build_trace(np.ones((4, 2)), np.zeros((4, 3)),
-                            positions=np.zeros((4, 3, 2), dtype=np.int32),
-                            bot_records=[[]] * 4)
+        trace = build_trace(np.ones((4, 2)), np.zeros((4, 3)), bot_records=[[]] * 4)
         trace.validate()
-        setattr(trace, name, self.BAD_SHAPES[name](trace))
         with pytest.raises(ValueError, match=name):
-            trace.validate()
+            replace(trace, **self.BAD_SHAPES[name](trace)).validate()
+
+    def test_every_field_is_a_view_of_the_rows(self):
+        trace = build_trace(np.ones((4, 2)), np.arange(12).reshape(4, 3))
+        for name in ("apples_per_tree", "consumed", "hunger_ticks", "positions",
+                     "ledger_consumed", "ledger_regrown", "ledger_event_vanished"):
+            assert np.shares_memory(getattr(trace, name), trace.rows), name
+        assert trace.consumed.tolist() == np.arange(12).reshape(4, 3).tolist()
+        assert trace.positions.shape == (4, 3, 2)
 
 
 class TestComputeIndicators:

@@ -485,7 +485,8 @@ TRAJECTORY_DIGESTS = {
 
 # sha256 of run_episode's trace arrays and bot records for the same policies
 # and schedule over 300 ticks, taken before idle agents and idle ticks
-# skipped the decision and step machinery.
+# skipped the decision and step machinery, with each array at the dtype it
+# had then.
 EPISODE_DIGESTS = {
     0: "ff06ca58a0222c9062d4bbebb566b967e947581e696c8ebc16ac6ec9abb08d86",
     1: "6acbd846548cc4d3b61cd1e2390e27b98e3a796ee99ba170279ece8e341e304e",
@@ -528,9 +529,11 @@ class TestTrajectoryPinned:
                                     "apple_vanish 60 0.5\nbot_intrusion 100 120 2\n"))
         trace = run_episode(config, seed, with_events=True)
         digest = hashlib.sha256()
-        for name in ("apples_per_tree", "consumed", "hunger_ticks", "ledger_consumed",
-                     "ledger_regrown", "ledger_event_vanished", "positions"):
-            digest.update(getattr(trace, name).tobytes())
+        for name, dtype in (("apples_per_tree", np.int32), ("consumed", np.int64),
+                            ("hunger_ticks", np.int64), ("ledger_consumed", np.int64),
+                            ("ledger_regrown", np.int64), ("ledger_event_vanished", np.int64),
+                            ("positions", np.int32)):
+            digest.update(getattr(trace, name).astype(dtype).tobytes())
         digest.update(repr(trace.bot_records).encode())
         assert trace.fired_triggers == (60, 100)
         assert digest.hexdigest() == EPISODE_DIGESTS[seed]
@@ -595,7 +598,8 @@ class TestTraceExport:
         assert path.read_text().splitlines() == list(dumped_records(trace))
 
     # Values far outside any episode's (negative, beyond 2**40, int64's
-    # ends) and blocks whose values span more than the block holds.
+    # ends), files whose values span more than the file holds, and
+    # negative values looked up in the table.
     @given(seed=st.integers(0, 2**32 - 1), lo=st.integers(-2**63, 2**63 - 1),
            span=st.sampled_from([0, 6, 1500, 2**40, 2**64]),
            h=st.integers(BLOCK_TICKS + 1, 3 * BLOCK_TICKS),
@@ -604,6 +608,8 @@ class TestTraceExport:
              with_bots=True)
     @example(seed=1, lo=2**40, span=6, h=2 * BLOCK_TICKS + 3, n_trees=6, n_agents=2,
              with_bots=False)
+    @example(seed=2, lo=-6, span=6, h=2 * BLOCK_TICKS + 3, n_trees=6, n_agents=2,
+             with_bots=True)
     @settings(max_examples=40, deadline=None)
     def test_jsonl_lines_equal_json_dumps_for_any_int64(self, tmp_path_factory, seed, lo, span,
                                                          h, n_trees, n_agents, with_bots):
@@ -616,19 +622,11 @@ class TestTraceExport:
         # Ticks with zero, one or two bots, their ints drawn like the rest.
         bot_records = [[(n_agents + b, (v, -v), v) for b, v in enumerate(ints(t % 3).tolist())]
                        for t in range(h)] if with_bots else []
-        zeros = np.zeros(h, dtype=np.int64)
-        trace = EpisodeTrace(n_agents=n_agents, apples_per_tree=ints(h, n_trees),
-                             consumed=ints(h, n_agents), hunger_ticks=ints(h, n_agents),
-                             ledger_consumed=zeros, ledger_regrown=zeros,
-                             ledger_event_vanished=zeros, positions=ints(h, n_agents, 2),
+        trace = EpisodeTrace(n_agents=n_agents, rows=ints(h, n_trees + 4 * n_agents + 3),
                              bot_records=bot_records)
         path = tmp_path_factory.getbasetemp() / "any_int64.jsonl"
         write_trace_jsonl(trace, path)
         assert path.read_text().splitlines() == list(dumped_records(trace))
-
-    def test_jsonl_requires_positions(self, flat_trace):
-        with pytest.raises(ValueError, match="positions"):
-            write_trace_jsonl(flat_trace, "/tmp/never-written.jsonl")
 
 
 WALLED_MAP_TEXT = ("##############\n"
