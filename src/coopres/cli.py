@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
+# numpy's bundled OpenBLAS starts one thread per core as it loads, and
+# coopres calls no BLAS routine: default to one before numpy is imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import sys
 from dataclasses import replace

@@ -18,7 +18,6 @@ as they are simulated, unless the caller keeps them.
 
 from __future__ import annotations
 
-import concurrent.futures
 import configparser
 import functools
 import os
@@ -465,6 +464,8 @@ def run_grid(grid: ExperimentGrid, keep_traces: bool = False) -> GridResult:
     seeds = range(cells[0][1].episodes)
     run_seed = functools.partial(_run_seed, cells, keep_traces=keep_traces)
     if workers > 1:
+        # Imported here: it pulls in logging, which one-worker runs never use.
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(seeds))) as pool:
             per_seed = list(pool.map(run_seed, seeds))
