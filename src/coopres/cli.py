@@ -19,6 +19,7 @@ from .harness import (
     PRESETS,
     ConfigError,
     GridResult,
+    ScenarioConfig,
     parse_scenario_config,
     run_grid,
     run_scenario,
@@ -156,11 +157,8 @@ def _cmd_measure(args) -> int:
 def _cmd_grid(args) -> int:
     formats = _formats(args)
     out = _check_out(args.out, "directory")
-    grid = PRESETS[args.preset]()
-    if args.seed is not None:
-        grid.cells = {cell: replace(cfg, base_seed=args.seed)
-                      for cell, cfg in grid.cells.items()}
-    result = run_grid(grid)
+    base = None if args.seed is None else ScenarioConfig(base_seed=args.seed)
+    result = run_grid(PRESETS[args.preset](base))
     _write_outputs(result, out, formats)
     for res in result.scenario_results():
         print(f"{res.scenario_id}: J = {res.report.assembled:.6f}")

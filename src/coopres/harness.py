@@ -205,7 +205,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     schedule = config.schedule if with_events else EventSchedule()
 
     h, n, nt = config.episode_length, config.n_agents, len(grid.trees)
-    rows = np.full((h, nt + 4 * n + 3), -1, dtype=np.int64)  # -1 is no row's value: gaps show
+    rows = np.full((h, nt + 4 * n + 3), -1, dtype=np.int64)  # -1 marks a row not written
     if start is None:
         t0, engine = 0, EventEngine(schedule)
         state = make_world(grid, n, config.regrowth_table)
@@ -223,17 +223,16 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
         rows[:t0] = start.rows
         bot_records = start.bot_records.copy()
 
-    written = bytearray(b"\x01") * t0 + bytearray(h - t0)  # 1 for each row written
     hunger = slice(nt + 1, nt + 4 * n, 4)  # each welfare agent's hunger column
 
     def fill(stop: int) -> None:
         """Fill the rows before ``stop`` that quiet ticks skipped, in place."""
         head, ticks = rows[:stop], np.arange(stop)
-        src = np.maximum.accumulate(np.where(np.frombuffer(written, np.uint8, stop), ticks, 0))
+        # A skipped row still ends in the buffer's -1; that column is a ledger, never negative.
+        src = np.maximum.accumulate(np.where(head[:, -1] != -1, ticks, 0))
         for a in range(0, stop, 256):  # blocks bound the gathered copy
             head[a:a + 256] = head[src[a:a + 256]]
         head[:, hunger] += (ticks - src)[:, None]
-        written[:stop] = b"\x01" * stop
 
     # The welfare agents keep their objects for the whole episode; bots come after them.
     agents, welfare = state.agents, [state.agents[i] for i in range(n)]
@@ -259,7 +258,6 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
             quiet = False
 
         if not quiet:
-            written[t] = 1
             # Every decision comes before step_world: one stock vector serves them all.
             stocks = state.stock.copy()
             row = stocks.copy()
@@ -419,6 +417,12 @@ class ExperimentGrid:
                     f"grid cell {cell} must share every setting with the others; "
                     "only the scenario id and the schedule may differ")
             cfg.validate()
+        # A cell's id names its output files.
+        owners: dict[str, tuple[int, int]] = {}
+        for cell, cfg in cells:
+            if owners.setdefault(cfg.scenario_id, cell) != cell:
+                raise ConfigError(f"grid cells {owners[cfg.scenario_id]} and {cell} "
+                                  f"have the same scenario id {cfg.scenario_id!r}")
 
     def sorted_cells(self) -> list[tuple[tuple[int, int], ScenarioConfig]]:
         return sorted(self.cells.items())

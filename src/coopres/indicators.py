@@ -20,8 +20,9 @@ class EpisodeTrace:
     """Per-tick record of one simulated episode: one int64 row per tick.
 
     A row holds the live apples per tree in map order, then consumed,
-    hunger ticks, row and column of each welfare agent in turn, then the
-    cumulative ledgers of apples consumed, regrown and vanished by events.
+    hunger ticks, row and column of each of the ``n_agents >= 1`` welfare
+    agents in turn, then the cumulative ledgers of apples consumed,
+    regrown and vanished by events.
     ``apples_per_tree``, ``consumed``, ``hunger_ticks``, ``positions`` and
     ``ledger_*`` are views of those columns.  ``consumed`` and
     ``hunger_ticks`` cover the welfare population only (bots excluded);
@@ -35,6 +36,8 @@ class EpisodeTrace:
 
     def __post_init__(self) -> None:
         n, rows = self.n_agents, self.rows
+        if n < 1:
+            raise ValueError(f"n_agents = {n}: a trace needs at least one welfare agent")
         if rows.ndim != 2 or rows.shape[1] < 4 * n + 3:
             raise ValueError(f"rows shape {rows.shape} leaves no room for {n} agents and 3 ledgers")
         per_agent = rows[:, -4 * n - 3:-3].reshape(len(rows), n, 4)
@@ -89,45 +92,17 @@ def gini(values: Sequence[float] | np.ndarray) -> np.ndarray | float:
     return np.where(total > 0, rank_sum / (n * np.where(total > 0, total, 1.0)), 0.0)[()]
 
 
-def apples_per_capita(trace: EpisodeTrace) -> np.ndarray:
-    """Live apples on the map divided by the welfare population size."""
-    if trace.n_agents <= 0:
-        raise ValueError("apples_per_capita needs at least one agent")
-    totals = trace.apples_per_tree.sum(axis=1)
-    return totals / trace.n_agents
-
-
-def trees_per_capita(trace: EpisodeTrace) -> np.ndarray:
-    """Trees holding at least one live apple, divided by the population size."""
-    if trace.n_agents <= 0:
-        raise ValueError("trees_per_capita needs at least one agent")
-    return trace.live_tree_count() / trace.n_agents
-
-
-def gini_equality(trace: EpisodeTrace) -> np.ndarray:
-    """1 - Gini of the cumulative consumption vector, per tick."""
-    if trace.n_agents <= 0:
-        raise ValueError("gini_equality needs at least one agent")
-    return 1.0 - gini(trace.consumed)
-
-
-def hunger_index(trace: EpisodeTrace, h_max: int = DEFAULT_H_MAX) -> np.ndarray:
-    """Collective satiation level in [0, 1]; 1 means everyone just ate.
-
-    Per agent, hunger saturates at 1 once ``h_max`` ticks pass without a
-    meal; the index is one minus the mean hunger.
-    """
-    if h_max < 1:
-        raise ValueError("h_max must be >= 1")
-    hunger = np.minimum(1.0, trace.hunger_ticks / h_max)
-    return 1.0 - hunger.mean(axis=1)
-
-
 INDICATORS: dict[str, Callable[[EpisodeTrace, int], np.ndarray]] = {
-    "apples_pc": lambda trace, h_max: apples_per_capita(trace),
-    "trees_pc": lambda trace, h_max: trees_per_capita(trace),
-    "gini_equality": lambda trace, h_max: gini_equality(trace),
-    "hunger_index": hunger_index,
+    # Live apples on the map per welfare agent.
+    "apples_pc": lambda trace, h_max: trace.apples_per_tree.sum(axis=1) / trace.n_agents,
+    # Trees holding at least one live apple, per welfare agent.
+    "trees_pc": lambda trace, h_max: trace.live_tree_count() / trace.n_agents,
+    # 1 - Gini of the welfare agents' cumulative consumption.
+    "gini_equality": lambda trace, h_max: 1.0 - gini(trace.consumed),
+    # 1 - mean over agents of min(1, ticks since the last meal / h_max): 1 when
+    # everyone just ate, 0 when nobody has eaten for h_max ticks.
+    "hunger_index": lambda trace, h_max: (
+        1.0 - np.minimum(1.0, trace.hunger_ticks / h_max).mean(axis=1)),
 }
 """Indicator name -> its curve for one trace and ``h_max``, in canonical order."""
 
@@ -137,6 +112,8 @@ INDICATOR_NAMES = tuple(INDICATORS)
 def compute_indicators(trace: EpisodeTrace, names: Sequence[str] = INDICATOR_NAMES,
                        h_max: int = DEFAULT_H_MAX) -> dict[str, np.ndarray]:
     """The named indicator curves of one trace, one value per tick, in canonical order."""
+    if h_max < 1:
+        raise ValueError("h_max must be >= 1")
     return {name: fn(trace, h_max) for name, fn in INDICATORS.items() if name in names}
 
 

@@ -142,7 +142,7 @@ def export_indicators(result: GridResult, out_dir: str | Path) -> None:
         twins = [("performance", scenario.performance)]
         if first is None or scenario.reference is not first.reference:
             twins.append(("reference", scenario.reference))
-        elif scenario.scenario_id != first.scenario_id:
+        else:
             for suffix in ("", "_std"):
                 shutil.copyfile(out / f"{first.scenario_id}_reference{suffix}.csv",
                                 out / f"{scenario.scenario_id}_reference{suffix}.csv")

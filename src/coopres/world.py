@@ -208,7 +208,6 @@ class WorldState:
     stock: list[int]  # live apples per tree
     agents: dict[int, AgentState]
     regrowth_table: tuple[float, ...]
-    tick: int = 0
     live_apples: dict[Cell, int] = field(default_factory=dict)  # cell -> tree index
     occupied: dict[Cell, int] = field(default_factory=dict)     # cell -> agent id
     total_consumed: int = 0
@@ -382,7 +381,6 @@ def step_world(state: WorldState, actions: dict[int, Action] | None,
             for agent in agents.values():
                 agent.ticks_since_meal += 1
             regrow(state, rng)
-            state.tick += 1
             return state
         actions = dict.fromkeys(agents, Action.NOOP)
     if actions.keys() != agents.keys():
@@ -438,7 +436,6 @@ def step_world(state: WorldState, actions: dict[int, Action] | None,
                 break
 
     regrow(state, rng)
-    state.tick += 1
     return state
 
 

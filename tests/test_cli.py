@@ -18,7 +18,14 @@ import coopres.cli
 import coopres.harness
 import coopres.resilience
 from coopres.cli import main
-from coopres.harness import parse_scenario_config, run_episode
+from coopres.harness import (
+    ScenarioConfig,
+    bots_preset,
+    parse_scenario_config,
+    run_episode,
+    run_grid,
+)
+from coopres.report import emit_report
 from coopres.world import write_trace_jsonl
 
 from conftest import write_raw_curve
@@ -552,6 +559,13 @@ class TestGrid:
             assert capsys.readouterr().err == (
                 f"error:config: COOPRES_THREADS must be a positive integer, got {value!r}\n")
         assert episodes == []
+
+    def test_seed_is_the_preset_base(self, tmp_path, capsys):
+        assert main(["grid", "--preset", "bots", "--seed", "3", "--format", "json",
+                     "--out", str(tmp_path / "cli")]) == 0
+        emit_report(run_grid(bots_preset(ScenarioConfig(base_seed=3))), tmp_path, ["json"])
+        assert ((tmp_path / "cli" / "report.json").read_bytes()
+                == (tmp_path / "report.json").read_bytes())
 
 
 class TestPreset:

@@ -469,6 +469,20 @@ class TestGrids:
         with pytest.raises(ConfigError, match="share"):
             grid.validate()
 
+    def test_cells_must_have_distinct_ids(self, monkeypatch):
+        # Each cell's id names its output files: a second E1 would overwrite the first's.
+        episodes = []
+        monkeypatch.setattr(coopres.harness, "run_episode",
+                            lambda *args, **kwargs: episodes.append(args))
+        base = quick_config(scenario_id="E1")
+        cells = {(0, 0): replace(base, schedule=EventSchedule(events=[vanish(30, 0.3)])),
+                 (0, 1): replace(base, schedule=EventSchedule(events=[vanish(60, 0.9)]))}
+        grid = ExperimentGrid(grid_id="twice", row_labels=["r"], col_labels=["a", "b"],
+                              cells=cells)
+        with pytest.raises(ConfigError, match=r"\(0, 0\) and \(0, 1\) .* 'E1'"):
+            run_grid(grid)
+        assert episodes == []
+
     @pytest.mark.parametrize("field", sorted(OTHER_SETTINGS))
     def test_cells_must_share_every_setting(self, field):
         base = quick_config()

@@ -12,13 +12,9 @@ from hypothesis import strategies as st
 from coopres.harness import ScenarioConfig
 from coopres.indicators import (
     INDICATOR_NAMES,
-    apples_per_capita,
     compute_indicators,
     gini,
-    gini_equality,
-    hunger_index,
     stack_episodes,
-    trees_per_capita,
     write_indicator_csv,
 )
 
@@ -84,45 +80,49 @@ class TestGini:
         assert gini([0.1] * 5) == 0.0
 
 
+def curve(trace, name, h_max=100):
+    """One indicator's curve of a trace, as ``compute_indicators`` gives it."""
+    return compute_indicators(trace, (name,), h_max)[name]
+
+
 class TestPerCapitaCurves:
     def test_apples_per_capita(self, flat_trace):
-        curve = apples_per_capita(flat_trace)
-        assert curve.tolist() == [6.0] * 20
+        assert curve(flat_trace, "apples_pc").tolist() == [6.0] * 20
 
     def test_zero_apples(self):
         trace = build_trace(np.zeros((4, 2)), np.zeros((4, 5)))
-        assert apples_per_capita(trace).tolist() == [0.0] * 4
+        assert curve(trace, "apples_pc").tolist() == [0.0] * 4
 
     def test_consumption_step(self):
         # one apple eaten at t=3: 30 -> 29 with N=5 steps 6.0 -> 5.8
         apples = [[30]] * 3 + [[29]] * 3
         consumed = np.zeros((6, 5), dtype=int)
         consumed[3:, 0] = 1
-        curve = apples_per_capita(build_trace(apples, consumed))
-        assert curve.tolist() == [6.0, 6.0, 6.0, 5.8, 5.8, 5.8]
+        assert (curve(build_trace(apples, consumed), "apples_pc").tolist()
+                == [6.0, 6.0, 6.0, 5.8, 5.8, 5.8])
 
     def test_trees_per_capita(self):
         apples = np.tile([3, 1, 2, 5, 1, 4], (4, 1))
         trace = build_trace(apples, np.zeros((4, 5)))
-        assert trees_per_capita(trace).tolist() == [1.2] * 4
+        assert curve(trace, "trees_pc").tolist() == [1.2] * 4
 
     def test_all_trees_dead(self):
         trace = build_trace(np.zeros((4, 6)), np.zeros((4, 5)))
-        assert trees_per_capita(trace).tolist() == [0.0] * 4
+        assert curve(trace, "trees_pc").tolist() == [0.0] * 4
 
     def test_tree_death_step(self):
         h = 120
         apples = np.tile([2, 2, 2, 2, 2, 2], (h, 1))
         apples[100:, 0] = 0
-        curve = trees_per_capita(build_trace(apples, np.zeros((h, 5))))
-        assert curve[99] == pytest.approx(1.2)
-        assert curve[100] == pytest.approx(1.0)
+        trees = curve(build_trace(apples, np.zeros((h, 5))), "trees_pc")
+        assert trees[99] == pytest.approx(1.2)
+        assert trees[100] == pytest.approx(1.0)
 
     def test_integer_recoverable(self):
         rng = np.random.default_rng(7)
         apples = rng.integers(0, 7, size=(50, 6))
         trace = build_trace(apples, np.zeros((50, 5)))
-        back = apples_per_capita(trace) * 5
+        back = curve(trace, "apples_pc") * 5
         assert np.array_equal(np.rint(back).astype(int), apples.sum(axis=1))
 
 
@@ -131,44 +131,44 @@ class TestGiniEquality:
         consumed = np.tile([4, 4, 4], (5, 1))
         trace = build_trace(np.ones((5, 1)), consumed,
                             hunger_ticks=np.zeros((5, 3)))
-        assert gini_equality(trace).tolist() == [1.0] * 5
+        assert curve(trace, "gini_equality").tolist() == [1.0] * 5
 
     def test_no_consumption_yet(self):
         trace = build_trace(np.ones((3, 1)), np.zeros((3, 4)))
-        assert gini_equality(trace).tolist() == [1.0] * 3
+        assert curve(trace, "gini_equality").tolist() == [1.0] * 3
 
     def test_single_eater(self):
         consumed = np.zeros((2, 5), dtype=int)
         consumed[:, 0] = 10
         trace = build_trace(np.ones((2, 1)), consumed,
                             hunger_ticks=np.zeros((2, 5)))
-        assert gini_equality(trace).tolist() == pytest.approx([0.2, 0.2])
+        assert curve(trace, "gini_equality").tolist() == pytest.approx([0.2, 0.2])
 
 
 class TestHungerIndex:
     def test_everyone_just_ate(self):
         trace = build_trace(np.ones((3, 1)), np.zeros((3, 4)),
                             hunger_ticks=np.zeros((3, 4)))
-        assert hunger_index(trace, h_max=100).tolist() == [1.0] * 3
+        assert curve(trace, "hunger_index", h_max=100).tolist() == [1.0] * 3
 
     def test_starvation_saturates(self):
         hunger = np.full((3, 4), 150)
         trace = build_trace(np.ones((3, 1)), np.zeros((3, 4)), hunger_ticks=hunger)
-        assert hunger_index(trace, h_max=100).tolist() == [0.0] * 3
+        assert curve(trace, "hunger_index", h_max=100).tolist() == [0.0] * 3
 
     def test_mixed_hunger(self):
         hunger = np.tile([50, 100], (2, 1))
         trace = build_trace(np.ones((2, 1)), np.zeros((2, 2)), hunger_ticks=hunger)
-        assert hunger_index(trace, h_max=100).tolist() == [0.25, 0.25]
+        assert curve(trace, "hunger_index", h_max=100).tolist() == [0.25, 0.25]
 
     def test_h_max_validation(self):
         trace = build_trace(np.ones((2, 1)), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            hunger_index(trace, h_max=0)
+        with pytest.raises(ValueError, match="h_max"):
+            compute_indicators(trace, h_max=0)
 
     def test_full_at_start_when_fed(self):
         trace = build_trace(np.ones((5, 1)), np.zeros((5, 3)))
-        assert hunger_index(trace)[0] == 1.0
+        assert compute_indicators(trace)["hunger_index"][0] == 1.0
 
 
 class TestTraceValidation:
@@ -194,9 +194,10 @@ class TestTraceValidation:
         with pytest.raises(ValueError, match="reset"):
             trace.validate()
 
-    # Rows too narrow for the agents' columns and the ledgers, and a bot
-    # record missing.
+    # No welfare agent, rows too narrow for the agents' columns and the
+    # ledgers, and a bot record missing.
     BAD_SHAPES = {
+        "n_agents": lambda t: {"n_agents": 0},
         "rows": lambda t: {"rows": t.rows[:, 3:]},
         "bot_records": lambda t: {"bot_records": [[]] * (t.horizon - 1)},
     }
@@ -244,12 +245,23 @@ class TestComputeIndicators:
         for name in ("apples_pc", "trees_pc"):
             assert np.all(curves[name] == curves[name][0])
 
-    def test_ranges_hold(self, flat_trace):
-        curves = compute_indicators(flat_trace)
+    # CurvePair refuses a negative curve, so scoring relies on these ranges.
+    @given(data=st.data(), h=st.integers(1, 30), n=st.integers(1, 6),
+           n_trees=st.integers(0, 4), h_max=st.integers(1, 200))
+    @settings(max_examples=150, deadline=None)
+    def test_ranges_hold(self, data, h, n, n_trees, h_max):
+        apples = np.sort(data.draw(st.lists(
+            st.lists(st.integers(0, 9), min_size=n_trees, max_size=n_trees),
+            min_size=h, max_size=h)), axis=0)[::-1]
+        meals = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                                   min_size=h, max_size=h))
+        trace = build_trace(apples, np.cumsum(meals, axis=0))
+        trace.validate()
+        curves = compute_indicators(trace, h_max=h_max)
+        for name, values in curves.items():
+            assert np.all(np.isfinite(values) & (values >= 0)), name
         for name in ("gini_equality", "hunger_index"):
-            assert np.all((curves[name] >= 0) & (curves[name] <= 1))
-        for name in ("apples_pc", "trees_pc"):
-            assert np.all(curves[name] >= 0)
+            assert np.all(curves[name] <= 1), name
 
     def test_subset_selection(self, flat_trace):
         curves = compute_indicators(flat_trace, ("apples_pc",))

@@ -216,8 +216,7 @@ class TestStepWorld:
             step_world(twin, dict.fromkeys(twin.agents, Action.NOOP), twin_rng)
         assert rng.getstate() == twin_rng.getstate()
         assert [vars(a) for a in state.agents.values()] == [vars(a) for a in twin.agents.values()]
-        assert (state.live_apples, state.total_regrown, state.tick) == (
-            twin.live_apples, twin.total_regrown, twin.tick)
+        assert (state.live_apples, state.total_regrown) == (twin.live_apples, twin.total_regrown)
         assert state.total_regrown > 0
 
     @given(n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
@@ -242,13 +241,6 @@ class TestStepWorld:
         state = make_world(grid, 2, NO_REGROWTH)
         with pytest.raises(ValueError, match="missing actions"):
             step_world(state, {0: Action.NOOP}, random.Random(0))
-
-    def test_tick_increments(self):
-        grid = corridor_map()
-        state = make_world(grid, 1, NO_REGROWTH)
-        for expected in (1, 2, 3):
-            step_world(state, {0: Action.NOOP}, random.Random(0))
-            assert state.tick == expected
 
 
 class TestRegrow:
