@@ -16,6 +16,7 @@ from pathlib import Path
 from . import world
 from .disruptions import EventKind, parse_event
 from .harness import (
+    DEFAULT_SEED,
     PRESETS,
     ConfigError,
     GridResult,
@@ -24,13 +25,16 @@ from .harness import (
     run_grid,
     run_scenario,
 )
-from .report import check_formats, emit_report, export_indicators
+from .report import REPORTS, check_formats, emit_report, export_indicators
 from .resilience import CurvePair, detect_triggers, resilience_pipeline
 from .timeseries import TimeSeries
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
+
+FORMATS = ",".join(REPORTS)
+FORMAT_HELP = f"comma-separated report formats, from {FORMATS} (default: all)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.add_argument("--seed", type=int, default=None,
                      help="override the config's base seed (default: keep config value)")
-    run.add_argument("--format", default="csv,json,svg")
+    run.add_argument("--format", default=FORMATS, help=FORMAT_HELP)
     run.add_argument("--traces", action="store_true",
                      help="also dump per-episode JSONL world traces")
 
@@ -67,8 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     grid = sub.add_parser("grid", help="run a named experiment grid")
     grid.add_argument("--preset", required=True, choices=sorted(PRESETS))
     grid.add_argument("--out", required=True)
-    grid.add_argument("--seed", type=int, default=None)
-    grid.add_argument("--format", default="csv,json,svg")
+    grid.add_argument("--seed", type=int, default=None,
+                      help=f"base seed of the preset's episodes (default: {DEFAULT_SEED})")
+    grid.add_argument("--format", default=FORMATS, help=FORMAT_HELP)
 
     preset = sub.add_parser("preset", help="list presets or show one")
     preset.add_argument("name", nargs="?", default=None)

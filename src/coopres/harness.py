@@ -35,7 +35,6 @@ from .timeseries import TimeSeries
 from .world import (
     DEFAULT_MAP,
     DEFAULT_REGROWTH_TABLE,
-    SUSTAINABLE_MIN_STOCK,
     Action,
     GridMap,
     PolicyKind,
@@ -182,14 +181,15 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     rows fill one int64 buffer, laid out as ``EpisodeTrace.rows``.
 
     Agents decide in id order, each as ``policy_action`` on its
-    ``build_view`` would, with the same draws.  A sustainable or greedy
-    welfare agent with no target in view skips both calls: it draws its
-    idle coin and, only if it moves, wanders.  A tick on which every
-    action is ``NOOP`` passes None to ``step_world``.  The tick after it
-    is quiet if it revived no apple and no event is due: only hunger
-    counts have moved, so it writes no row and keeps the stock vector and
-    each agent's has-a-target flag.  Skipped rows are filled in place from
-    the last row written, before a snapshot and at the end.
+    ``build_view`` would, with the same draws.  An agent whose policy has
+    an idle coin (``explore_idle_prob > 0``) and no target in view (no live
+    apple on a tree holding at least the policy's ``min_stock``) skips both
+    calls: it draws its idle coin and, only if it moves, wanders.  A tick
+    on which every action is ``NOOP`` passes None to ``step_world``.  The
+    tick after it is quiet if it revived no apple and no event is due: only
+    hunger counts have moved, so it writes no row and keeps the stock
+    vector and each agent's has-a-target flag.  Skipped rows are filled in
+    place from the last row written, before a snapshot and at the end.
 
     ``snapshots`` lists ticks by its keys; the episode's state at the
     start of each is stored under it.  ``start`` continues from such a
@@ -237,13 +237,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     # The welfare agents keep their objects for the whole episode; bots come after them.
     agents, welfare = state.agents, [state.agents[i] for i in range(n)]
     visible, live, noop, draw = grid.visible, state.live_apples, Action.NOOP, rng.random
-    # Per welfare agent: id, object, policy, idle probability while exploring,
-    # and the least stock of a tree whose apples it targets; 0 for the random
-    # and unsustainable_bot policies, which always decide through
-    # policy_action, as bots do.
-    floors = {PolicyKind.SUSTAINABLE: SUSTAINABLE_MIN_STOCK, PolicyKind.GREEDY: 1}
-    deciders = [(i, welfare[i], p, p.explore_idle_prob, floors.get(p, 0))
-                for i, p in enumerate(config.policies)]
+    deciders = [(i, welfare[i], p) for i, p in enumerate(config.policies)]
     quiet = False
     for t in range(t0, h):
         if snapshots is not None and t in snapshots:
@@ -267,33 +261,34 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
             rows[t] = row
             present = ([(b.id, b.position, b.cumulative_consumed) for b in state.bots()]
                        if len(agents) > n else [])
-            # Each decider with whether it has no target in view.
-            plan = [(agent_id, agent, policy, idle_prob, floor and not (
+            # Each decider with whether it explores: its policy has an idle
+            # coin and it has no target in view.
+            plan = [(agent_id, agent, policy, policy.explore_idle_prob > 0.0 and not (
                         (seen := visible[agent.position])
-                        and any(stocks[i] >= floor for c, i in seen if c in live)))
-                    for agent_id, agent, policy, idle_prob, floor in (
+                        and any(stocks[i] >= policy.min_stock for c, i in seen if c in live)))
+                    for agent_id, agent, policy in (
                         deciders if len(agents) == n else
-                        deciders + [(i, agents[i], PolicyKind.UNSUSTAINABLE_BOT, 0.0, 0)
+                        deciders + [(i, agents[i], PolicyKind.UNSUSTAINABLE_BOT)
                                     for i in sorted(agents) if i >= n])]
         bot_records.append(present)
 
-        actions, acting = {}, False
-        for agent_id, agent, policy, idle_prob, blind in plan:
+        actions = None  # until an agent acts
+        for agent_id, agent, policy, blind in plan:
             if blind:
                 # No target in view: policy_action would explore, idle coin first.
-                if draw() < idle_prob:
-                    actions[agent_id] = noop
+                if draw() < policy.explore_idle_prob:
                     continue
                 action = wander(state, agent.position, rng, live)
             else:
                 action = policy_action(policy, state, agent_id,
                                        build_view(state, agent_id, stocks), rng)
-            actions[agent_id] = action
             if action is not noop:
-                acting = True
+                if actions is None:
+                    actions = dict.fromkeys(agents, noop)
+                actions[agent_id] = action
         regrown = state.total_regrown
-        step_world(state, actions if acting else None, rng)
-        quiet = not acting and state.total_regrown == regrown
+        step_world(state, actions, rng)
+        quiet = actions is None and state.total_regrown == regrown
     fill(h)
 
     trace = EpisodeTrace(n_agents=n, rows=rows, fired_triggers=tuple(engine.fired),

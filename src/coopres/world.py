@@ -29,7 +29,6 @@ UNREACHABLE = 10 ** 9
 ZAP_RANGE = 3
 ZAP_COOLDOWN = 5
 VIEW_RADIUS = 5
-SUSTAINABLE_MIN_STOCK = 3  # sustainable agents leave trees at or below 2 apples alone
 
 DEFAULT_REGROWTH_TABLE = (0.0, 0.005, 0.01, 0.025)
 
@@ -69,22 +68,27 @@ def rotate(orientation: Orientation, clockwise: bool) -> Orientation:
 
 
 class PolicyKind(Enum):
-    """A scripted policy, with its idle probability while exploring (no target in view).
+    """A scripted policy, with the two rules that ``policy_action`` and the episode loop read.
 
-    Sustainable foragers patrol widely, which spaces their visits out and lets
-    tree stock rebuild; greedy gluttons are sedentary until food shows up;
-    intruding bots press on relentlessly.  Random agents never explore.
+    ``explore_idle_prob`` is its idle probability while exploring (no target
+    in view).  ``min_stock`` is its target floor: the least stock of a tree
+    whose apples it targets, or eats in passing.  Sustainable foragers patrol
+    widely, which spaces their visits out and lets tree stock rebuild, and
+    leave trees holding 2 or fewer apples alone; greedy gluttons are
+    sedentary until food shows up; intruding bots press on relentlessly.
+    Random agents read neither rule.
     """
 
-    GREEDY = "greedy", 0.99
-    SUSTAINABLE = "sustainable", 0.9
-    RANDOM = "random", 0.0
-    UNSUSTAINABLE_BOT = "unsustainable_bot", 0.0
+    GREEDY = "greedy", 0.99, 1
+    SUSTAINABLE = "sustainable", 0.9, 3
+    RANDOM = "random", 0.0, 1
+    UNSUSTAINABLE_BOT = "unsustainable_bot", 0.0, 1
 
-    def __new__(cls, value: str, explore_idle_prob: float):
+    def __new__(cls, value: str, explore_idle_prob: float, min_stock: int):
         member = object.__new__(cls)
         member._value_ = value
         member.explore_idle_prob = explore_idle_prob
+        member.min_stock = min_stock
         return member
 
 
@@ -132,10 +136,8 @@ class GridMap:
         self.visible = self._build_visibility_table()
 
     def is_wall(self, cell: Cell) -> bool:
-        r, c = cell
-        if not (0 <= r < self.height and 0 <= c < self.width):
-            return True
-        return cell in self.walls
+        """True for a ``#`` cell and for any cell off the map."""
+        return cell not in self._floor_index
 
     def _bfs(self, sources: list[int]) -> list[int]:
         """Walking distance from the nearest of ``sources`` to each floor cell, by floor index."""
@@ -535,13 +537,9 @@ def policy_action(policy: PolicyKind, state: WorldState, agent_id: int,
     pos = state.agents[agent_id].position
     forbidden: Collection[Cell] = ()
     if apples:
-        if policy is PolicyKind.SUSTAINABLE:
-            # Off-limits apples must not be eaten even in passing.
-            forbidden = {cell for cell, stock in apples.items()
-                         if stock < SUSTAINABLE_MIN_STOCK}
-            targets = apples.keys() - forbidden
-        else:  # greedy and unsustainable bots harvest without restraint
-            targets = apples
+        # Apples of trees below the policy's floor must not be eaten even in passing.
+        forbidden = {cell for cell, stock in apples.items() if stock < policy.min_stock}
+        targets = apples.keys() - forbidden
         if targets:
             dist, target = min([(state.grid.distance(pos, cell), cell) for cell in targets])
             if dist < UNREACHABLE:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopres.resilience import (
+    EPS,
     TRIGGER_THRESHOLD,
     CurvePair,
     Milestones,
@@ -39,17 +41,25 @@ def milestones_of(pair, schedule, event=0):
     return (m.t_i, m.t_f, m.t_r, m.window_start)
 
 
-# Exact rational mirror of the event-score arithmetic, used as the
-# independent oracle for the float pipeline.
+# Exact rational mirror of the metric, written from README's stage
+# definitions, used as the independent oracle for the float pipeline.
+
+GUARD = Fraction(EPS)
+
 
 def frac_trapezoid(values, a, b):
     return sum((values[t] + values[t + 1]) / 2 for t in range(a, b)) if a < b else Fraction(0)
 
 
 def frac_ratio(num, den):
-    if den > 0:
+    """A reference below the guard gives 1 if the performance is below it too, else 2."""
+    if den >= GUARD:
         return num / den
-    return Fraction(1) if num == 0 else Fraction(2)
+    return Fraction(1) if num < GUARD else Fraction(2)
+
+
+def frac_clamp(x):
+    return min(max(x, Fraction(0)), Fraction(1))
 
 
 def oracle_event_score(p_vals, r_vals, window_start, t_i, t_f, t_r):
@@ -59,6 +69,83 @@ def oracle_event_score(p_vals, r_vals, window_start, t_i, t_f, t_r):
     dt_f = Fraction(t_f - t_i)
     dt_r = Fraction(t_r - t_f)
     return (pre + f * dt_f + g * dt_r) / (pre + dt_f + dt_r)
+
+
+def oracle_pipeline(performance, reference, triggers):
+    """The four stages in exact rationals, over curves whose first tick is 0.
+
+    ``performance`` and ``reference`` map each variable to its values.
+    Returns ``J`` and, per variable, the folded score and each event's
+    ``((t_i, t_f, t_r, window_start), score)``.
+    """
+    horizon = len(next(iter(performance.values())))
+    # One window per event, from the previous window's end (0 for the first)
+    # to the next event's trigger (the horizon for the last).
+    starts, ends = [0] + triggers[1:], triggers[1:] + [horizon]
+    per_variable = {}
+    for name, p in performance.items():
+        r = reference[name]
+        events = []
+        for t_i, start, end in zip(triggers, starts, ends):
+            ratios = [frac_ratio(p[t], r[t]) for t in range(t_i, end)]
+            t_f, t_r = t_i + ratios.index(min(ratios)), end - 1  # the first exact minimum
+            events.append(((t_i, t_f, t_r, start),
+                           oracle_event_score(p, r, start, t_i, t_f, t_r)))
+        # The first score enters the fold unclamped; a lone score is clamped.
+        acc = events[0][1]
+        for _, j in events[1:]:
+            acc = frac_clamp((acc + j) / 2 * (1 + (j - acc)))
+        per_variable[name] = (frac_clamp(acc), events)
+    folded = [f for f, _ in per_variable.values()]
+    j = 0 if 0 in folded else len(folded) / sum(1 / f for f in folded)
+    return Fraction(j), per_variable
+
+
+def assert_pipeline_matches_oracle(performance, reference, triggers):
+    """``resilience_pipeline`` on the float curves agrees with ``oracle_pipeline``, returned.
+
+    The curves hold multiples of 1/8 up to 2, so each per-tick ratio is a/b
+    with b <= 16: equal exact ratios divide to equal floats and distinct
+    ones to distinct floats, and the milestones must match exactly.
+    """
+    pairs = {name: pair_from([float(v) for v in p], [float(v) for v in reference[name]])
+             for name, p in performance.items()}
+    report = resilience_pipeline(pairs, triggers)
+    exact_j, exact = oracle_pipeline(performance, reference, triggers)
+    for name, (folded, events) in exact.items():
+        vr = report.per_variable[name]
+        for ev, (milestones, j) in zip(vr.events, events, strict=True):
+            m = ev.milestones
+            assert (m.t_i, m.t_f, m.t_r, m.window_start) == milestones
+            assert math.isclose(ev.j_value, j, rel_tol=1e-12), (name, milestones)
+        assert math.isclose(vr.folded, folded, rel_tol=1e-12), name
+    assert math.isclose(report.assembled, exact_j, rel_tol=1e-12)
+    return exact_j, exact
+
+
+EIGHTHS = st.integers(0, 16).map(lambda k: Fraction(k, 8))
+
+
+@st.composite
+def oracle_inputs(draw):
+    """Curves on multiples of 1/8 in [0, 2], zero-heavy, with 1-4 variables and 1-4 triggers."""
+    horizon = draw(st.integers(4, 60))
+
+    def curve():
+        # Runs of one level; zero runs make both ratio guard branches fire.
+        runs = draw(st.lists(st.tuples(st.just(Fraction(0)) | EIGHTHS, st.integers(1, horizon)),
+                             min_size=1, max_size=6))
+        values = [v for v, n in runs for _ in range(n)]
+        return [values[t % len(values)] for t in range(horizon)]
+
+    names = [f"v{k}" for k in range(draw(st.integers(1, 4)))]
+    curves = {name: (curve(), curve()) for name in names}
+    triggers = []
+    for t in sorted(draw(st.sets(st.integers(0, horizon - 2), min_size=1, max_size=4))):
+        if not triggers or t - triggers[-1] >= 2:  # windows of at least 2 ticks
+            triggers.append(t)
+    return ({name: p for name, (p, _) in curves.items()},
+            {name: r for name, (_, r) in curves.items()}, triggers)
 
 
 class TestPartitionWindows:
@@ -463,6 +550,34 @@ class TestPipeline:
             {n: pair_from(np.array(p) * c, np.array(r) * c) for n, (p, r) in curves.items()},
             triggers)
         assert abs(scaled.assembled - base.assembled) <= 1e-12
+
+
+class TestPipelineOracle:
+    """The whole float pipeline against ``oracle_pipeline``."""
+
+    @given(oracle_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_pipeline_matches_exact_oracle(self, inputs):
+        assert_pipeline_matches_oracle(*inputs)
+
+    def test_failure_at_the_trigger(self):
+        p = [Fraction(1)] * 10 + [Fraction(1, 2)] * 10
+        _, exact = assert_pipeline_matches_oracle({"v": p}, {"v": [Fraction(1)] * 20}, [10])
+        assert exact["v"][1][0][0] == (10, 10, 19, 0)  # t_f = t_i
+
+    def test_reference_zero_through_a_window(self):
+        r = [Fraction(1)] * 12 + [Fraction(0)] * 8
+        performance = {"alive": [Fraction(1)] * 12 + [Fraction(1, 2)] * 8,
+                       "gone": [Fraction(1)] * 12 + [Fraction(0)] * 8}
+        _, exact = assert_pipeline_matches_oracle(performance, {"alive": r, "gone": r}, [5, 12])
+        # The whole window [12, 20) scores on the guard: 2 with the performance alive, 1 without.
+        assert [exact[name][1][1][1] for name in ("alive", "gone")] == [2, 1]
+
+    def test_first_event_score_above_one(self):
+        p = [Fraction(1)] * 4 + [Fraction(2)] * 8 + [Fraction(1, 2)] * 8
+        _, exact = assert_pipeline_matches_oracle({"v": p}, {"v": [Fraction(1)] * 20}, [4, 12])
+        first, second = (j for _, j in exact["v"][1])
+        assert first == Fraction(18, 11) and second < 1
 
 
 class TestReportSerialization:

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coopres.disruptions import EventEngine, apply_apple_vanish, parse_schedule
@@ -32,6 +32,7 @@ from coopres.world import (
     rotate,
     shuffle_order,
     step_world,
+    wander,
     write_trace_jsonl,
 )
 
@@ -126,6 +127,18 @@ class TestDistances:
         assert not line_of_sight(grid, (1, 1), (1, 3))
         open_grid = load_map("#####\n#...#\n#####")
         assert line_of_sight(open_grid, (1, 1), (1, 3))
+
+
+class TestIsWall:
+    @pytest.mark.parametrize("text", [DEFAULT_MAP, "A.#\n.S.\n#.."], ids=["default", "borderless"])
+    def test_off_the_map_or_hash(self, text):
+        rows = text.splitlines()
+        grid = load_map(text)
+        for r in range(-1, grid.height + 1):
+            for c in range(-1, grid.width + 1):
+                on_map = 0 <= r < grid.height and 0 <= c < grid.width
+                assert grid.is_wall((r, c)) is (not on_map or rows[r][c] == "#"), (r, c)
+                assert on_map or (r, c) not in grid.walls  # walls lists map cells only
 
 
 class TestStepWorld:
@@ -368,6 +381,51 @@ class TestPolicies:
         state.agents[0].position = (1, 6)
         state.occupied = {(1, 6): 0}
         assert build_view(state, 0, stocks(state)) == {(1, 1): 1}
+
+
+# The agent stands next to a tree at stock 1, two cells from one at stock 2,
+# and five from one at stock 3; all three are in view.
+TARGET_RULE_MAP = ("#########\n"
+                   "#..22...#\n"
+                   "#1S.....#\n"
+                   "#.......#\n"
+                   "#....333#\n"
+                   "#########")
+
+
+class TestTargetRule:
+    """Which apples each policy targets, in a view holding trees at stock 1, 2 and 3."""
+
+    # Greedy agents and bots step onto the nearest apple, of the stock-1 tree;
+    # sustainable agents head for the stock-3 tree, around the apple beside them.
+    FIRST_STEP = {PolicyKind.GREEDY: Action.MOVE_LEFT,
+                  PolicyKind.UNSUSTAINABLE_BOT: Action.MOVE_LEFT,
+                  PolicyKind.SUSTAINABLE: Action.MOVE_DOWN}
+
+    @pytest.mark.parametrize("policy", list(PolicyKind), ids=lambda p: p.value)
+    def test_first_step(self, policy):
+        state = make_world(load_map(TARGET_RULE_MAP), 1, NO_REGROWTH)
+        assert sorted(build_view(state, 0, stocks(state)).values()) == [1, 2, 2, 3, 3, 3]
+        rng, twin = random.Random(0), random.Random(0)
+        # A random agent targets nothing: its action is one uniform draw.
+        expected = twin.choice(ACTIONS) if policy is PolicyKind.RANDOM else self.FIRST_STEP[policy]
+        assert decide(policy, state, 0, rng) is expected
+        assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sustainable_eats_only_at_or_above_three(self, seed):
+        grid = load_map(TARGET_RULE_MAP)
+        state = make_world(grid, 1, NO_REGROWTH)
+        start = stocks(state)
+        rich = next(i for i, cells in enumerate(grid.trees) if len(cells) == 3)
+        rng = random.Random(seed)
+        for _ in range(60):
+            below = {cell for cell, i in state.live_apples.items() if state.stock[i] < 3}
+            step_world(state, {0: decide(PolicyKind.SUSTAINABLE, state, 0, rng)}, rng)
+            assert state.agents[0].position not in below
+        # One apple of the stock-3 tree, which then holds 2 and is left alone.
+        assert state.total_consumed == 1
+        assert stocks(state) == tuple(s - (i == rich) for i, s in enumerate(start))
 
 
 class TestWorldInvariants:
@@ -757,6 +815,52 @@ class TestDecisionPath:
             action = decide(policy, state, i, rng)
             assert action is policy_action(policy, world, i, apples, ref_rng)
             assert rng.getstate() == ref_rng.getstate()
+
+
+class TestNoTargetShortcut:
+    """The episode loop's no-target shortcut decides and draws as ``policy_action`` does.
+
+    For a policy with an idle coin and an agent with no target in view, the
+    loop draws the coin and, only if it says move, wanders among the cells
+    without a live apple.
+    """
+
+    # Four seeds whose first draw lands below 0.9, four in [0.9, 0.99) and four
+    # at or above 0.99: both policies idle, only the sustainable one moves, both move.
+    SEEDS = [seed for lo, hi in ((0.0, 0.9), (0.9, 0.99), (0.99, 1.0))
+             for seed in [s for s in range(2000) if lo <= random.Random(s).random() < hi][:4]]
+    GRID = load_map(DEFAULT_MAP)
+
+    @pytest.mark.parametrize("policy", [p for p in PolicyKind if p.explore_idle_prob > 0],
+                             ids=lambda p: p.value)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_shortcut_equals_policy_action(self, policy, data):
+        grid = self.GRID
+        state = make_world(grid, 0, NO_REGROWTH)
+        for cells in grid.trees:  # each tree keeps a drawn number of apples, often below 3
+            keep = data.draw(st.integers(0, len(cells)))
+            for cell in data.draw(st.permutations(cells))[keep:]:
+                state.remove_apple(cell)
+        floor = [c for c in grid.floor if c not in state.live_apples]
+        beside = [c for c in floor if any(n in state.live_apples for _, n in grid.moves[c])]
+        # The first agent often stands beside an apple, which it must not eat;
+        # the others crowd around it, so neighbouring cells are often taken.
+        r0, c0 = data.draw(st.sampled_from(beside or floor) | st.sampled_from(floor))
+        near = [c for c in floor if abs(c[0] - r0) <= 1 and abs(c[1] - c0) <= 1]
+        others = data.draw(st.lists(st.sampled_from(near), max_size=4, unique=True))
+        for i, pos in enumerate([(r0, c0)] + [c for c in others if c != (r0, c0)]):
+            state.agents[i] = AgentState(id=i, position=pos)
+            state.occupied[pos] = i
+        apples = build_view(state, 0, stocks(state))
+        assume(all(stock < policy.min_stock for stock in apples.values()))
+        for seed in self.SEEDS:
+            rng, twin = random.Random(seed), random.Random(seed)
+            action = policy_action(policy, state, 0, apples, rng)
+            shortcut = (Action.NOOP if twin.random() < policy.explore_idle_prob
+                        else wander(state, (r0, c0), twin, state.live_apples))
+            assert action is shortcut
+            assert rng.getstate() == twin.getstate()
 
 
 class TestTreeStock:
