@@ -9,6 +9,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -116,14 +117,18 @@ def _check_out(out: str, kind: str) -> Path:
 
 
 def _write_outputs(result: GridResult, out: Path, formats: list[str]) -> None:
-    """Reports, indicator CSVs and any kept traces of a grid, under ``out``."""
+    """Reports and indicator CSVs of a grid, under ``out``; traces are written as they run."""
     out.mkdir(parents=True, exist_ok=True)
     emit_report(result, out, formats)
     export_indicators(result, out)
-    for scenario in result.scenario_results():
-        for k, pair in enumerate(scenario.traces):
-            for label, trace in zip(("performance", "reference"), pair):
-                world.write_trace_jsonl(trace, out / f"trace_{label}_ep{k}.jsonl")
+
+
+def _write_traces(out: Path, cell, k: int, performance, reference) -> None:
+    """``run``'s trace sink: episode ``k``'s two traces, under ``out``, made if need be."""
+    out.mkdir(parents=True, exist_ok=True)
+    for label, trace in (("performance", performance), ("reference", reference)):
+        # Looked up per call, so that a wrapper set on the module attribute applies.
+        world.write_trace_jsonl(trace, out / f"trace_{label}_ep{k}.jsonl")
 
 
 def _cmd_run(args) -> int:
@@ -132,7 +137,7 @@ def _cmd_run(args) -> int:
     config = parse_scenario_config(args.config)
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
-    result = run_scenario(config, keep_traces=args.traces)
+    result = run_scenario(config, functools.partial(_write_traces, out) if args.traces else None)
     _write_outputs(result, out, formats)
     report = result.results[(0, 0)].report
     print(f"J = {report.assembled:.6f} "

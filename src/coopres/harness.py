@@ -13,7 +13,7 @@ schedule) is simulated once per seed and shared by every cell of a grid;
 each performance episode continues from a snapshot of the episode, run
 before it, with the longest prefix in common, or reuses it outright if
 the schedules are equal.  Traces are reduced to indicator curves as soon
-as they are simulated, unless the caller keeps them.
+as they are simulated, and passed to the trace sink, if any, as their seed ends.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import os
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +56,8 @@ class ConfigError(ValueError):
 DEFAULT_POLICIES = (PolicyKind.SUSTAINABLE, PolicyKind.SUSTAINABLE,
                     PolicyKind.SUSTAINABLE, PolicyKind.GREEDY, PolicyKind.GREEDY)
 DEFAULT_SEED = 42
+# Called as sink(cell, k, performance, reference) with episode k's traces of a grid cell.
+TraceSink = Callable[[tuple[int, int], int, EpisodeTrace, EpisodeTrace], None]
 
 
 @functools.lru_cache(maxsize=1)
@@ -141,8 +144,6 @@ class ScenarioResult:
     reference: dict[str, np.ndarray]
     report: ResilienceReport
     per_episode_j: list[float | None]
-    # (performance, reference) per episode, only when the run was asked to keep them
-    traces: list[tuple[EpisodeTrace, EpisodeTrace]] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         d = self.report.to_json_dict()
@@ -303,7 +304,6 @@ class _Episode:
 
     performance: dict[str, np.ndarray]
     fired_triggers: tuple[int, ...]
-    traces: tuple[EpisodeTrace, EpisodeTrace] | None = None
 
 
 def _fork_tick(a: tuple[Event, ...], b: tuple[Event, ...], h: int) -> int:
@@ -313,7 +313,7 @@ def _fork_tick(a: tuple[Event, ...], b: tuple[Event, ...], h: int) -> int:
 
 
 def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
-              keep_traces: bool = False
+              sink: TraceSink | None = None
               ) -> tuple[dict[str, np.ndarray], list[_Episode]]:
     """The reference curves of seed ``k``, and episode ``k`` of every cell.
 
@@ -323,7 +323,8 @@ def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
     ``_fork_tick``, or reuses it outright when the schedules are equal.  A
     snapshot is dropped once its last fork has started.
     A failure raises ``RuntimeError`` naming the cell being run (the first
-    while the reference runs), unless it is a ``ConfigError``.
+    while the reference runs), unless it is a ``ConfigError``.  Then
+    ``sink``, if given, gets each cell's traces; what it raises passes through.
     """
     cell, config = cells[0]
     seed, h = config.base_seed + k, config.episode_length
@@ -343,25 +344,28 @@ def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
         for i in range(len(schedules))]
     last_use = {forks[i]: n for n, i in enumerate(order) if n}
     episodes: dict[int, _Episode] = {}
+    traces: dict[int, EpisodeTrace | None] = {}  # kept only for the sink
     try:
         for n, i in enumerate(order):
             cell, cfg = cells[max(i - 1, 0)]
             if n == 0:
                 start = None
             elif (fork := forks[i])[0] == h:
-                episodes[i] = episodes[fork[1]]
+                episodes[i], traces[i] = episodes[fork[1]], traces[fork[1]]
                 continue
             else:
                 tick, j = fork
                 start = snapshots[j][tick] if last_use[fork] > n else snapshots[j].pop(tick)
             trace = run_episode(cfg, seed, with_events=n > 0, snapshots=snapshots[i], start=start)
-            reference = trace if n == 0 else reference
-            episodes[i] = _Episode(curves(trace), trace.fired_triggers,
-                                   (trace, reference) if keep_traces else None)
+            episodes[i] = _Episode(curves(trace), trace.fired_triggers)
+            traces[i] = trace if sink is not None else None
     except ConfigError:
         raise
     except Exception as exc:
         raise RuntimeError(f"grid cell {cell} failed: {exc}") from exc
+    if sink is not None:
+        for i in range(1, len(schedules)):
+            sink(cells[i - 1][0], k, traces[i], traces[0])
     return episodes[0].performance, [episodes[i] for i in range(1, len(schedules))]
 
 
@@ -389,8 +393,7 @@ def _score(config: ScenarioConfig, episodes: list[_Episode],
                      for k, ep in enumerate(episodes)]
 
     return ScenarioResult(scenario_id=config.scenario_id, performance=performance,
-                          reference=reference, report=report, per_episode_j=per_episode_j,
-                          traces=[ep.traces for ep in episodes if ep.traces is not None])
+                          reference=reference, report=report, per_episode_j=per_episode_j)
 
 
 @dataclass
@@ -434,22 +437,23 @@ class GridResult:
         return [res for _, res in sorted(self.results.items())]
 
 
-def run_scenario(config: ScenarioConfig, keep_traces: bool = False) -> GridResult:
+def run_scenario(config: ScenarioConfig, sink: TraceSink | None = None) -> GridResult:
     """Run one scenario as a one-cell grid; its result is ``.results[(0, 0)]``."""
     grid = ExperimentGrid(grid_id=config.scenario_id, row_labels=[""], col_labels=[""],
                           cells={(0, 0): config})
-    return run_grid(grid, keep_traces=keep_traces)
+    return run_grid(grid, sink)
 
 
-def run_grid(grid: ExperimentGrid, keep_traces: bool = False) -> GridResult:
+def run_grid(grid: ExperimentGrid, sink: TraceSink | None = None) -> GridResult:
     """Run every cell of the grid, one seed at a time.
 
     Each seed's reference episode is simulated once and shared by all
     cells (see the module docstring).  Seeds run in order, or spread over
     at most COOPRES_THREADS processes (sequential when it is unset).
     Either way a failing episode raises ``RuntimeError`` naming its cell,
-    and a ``ConfigError`` passes through unchanged.  With ``keep_traces``
-    each result also holds its episodes' traces.
+    and a ``ConfigError`` passes through unchanged.  ``sink``, if given, gets
+    each cell's traces of a seed as soon as the seed is done, in the process
+    that ran it (so it must pickle), and what it raises passes through.
     """
     raw = os.environ.get("COOPRES_THREADS", "1")
     try:
@@ -461,7 +465,7 @@ def run_grid(grid: ExperimentGrid, keep_traces: bool = False) -> GridResult:
     grid.validate()
     cells = grid.sorted_cells()
     seeds = range(cells[0][1].episodes)
-    run_seed = functools.partial(_run_seed, cells, keep_traces=keep_traces)
+    run_seed = functools.partial(_run_seed, cells, sink=sink)
     if workers > 1:
         # Imported here: it pulls in logging, which one-worker runs never use.
         import concurrent.futures

@@ -17,6 +17,7 @@ import pytest
 import coopres.cli
 import coopres.harness
 import coopres.resilience
+import coopres.world
 from coopres.cli import main
 from coopres.harness import (
     ScenarioConfig,
@@ -446,6 +447,65 @@ class TestRun:
                                   alone)
                 assert (out / f"trace_{label}_ep{k}.jsonl").read_bytes() == alone.read_bytes()
 
+    def test_each_seed_traces_written_before_the_next_seed_runs(self, tmp_path, monkeypatch):
+        # run --traces holds one seed's traces at a time: both files of
+        # episode k are on disk before seed k + 1's first episode starts.
+        monkeypatch.setenv("COOPRES_THREADS", "1")
+        log = []
+        run_real, write_real = coopres.harness.run_episode, coopres.world.write_trace_jsonl
+
+        def logged_run(config, seed, *args, **kwargs):
+            log.append(("episode", seed))
+            return run_real(config, seed, *args, **kwargs)
+
+        def logged_write(trace, path):
+            write_real(trace, path)
+            log.append(("write", path.name))
+
+        monkeypatch.setattr(coopres.harness, "run_episode", logged_run)
+        monkeypatch.setattr(coopres.world, "write_trace_jsonl", logged_write)
+        path = tmp_path / "three.ini"
+        path.write_text(TINY_CONFIG.replace("episodes = 2", "episodes = 3"))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out), "--traces"]) == 0
+        seed = parse_scenario_config(path).base_seed
+        for k in range(3):
+            written = [log.index(("write", f"trace_{label}_ep{k}.jsonl"))
+                       for label in ("performance", "reference")]
+            assert log.index(("episode", seed + k)) < min(written)
+            if k < 2:
+                assert max(written) < log.index(("episode", seed + k + 1))
+        assert sorted(p.name for p in out.glob("trace_*")) == sorted(
+            name for event, name in log if event == "write")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_trace_write_failure_is_an_input_error(self, tiny_config, tmp_path, capsys,
+                                                   monkeypatch, threads):
+        # The sink runs outside the episode's error wrapping, in a pool
+        # worker too (workers are forked, so they see the patch).
+        def full(trace, path):
+            raise OSError(f"no space left writing {path.name}")
+
+        monkeypatch.setattr(coopres.world, "write_trace_jsonl", full)
+        monkeypatch.setenv("COOPRES_THREADS", threads)
+        out = tmp_path / "results"
+        code = main(["run", "--config", str(tiny_config), "--out", str(out), "--traces"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:input: no space left writing trace_performance_ep")
+        assert not (out / "report.json").exists()
+
+    def test_no_event_fired_keeps_the_traces_but_writes_no_report(self, tmp_path, capsys):
+        # Seeds 42 and 43 draw no firing of a p_s = 0.01 event.
+        path = tmp_path / "quiet.ini"
+        path.write_text(TINY_CONFIG.replace("apple_vanish 60 0.6", "apple_vanish 60 0.6 0.01"))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out), "--traces"]) == 2
+        assert capsys.readouterr().err.startswith("error:input: no disruptive events")
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"trace_{label}_ep{k}.jsonl" for label in ("performance", "reference")
+            for k in range(2)]
+
     def test_seed_override_changes_results(self, tiny_config, tmp_path):
         out_a, out_b, out_c = (tmp_path / d for d in ("a", "b", "c"))
         main(["run", "--config", str(tiny_config), "--out", str(out_a), "--seed", "1"])
@@ -455,7 +515,7 @@ class TestRun:
         assert a == (out_b / "report.json").read_text()
         assert a != (out_c / "report.json").read_text()
 
-    @pytest.mark.parametrize("command", ["run", "grid"])
+    @pytest.mark.parametrize("command", ["run", "run_traces", "grid"])
     def test_negative_seed_refused_before_any_episode(self, tiny_config, tmp_path, capsys,
                                                       monkeypatch, command):
         # random.Random(-1) seeds as Random(1): seeds -1.. would repeat episodes of 1..
@@ -463,6 +523,7 @@ class TestRun:
         monkeypatch.setattr(coopres.harness, "run_episode",
                             lambda *args, **kwargs: episodes.append(args))
         argv = {"run": ["run", "--config", str(tiny_config)],
+                "run_traces": ["run", "--config", str(tiny_config), "--traces"],
                 "grid": ["grid", "--preset", "bots"]}[command]
         assert main([*argv, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error:config: base_seed -1 must be >= 0\n"
@@ -553,12 +614,14 @@ class TestGrid:
         monkeypatch.setattr(coopres.harness, "run_episode",
                             lambda *args, **kwargs: episodes.append(args))
         monkeypatch.setenv("COOPRES_THREADS", value)
-        for command in (["grid", "--preset", "bots"], ["run", "--config", str(tiny_config)]):
+        for command in (["grid", "--preset", "bots"], ["run", "--config", str(tiny_config)],
+                        ["run", "--config", str(tiny_config), "--traces"]):
             code = main([*command, "--out", str(tmp_path / "o")])
             assert code == 1
             assert capsys.readouterr().err == (
                 f"error:config: COOPRES_THREADS must be a positive integer, got {value!r}\n")
         assert episodes == []
+        assert not (tmp_path / "o").exists()
 
     def test_seed_is_the_preset_base(self, tmp_path, capsys):
         assert main(["grid", "--preset", "bots", "--seed", "3", "--format", "json",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import pickle
 import random
 from dataclasses import replace
 
@@ -379,9 +380,20 @@ class TestIdlePath:
                           performance)
 
 
-def run_one(config, keep_traces=False):
+def run_one(config, sink=None):
     """The result of ``config`` run as a one-cell grid."""
-    return run_scenario(config, keep_traces=keep_traces).results[(0, 0)]
+    return run_scenario(config, sink).results[(0, 0)]
+
+
+class CollectTraces:
+    """A trace sink that keeps each (performance, reference) pair under (cell, k)."""
+
+    def __init__(self):
+        self.traces = {}
+
+    def __call__(self, cell, k, performance, reference):
+        assert (cell, k) not in self.traces
+        self.traces[cell, k] = (performance, reference)
 
 
 class TestRunScenario:
@@ -410,14 +422,26 @@ class TestRunScenario:
         # The mean of one episode is that episode, so both scores agree.
         assert result.per_episode_j == [result.report.assembled]
 
-    def test_kept_traces_are_the_scored_episodes(self):
+    def test_kept_traces_are_the_scored_episodes(self, monkeypatch):
+        monkeypatch.setenv("COOPRES_THREADS", "1")
         cfg = quick_config(episode_length=150)
-        result = run_one(cfg, keep_traces=True)
-        assert len(result.traces) == cfg.episodes
-        for k, (perf, ref) in enumerate(result.traces):
+        sink = CollectTraces()
+        result = run_one(cfg, sink)
+        assert list(sink.traces) == [((0, 0), k) for k in range(cfg.episodes)]
+        for ((_, k), (perf, ref)), j in zip(sink.traces.items(), result.per_episode_j):
             assert_same_trace(perf, run_episode(cfg, cfg.base_seed + k, with_events=True))
             assert_same_trace(ref, run_episode(cfg, cfg.base_seed + k, with_events=False))
-        assert run_one(cfg).traces == []
+            assert j == run_one(replace(cfg, base_seed=cfg.base_seed + k,
+                                        episodes=1)).report.assembled
+
+    def test_a_seed_returns_no_trace(self):
+        # What a seed returns is all that crosses a worker pool: curves and
+        # fired triggers, never an EpisodeTrace, whether or not a sink is given.
+        cells = [((0, 0), quick_config(episode_length=150))]
+        for sink in (None, CollectTraces()):
+            returned = pickle.dumps(coopres.harness._run_seed(cells, 0, sink))
+            assert EpisodeTrace.__name__.encode() not in returned
+        assert list(sink.traces) == [((0, 0), 0)]
 
     def test_seed_discipline(self):
         cfg = quick_config()
@@ -552,6 +576,30 @@ class TestGrids:
         with pytest.raises(ConfigError, match="^episode refused$"):
             run_grid(grid)
 
+    def test_each_cell_traces_arrive_under_its_own_key(self, monkeypatch):
+        # Two cells with different schedules and a third equal to the first:
+        # each seed gives each cell its own performance trace and the one
+        # reference that the cells share.
+        monkeypatch.setenv("COOPRES_THREADS", "1")
+        base = quick_config(episode_length=150)
+        cells = {(0, 0): replace(base, scenario_id="A"),
+                 (0, 1): replace(base, scenario_id="B",
+                                 schedule=EventSchedule(events=[vanish(90, 0.4)])),
+                 (1, 0): replace(base, scenario_id="C")}
+        grid = ExperimentGrid(grid_id="keys", row_labels=["r", "s"], col_labels=["a", "b"],
+                              cells=cells)
+        sink = CollectTraces()
+        run_grid(grid, sink)
+        assert list(sink.traces) == [(cell, k) for k in range(base.episodes)
+                                     for cell in sorted(cells)]
+        for (cell, k), (perf, ref) in sink.traces.items():
+            seed = base.base_seed + k
+            assert_same_trace(perf, run_episode(cells[cell], seed, with_events=True))
+            assert ref is sink.traces[(0, 0), k][1]
+            assert_same_trace(ref, run_episode(base, seed, with_events=False))
+        assert sink.traces[(0, 0), 1][0].fired_triggers == (60,)
+        assert sink.traces[(0, 1), 1][0].fired_triggers == (90,)
+
     def test_parallel_workers_match_sequential(self, monkeypatch):
         base = quick_config(episode_length=150, episodes=1)
         cells = {(0, 0): replace(base, scenario_id="P1"),
@@ -667,18 +715,18 @@ class TestReports:
         assert (parsed["grid_id"], parsed["row_labels"], parsed["col_labels"]) == (
             "solo", [""], [""])
 
-    def test_indicator_export(self, tmp_path):
+    def test_indicator_export(self, tmp_path, monkeypatch):
         # Each CSV column must be the tick-wise mean (or population std) of
         # the episodes' curves, rebuilt here from the kept traces.
+        monkeypatch.setenv("COOPRES_THREADS", "1")
         for episodes in (1, 3):
             cfg = quick_config(scenario_id=f"exp{episodes}", episodes=episodes,
                                episode_length=120)
-            grid = run_scenario(cfg, keep_traces=True)
-            export_indicators(grid, tmp_path)
-            result = grid.results[(0, 0)]
+            sink = CollectTraces()
+            export_indicators(run_scenario(cfg, sink), tmp_path)
             for twin, k in (("performance", 0), ("reference", 1)):
                 per_episode = [compute_indicators(pair[k], cfg.indicators, cfg.h_max)
-                               for pair in result.traces]
+                               for pair in sink.traces.values()]
                 for suffix, reduce in (("", np.mean), ("_std", np.std)):
                     with open(tmp_path / f"exp{episodes}_{twin}{suffix}.csv",
                               newline="") as fh:
