@@ -123,6 +123,9 @@ class ScenarioConfig:
             grid = _grid_for(self.map_text)
         except ValueError as exc:
             raise ConfigError(f"map: {exc}") from None
+        # Without apples no event can move a welfare curve, so J would read 1 for any schedule.
+        if not grid.trees:
+            raise ConfigError("map: has no apple cell")
         # Bots enter on free spawn cells.  Counting every intrusion as firing,
         # the most present at once is reached at some intrusion's trigger.
         bots = [e for e in self.schedule if e.kind is EventKind.BOT_INTRUSION]
@@ -185,11 +188,11 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     ``build_view`` would, with the same draws.  An agent whose policy has
     an idle coin (``explore_idle_prob > 0``) and no target in view (no live
     apple on a tree holding at least the policy's ``min_stock``) skips both
-    calls: it draws its idle coin and, only if it moves, wanders.  A tick
-    on which every action is ``NOOP`` passes None to ``step_world``.  The
-    tick after it is quiet if it revived no apple and no event is due: only
-    hunger counts have moved, so it writes no row and keeps the stock
-    vector and each agent's has-a-target flag.  Skipped rows are filled in
+    calls: it draws its idle coin and, only if it moves, wanders.
+    ``step_world`` gets the actions other than ``NOOP``.  The tick after
+    one with none is quiet if it revived no apple and no event is due:
+    nothing in its row has moved, so it writes no row and keeps the stock
+    vector and each agent's has-a-target flag.  Skipped rows are copied in
     place from the last row written, before a snapshot and at the end.
 
     ``snapshots`` lists ticks by its keys; the episode's state at the
@@ -206,7 +209,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     schedule = config.schedule if with_events else EventSchedule()
 
     h, n, nt = config.episode_length, config.n_agents, len(grid.trees)
-    rows = np.full((h, nt + 4 * n + 3), -1, dtype=np.int64)  # -1 marks a row not written
+    rows = np.full((h, nt + 3 * n + 3), -1, dtype=np.int64)  # -1 marks a row not written
     if start is None:
         t0, engine = 0, EventEngine(schedule)
         state = make_world(grid, n, config.regrowth_table)
@@ -224,16 +227,13 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
         rows[:t0] = start.rows
         bot_records = start.bot_records.copy()
 
-    hunger = slice(nt + 1, nt + 4 * n, 4)  # each welfare agent's hunger column
-
     def fill(stop: int) -> None:
-        """Fill the rows before ``stop`` that quiet ticks skipped, in place."""
-        head, ticks = rows[:stop], np.arange(stop)
+        """Copy the last row written into the rows before ``stop`` that quiet ticks skipped."""
+        head = rows[:stop]
         # A skipped row still ends in the buffer's -1; that column is a ledger, never negative.
-        src = np.maximum.accumulate(np.where(head[:, -1] != -1, ticks, 0))
+        src = np.maximum.accumulate(np.where(head[:, -1] != -1, np.arange(stop), 0))
         for a in range(0, stop, 256):  # blocks bound the gathered copy
             head[a:a + 256] = head[src[a:a + 256]]
-        head[:, hunger] += (ticks - src)[:, None]
 
     # The welfare agents keep their objects for the whole episode; bots come after them.
     agents, welfare = state.agents, [state.agents[i] for i in range(n)]
@@ -257,7 +257,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
             stocks = state.stock.copy()
             row = stocks.copy()
             for a in welfare:
-                row += a.cumulative_consumed, a.ticks_since_meal, *a.position
+                row += a.cumulative_consumed, *a.position
             row += state.total_consumed, state.total_regrown, state.total_event_vanished
             rows[t] = row
             present = ([(b.id, b.position, b.cumulative_consumed) for b in state.bots()]
@@ -273,7 +273,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
                                     for i in sorted(agents) if i >= n])]
         bot_records.append(present)
 
-        actions = None  # until an agent acts
+        actions = {}
         for agent_id, agent, policy, blind in plan:
             if blind:
                 # No target in view: policy_action would explore, idle coin first.
@@ -284,12 +284,10 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
                 action = policy_action(policy, state, agent_id,
                                        build_view(state, agent_id, stocks), rng)
             if action is not noop:
-                if actions is None:
-                    actions = dict.fromkeys(agents, noop)
                 actions[agent_id] = action
         regrown = state.total_regrown
         step_world(state, actions, rng)
-        quiet = actions is None and state.total_regrown == regrown
+        quiet = not actions and state.total_regrown == regrown
     fill(h)
 
     trace = EpisodeTrace(n_agents=n, rows=rows, fired_triggers=tuple(engine.fired),

@@ -19,18 +19,20 @@ DEFAULT_H_MAX = 100
 class EpisodeTrace:
     """Per-tick record of one simulated episode: one int64 row per tick.
 
-    A row holds the live apples per tree in map order, then consumed,
-    hunger ticks, row and column of each of the ``n_agents >= 1`` welfare
-    agents in turn, then the cumulative ledgers of apples consumed,
-    regrown and vanished by events.
-    ``apples_per_tree``, ``consumed``, ``hunger_ticks``, ``positions`` and
-    ``ledger_*`` are views of those columns.  ``consumed`` and
-    ``hunger_ticks`` cover the welfare population only (bots excluded);
-    the ledgers count the whole world and include bot consumption.
+    A row holds the live apples per tree in map order, then consumed, row
+    and column of each of the ``n_agents >= 1`` welfare agents in turn,
+    then the cumulative ledgers of apples consumed, regrown and vanished
+    by events.  ``apples_per_tree``, ``consumed``, ``positions`` and
+    ``ledger_*`` are views of those columns.  ``hunger_ticks`` is derived
+    from ``consumed``: each agent's ticks since the last row where its
+    count rose, counted from tick 0 before its first meal.  ``consumed``
+    and ``hunger_ticks`` cover the welfare population only (bots
+    excluded); the ledgers count the whole world and include bot
+    consumption.
     """
 
     n_agents: int
-    rows: np.ndarray  # (horizon, n_trees + 4 * n_agents + 3)
+    rows: np.ndarray  # (horizon, n_trees + 3 * n_agents + 3)
     fired_triggers: tuple[int, ...] = ()
     bot_records: list = field(default_factory=list)  # per tick: [(id, (r, c), consumed)]
 
@@ -38,13 +40,15 @@ class EpisodeTrace:
         n, rows = self.n_agents, self.rows
         if n < 1:
             raise ValueError(f"n_agents = {n}: a trace needs at least one welfare agent")
-        if rows.ndim != 2 or rows.shape[1] < 4 * n + 3:
+        if rows.ndim != 2 or rows.shape[1] < 3 * n + 3:
             raise ValueError(f"rows shape {rows.shape} leaves no room for {n} agents and 3 ledgers")
-        per_agent = rows[:, -4 * n - 3:-3].reshape(len(rows), n, 4)
-        self.apples_per_tree = rows[:, :-4 * n - 3]
-        self.consumed, self.hunger_ticks = per_agent[:, :, 0], per_agent[:, :, 1]
-        self.positions = per_agent[:, :, 2:]
+        per_agent = rows[:, -3 * n - 3:-3].reshape(len(rows), n, 3)
+        self.apples_per_tree = rows[:, :-3 * n - 3]
+        self.consumed, self.positions = per_agent[:, :, 0], per_agent[:, :, 1:]
         self.ledger_consumed, self.ledger_regrown, self.ledger_event_vanished = rows[:, -3:].T
+        ticks = np.arange(len(rows))[:, None]
+        ate = np.diff(self.consumed, axis=0, prepend=self.consumed[:1]) > 0
+        self.hunger_ticks = ticks - np.maximum.accumulate(np.where(ate, ticks, 0), axis=0)
 
     @property
     def horizon(self) -> int:
@@ -63,10 +67,6 @@ class EpisodeTrace:
         trees = self.live_tree_count()
         if np.any(np.diff(trees) > 0):
             raise ValueError("live tree count must be non-increasing")
-        ate = np.diff(self.consumed, axis=0) > 0
-        reset = self.hunger_ticks[1:] == 0
-        if not np.array_equal(ate, reset):
-            raise ValueError("hunger ticks must reset exactly at consumption ticks")
 
 
 def gini(values: Sequence[float] | np.ndarray) -> np.ndarray | float:

@@ -1,11 +1,11 @@
 """Commons-harvest grid world: trees, stock-dependent regrowth, agents.
 
-Cells are (row, col) pairs.  The world is stepped once per tick with one
-action per living agent; all stochastic choices flow through the caller's
-seeded random generator, so a seed plus an action stream fully determines
-the trajectory.  Scripted policies decide from the world itself: the
-visible apples ``build_view`` lists, plus the agent's neighbouring cells
-and the static map.
+Cells are (row, col) pairs.  The world is stepped once per tick with the
+actions of the agents that act; all stochastic choices flow through the
+caller's seeded random generator, so a seed plus an action stream fully
+determines the trajectory.  Scripted policies decide from the world
+itself: the visible apples ``build_view`` lists, plus the agent's
+neighbouring cells and the static map.
 """
 
 from __future__ import annotations
@@ -199,7 +199,6 @@ class AgentState:
     position: Cell
     orientation: Orientation = Orientation.N
     cumulative_consumed: int = 0
-    ticks_since_meal: int = 0
     is_bot: bool = False
     zap_cooldown: int = 0
 
@@ -360,45 +359,39 @@ def shuffle_order(rng: random.Random, n: int, order: list | None = None) -> None
             order[i], order[j] = order[j], order[i]
 
 
-def step_world(state: WorldState, actions: dict[int, Action] | None,
+def step_world(state: WorldState, actions: dict[int, Action],
                rng: random.Random) -> WorldState:
     """Advance the world one tick.
 
-    Agents act in a seeded-random order, in two passes.  In the first each
-    agent counts the ticks since its last meal, then rotates or moves
-    (walls and occupied cells block; entering a live apple cell consumes
-    it).  The second covers only the agents that zap this tick or are
-    cooling down: each one's cooldown runs down, then its zap resolves.
-    Regrowth comes last.
+    ``actions`` maps the acting agents' ids to their actions; an agent not
+    in it takes ``NOOP``.  Agents act in a seeded-random order, in two
+    passes.  In the first each agent rotates or moves (walls and occupied
+    cells block; entering a live apple cell consumes it).  The second
+    covers only the agents that zap this tick or are cooling down: each
+    one's cooldown runs down, then its zap resolves.  Regrowth comes last.
 
-    ``actions`` None means every agent takes ``NOOP``.  Unless one is
-    cooling down, that tick draws only the bits of the order's shuffle,
-    counts every agent's hunger and regrows, without either pass: the same
-    draws and the same world as passing ``NOOP`` for each.
+    When ``actions`` is empty and no agent is cooling down, only the bits
+    of the order's shuffle are drawn before regrowth, with no order built:
+    the same draws and the same world as the two passes.
     """
     agents, occupied = state.agents, state.occupied
-    if actions is None:
-        if not any(a.zap_cooldown for a in agents.values()):
-            shuffle_order(rng, len(agents))
-            for agent in agents.values():
-                agent.ticks_since_meal += 1
-            regrow(state, rng)
-            return state
-        actions = dict.fromkeys(agents, Action.NOOP)
-    if actions.keys() != agents.keys():
+    if actions:
         for agent_id in actions:
-            if agent_id not in state.agents:
+            if agent_id not in agents:
                 raise ValueError(f"action for unknown agent {agent_id}")
-        missing = sorted(state.agents.keys() - actions.keys())
-        raise ValueError(f"missing actions for agents {missing}")
+    elif not any(a.zap_cooldown for a in agents.values()):
+        shuffle_order(rng, len(agents))
+        regrow(state, rng)
+        return state
 
     order = sorted(agents)
     shuffle_order(rng, len(order), order)
+    act = actions.get
     for agent_id in order:
-        agent, action = agents[agent_id], actions[agent_id]
-        agent.ticks_since_meal += 1
+        action = act(agent_id, Action.NOOP)
         if action is Action.NOOP:
             continue
+        agent = agents[agent_id]
         if action is Action.ROTATE_LEFT or action is Action.ROTATE_RIGHT:
             agent.orientation = rotate(agent.orientation,
                                        clockwise=action is Action.ROTATE_RIGHT)
@@ -417,13 +410,12 @@ def step_world(state: WorldState, actions: dict[int, Action] | None,
             state.remove_apple(target)
             state.total_consumed += 1
             agent.cumulative_consumed += 1
-            agent.ticks_since_meal = 0
 
-    for agent_id in [i for i in order if actions[i] is Action.ZAP or agents[i].zap_cooldown]:
+    for agent_id in [i for i in order if act(i) is Action.ZAP or agents[i].zap_cooldown]:
         zapper = agents[agent_id]
         if zapper.zap_cooldown > 0:
             zapper.zap_cooldown -= 1
-        if actions[agent_id] is not Action.ZAP or zapper.zap_cooldown > 0:
+        if act(agent_id) is not Action.ZAP or zapper.zap_cooldown > 0:
             continue
         zapper.zap_cooldown = ZAP_COOLDOWN
         dr, dc = zapper.orientation.value
@@ -586,10 +578,13 @@ def write_trace_jsonl(trace: EpisodeTrace, path: str | Path) -> None:
     A record holds ``tick``, ``apples_per_tree`` and ``per_agent`` (keyed by
     agent id: ``consumed``, ``hunger_ticks``, ``pos``), all ints, and a
     ``bots`` list only on ticks with bots on the map.  Its fields are the
-    tick, then the tick's row without the ledgers.
+    tick, then the tick's row without the ledgers, with each agent's derived
+    ``hunger_ticks`` after its ``consumed``.
     """
-    ticks, fields = np.arange(trace.horizon), trace.rows[:, :-3]
-    pieces = _trace_record_pieces(trace.apples_per_tree.shape[1], trace.n_agents)
+    n_trees, n = trace.apples_per_tree.shape[1], trace.n_agents
+    fields = np.insert(trace.rows[:, :-3], n_trees + 1 + 3 * np.arange(n),
+                       trace.hunger_ticks, axis=1)
+    ticks, pieces = np.arange(trace.horizon), _trace_record_pieces(n_trees, n)
     # ``initial`` takes the ticks 0..horizon - 1 into the range.
     strings = _int_strings(int(fields.min(initial=0)), int(fields.max(initial=len(ticks) - 1)),
                            ticks.size + fields.size)

@@ -120,6 +120,23 @@ class TestValidate:
         assert episodes == []
         assert not (tmp_path / "sub").exists()
 
+    def test_map_without_apples_refused_before_any_episode(self, tmp_path, capsys,
+                                                            monkeypatch):
+        episodes = []
+        monkeypatch.setattr(coopres.harness, "run_episode",
+                            lambda *args, **kwargs: episodes.append(args))
+        (tmp_path / "bare.txt").write_text("#####\n#S.S#\n#...#\n#####\n")
+        path = tmp_path / "bare.ini"
+        path.write_text("[world]\nmap = bare.txt\n[agents]\npolicies = greedy, random\n"
+                        "[events]\nschedule = apple_vanish 30 0.5\n"
+                        "[pipeline]\nepisode_length = 60\nepisodes = 2\n")
+        for argv in (["validate", "--config", str(path)],
+                     ["run", "--config", str(path), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error:config: map: has no apple cell\n"
+        assert episodes == []
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.ini")]) == 1
         assert capsys.readouterr().err.startswith("error:config:")

@@ -89,6 +89,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="map"):
             quick_config(map_text="##\n#x#").validate()
 
+    def test_map_without_apples_rejected(self):
+        # Loadable, but every event would score J = 1 on it.
+        with pytest.raises(ConfigError, match="^map: has no apple cell$"):
+            quick_config(map_text="#####\n#S.S#\n#...#\n#####\n",
+                         policies=(PolicyKind.GREEDY, PolicyKind.RANDOM)).validate()
+
     def test_unknown_indicator_rejected(self):
         with pytest.raises(ConfigError):
             quick_config(indicators=("apples_pc", "mood")).validate()
@@ -309,26 +315,34 @@ def plain_episode(config, seed, with_events):
 
     Events fire on every tick, every agent decides through ``build_view``
     and ``policy_action``, and ``step_world`` gets every agent's action.
+    Returns the trace and, per tick, each welfare agent's hunger as a
+    counter kept tick by tick: +1 per step, and 0 after a step in which it ate.
     """
     state = make_world(load_map(config.map_text), config.n_agents, config.regrowth_table)
     rng, event_rng = random.Random(seed), random.Random(f"coopres-events-{seed}")
     engine = EventEngine(config.schedule if with_events else EventSchedule())
-    rows, bot_records = [], []
+    welfare = [state.agents[i] for i in range(config.n_agents)]
+    rows, bot_records, hunger, counter = [], [], [], [0] * config.n_agents
     for t in range(config.episode_length):
         engine.fire_events(state, t, event_rng)
         stocks = state.stock.copy()
         row = list(stocks)
-        for a in (state.agents[i] for i in range(config.n_agents)):
-            row += a.cumulative_consumed, a.ticks_since_meal, *a.position
+        for a in welfare:
+            row += a.cumulative_consumed, *a.position
         rows.append(row + [state.total_consumed, state.total_regrown, state.total_event_vanished])
         bot_records.append([(b.id, b.position, b.cumulative_consumed) for b in state.bots()])
+        hunger.append(counter)
         actions = {i: policy_action(PolicyKind.UNSUSTAINABLE_BOT if a.is_bot
                                     else config.policies[i],
                                     state, i, build_view(state, i, stocks), rng)
                    for i, a in sorted(state.agents.items())}
+        before = [a.cumulative_consumed for a in welfare]
         step_world(state, actions, rng)
-    return EpisodeTrace(n_agents=config.n_agents, rows=np.array(rows, dtype=np.int64),
-                        fired_triggers=tuple(engine.fired), bot_records=bot_records)
+        counter = [0 if a.cumulative_consumed > ate else c + 1
+                   for a, ate, c in zip(welfare, before, counter)]
+    trace = EpisodeTrace(n_agents=config.n_agents, rows=np.array(rows, dtype=np.int64),
+                         fired_triggers=tuple(engine.fired), bot_records=bot_records)
+    return trace, hunger
 
 
 @st.composite
@@ -360,6 +374,10 @@ class TestIdlePath:
     FORAGERS = ScenarioConfig(policies=(PolicyKind.SUSTAINABLE, PolicyKind.GREEDY),
                               episode_length=100, schedule=EventSchedule(events=[vanish(30, 0.7)]),
                               regrowth_table=(0.0, 0.05, 0.1, 0.2))
+    ZAPS = ScenarioConfig(policies=(PolicyKind.RANDOM, PolicyKind.RANDOM, PolicyKind.GREEDY,
+                                    PolicyKind.SUSTAINABLE),
+                          episode_length=150, regrowth_table=(0.0, 0.05, 0.1, 0.2),
+                          schedule=EventSchedule(events=[bots(40, 60, 2), vanish(110, 0.5)]))
 
     @given(config=idle_path_configs(), seed=st.integers(0, 10_000), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -368,16 +386,22 @@ class TestIdlePath:
     @example(config=FORAGERS, seed=0, data=None)  # quiet ticks 38-39, then an apple revives
     @example(config=MIX, seed=0, data=None)  # quiet tick 5 while the random agent cools down
     @example(config=MIX, seed=94, data=None)  # snapshot at 30 after quiet ticks 29-30
+    @example(config=ZAPS, seed=1, data=None)  # two random agents zap, bots raid, one agent eats
     def test_run_episode_equals_plain_loop(self, config, seed, data):
-        performance = plain_episode(config, seed, with_events=True)
-        assert_same_trace(run_episode(config, seed, with_events=True), performance)
+        performance, hunger = plain_episode(config, seed, with_events=True)
         first = config.schedule.events[0].trigger_tick if config.schedule.events else 0
         t = data.draw(st.integers(0, first)) if data is not None else first
         snapshots = {t: None}
-        assert_same_trace(run_episode(config, seed, with_events=False, snapshots=snapshots),
-                          plain_episode(config, seed, with_events=False))
-        assert_same_trace(run_episode(config, seed, with_events=True, start=snapshots[t]),
-                          performance)
+        reference, reference_hunger = plain_episode(config, seed, with_events=False)
+        for trace, plain, counted in (
+                (run_episode(config, seed, with_events=True), performance, hunger),
+                (run_episode(config, seed, with_events=False, snapshots=snapshots),
+                 reference, reference_hunger),
+                (run_episode(config, seed, with_events=True, start=snapshots[t]),
+                 performance, hunger)):
+            assert_same_trace(trace, plain)
+            # The derived hunger equals the counter the plain loop kept.
+            assert trace.hunger_ticks.tolist() == counted
 
 
 def run_one(config, sink=None):

@@ -129,8 +129,7 @@ class TestPerCapitaCurves:
 class TestGiniEquality:
     def test_equal_consumption(self):
         consumed = np.tile([4, 4, 4], (5, 1))
-        trace = build_trace(np.ones((5, 1)), consumed,
-                            hunger_ticks=np.zeros((5, 3)))
+        trace = build_trace(np.ones((5, 1)), consumed)
         assert curve(trace, "gini_equality").tolist() == [1.0] * 5
 
     def test_no_consumption_yet(self):
@@ -140,26 +139,44 @@ class TestGiniEquality:
     def test_single_eater(self):
         consumed = np.zeros((2, 5), dtype=int)
         consumed[:, 0] = 10
-        trace = build_trace(np.ones((2, 1)), consumed,
-                            hunger_ticks=np.zeros((2, 5)))
+        trace = build_trace(np.ones((2, 1)), consumed)
         assert curve(trace, "gini_equality").tolist() == pytest.approx([0.2, 0.2])
 
 
 class TestHungerIndex:
     def test_everyone_just_ate(self):
-        trace = build_trace(np.ones((3, 1)), np.zeros((3, 4)),
-                            hunger_ticks=np.zeros((3, 4)))
+        consumed = np.tile(np.arange(3)[:, None], (1, 4))  # everyone eats every tick
+        trace = build_trace(np.ones((3, 1)), consumed)
         assert curve(trace, "hunger_index", h_max=100).tolist() == [1.0] * 3
 
     def test_starvation_saturates(self):
-        hunger = np.full((3, 4), 150)
-        trace = build_trace(np.ones((3, 1)), np.zeros((3, 4)), hunger_ticks=hunger)
-        assert curve(trace, "hunger_index", h_max=100).tolist() == [0.0] * 3
+        trace = build_trace(np.ones((5, 1)), np.zeros((5, 4)))
+        assert curve(trace, "hunger_index", h_max=2).tolist() == [1.0, 0.5, 0.0, 0.0, 0.0]
 
     def test_mixed_hunger(self):
-        hunger = np.tile([50, 100], (2, 1))
-        trace = build_trace(np.ones((2, 1)), np.zeros((2, 2)), hunger_ticks=hunger)
-        assert curve(trace, "hunger_index", h_max=100).tolist() == [0.25, 0.25]
+        consumed = np.array([[0, 0], [1, 0], [1, 0]])  # agent 0 eats at tick 1
+        trace = build_trace(np.ones((3, 1)), consumed)
+        assert trace.hunger_ticks.tolist() == [[0, 0], [0, 1], [1, 2]]
+        assert curve(trace, "hunger_index", h_max=2).tolist() == [1.0, 0.75, 0.25]
+
+    def test_hunger_is_derived_from_consumption(self):
+        consumed = np.array([[2], [2], [3], [3], [3], [5], [5]])
+        trace = build_trace(np.ones((7, 1)), consumed)
+        # A count at tick 0 is no meal: hunger counts from tick 0.
+        assert trace.hunger_ticks[:, 0].tolist() == [0, 1, 0, 1, 2, 0, 1]
+
+    @given(meals=st.lists(st.lists(st.booleans(), min_size=3, max_size=3), max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_derivation_matches_a_tick_by_tick_counter(self, meals):
+        ate = np.array(meals, dtype=bool).reshape(-1, 3)
+        ate[:1] = False  # no meal comes before tick 0
+        counter, expected = np.zeros(3, dtype=np.int64), []
+        for t, row in enumerate(ate):
+            if t:
+                counter = np.where(row, 0, counter + 1)
+            expected.append(counter.tolist())
+        trace = build_trace(np.ones((len(ate), 1)), np.cumsum(ate, axis=0))
+        assert trace.hunger_ticks.tolist() == expected
 
     def test_h_max_validation(self):
         trace = build_trace(np.ones((2, 1)), np.zeros((2, 2)))
@@ -177,7 +194,7 @@ class TestTraceValidation:
 
     def test_consumption_must_not_decrease(self):
         consumed = np.array([[2], [1]])
-        trace = build_trace(np.ones((2, 1)), consumed, hunger_ticks=np.zeros((2, 1)))
+        trace = build_trace(np.ones((2, 1)), consumed)
         with pytest.raises(ValueError, match="non-decreasing"):
             trace.validate()
 
@@ -185,13 +202,6 @@ class TestTraceValidation:
         apples = np.array([[0], [1]])
         trace = build_trace(apples, np.zeros((2, 1)))
         with pytest.raises(ValueError, match="non-increasing"):
-            trace.validate()
-
-    def test_hunger_reset_must_match_consumption(self):
-        consumed = np.array([[0], [1]])
-        hunger = np.array([[0], [3]])  # ate but did not reset
-        trace = build_trace(np.ones((2, 1)), consumed, hunger_ticks=hunger)
-        with pytest.raises(ValueError, match="reset"):
             trace.validate()
 
     # No welfare agent, rows too narrow for the agents' columns and the
@@ -211,9 +221,12 @@ class TestTraceValidation:
 
     def test_every_field_is_a_view_of_the_rows(self):
         trace = build_trace(np.ones((4, 2)), np.arange(12).reshape(4, 3))
-        for name in ("apples_per_tree", "consumed", "hunger_ticks", "positions",
+        for name in ("apples_per_tree", "consumed", "positions",
                      "ledger_consumed", "ledger_regrown", "ledger_event_vanished"):
             assert np.shares_memory(getattr(trace, name), trace.rows), name
+        # The one derived field: every agent eats on every tick.
+        assert not np.shares_memory(trace.hunger_ticks, trace.rows)
+        assert trace.hunger_ticks.tolist() == [[0] * 3] * 4
         assert trace.consumed.tolist() == np.arange(12).reshape(4, 3).tolist()
         assert trace.positions.shape == (4, 3, 2)
 

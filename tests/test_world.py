@@ -151,7 +151,6 @@ class TestStepWorld:
         step_world(state, {0: Action.MOVE_LEFT}, random.Random(0))
         assert agent.position == (1, 1)
         assert agent.cumulative_consumed == 1
-        assert agent.ticks_since_meal == 0
         assert len(state.live_apples) == 0
         assert state.total_consumed == 1
 
@@ -225,7 +224,7 @@ class TestStepWorld:
         state.agents[2].zap_cooldown = cooling
         twin, rng, twin_rng = state.copy(), random.Random(5), random.Random(5)
         for _ in range(4):
-            step_world(state, None, rng)
+            step_world(state, {}, rng)
             step_world(twin, dict.fromkeys(twin.agents, Action.NOOP), twin_rng)
         assert rng.getstate() == twin_rng.getstate()
         assert [vars(a) for a in state.agents.values()] == [vars(a) for a in twin.agents.values()]
@@ -249,11 +248,26 @@ class TestStepWorld:
         with pytest.raises(ValueError, match="unknown agent"):
             step_world(state, {0: Action.NOOP, 9: Action.NOOP}, random.Random(0))
 
-    def test_missing_action_rejected(self):
-        grid = corridor_map()
-        state = make_world(grid, 2, NO_REGROWTH)
-        with pytest.raises(ValueError, match="missing actions"):
-            step_world(state, {0: Action.NOOP}, random.Random(0))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_absent_agents_step_like_noop(self, seed):
+        state = make_world(load_map(DEFAULT_MAP), 6, (0.0, 0.3, 0.3, 0.3))
+        for cell in sorted(state.live_apples)[::3]:  # dead cells draw to regrow
+            state.remove_apple(cell)
+        twin, rng, twin_rng = state.copy(), random.Random(seed), random.Random(seed)
+        pick = random.Random(seed + 100)
+        for _ in range(40):
+            # About 40% of the agents are named, some of them with NOOP.
+            actions = {i: pick.choice(ACTIONS) for i in sorted(state.agents)
+                       if pick.random() < 0.4}
+            step_world(state, actions, rng)
+            step_world(twin, {i: actions.get(i, Action.NOOP) for i in twin.agents}, twin_rng)
+            assert rng.getstate() == twin_rng.getstate()
+            assert [vars(a) for a in state.agents.values()] == [
+                vars(a) for a in twin.agents.values()]
+            assert (state.occupied, state.live_apples, state.stock) == (
+                twin.occupied, twin.live_apples, twin.stock)
+            assert (state.total_consumed, state.total_regrown) == (
+                twin.total_consumed, twin.total_regrown)
 
 
 class TestRegrow:
@@ -555,15 +569,18 @@ class TestTrajectoryPinned:
         rng, event_rng = random.Random(seed), random.Random(seed + 1)
         digest = hashlib.sha256()
         seen = Counter()
+        hunger = Counter()  # agent id -> ticks since its last meal, or since it entered
         for t in range(300):
             engine.fire_events(state, t, event_rng)
             actions = {i: decide(PolicyKind.UNSUSTAINABLE_BOT if a.is_bot else self.POLICIES[i],
                                  state, i, rng)
                        for i, a in sorted(state.agents.items())}
+            before = {i: a.cumulative_consumed for i, a in state.agents.items()}
             step_world(state, actions, rng)
             for a in sorted(state.agents.values(), key=lambda a: a.id):
+                hunger[a.id] = 0 if a.cumulative_consumed > before[a.id] else hunger[a.id] + 1
                 digest.update(repr((a.id, a.position, a.orientation.name, a.zap_cooldown,
-                                    a.ticks_since_meal, a.cumulative_consumed)).encode())
+                                    hunger[a.id], a.cumulative_consumed)).encode())
                 seen["rotated"] += a.orientation is not Orientation.N
                 seen["zapped"] += a.zap_cooldown == ZAP_COOLDOWN
                 seen["bot"] += a.is_bot
