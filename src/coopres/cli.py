@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import world
-from .disruptions import EventKind, parse_event
+from .disruptions import EventKind, parse_event, schedule_lines
 from .harness import (
     DEFAULT_SEED,
     PRESETS,
@@ -87,10 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_trigger_file(path: str) -> list[int]:
     """Trigger ticks: a line holds one tick, or a full schedule line whose trigger is taken."""
     triggers = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in schedule_lines(Path(path).read_text()):
         try:
             triggers.append(int(line) if len(line.split()) == 1
                             else parse_event(line).trigger_tick)
@@ -107,6 +104,8 @@ def _formats(args) -> list[str]:
 
 def _check_out(out: str, kind: str) -> Path:
     """``--out`` as a path, refused when it cannot be a ``kind`` ("directory" or "file")."""
+    if not out:
+        raise ValueError("--out is empty")
     path = Path(out)
     existing = next(p for p in (path, *path.parents) if p.exists())
     if existing == path and path.is_dir() != (kind == "directory"):

@@ -8,6 +8,7 @@ actually fired, which the metric pipeline later uses as its event list.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -63,38 +64,41 @@ class EventSchedule:
         return max((e.trigger_tick for e in self.events), default=-1)
 
 
-def parse_event(line: str) -> Event:
-    """Parse one schedule line, stripped of its comment.
+# What follows the trigger tick on each kind's schedule line, then an optional p_s.
+EVENT_FIELDS = {
+    EventKind.APPLE_VANISH: (("v_s", float),),
+    EventKind.BOT_INTRUSION: (("duration", int), ("bot_count", int)),
+}
 
-    ``apple_vanish <trigger> <v_s> [p_s]`` or
-    ``bot_intrusion <trigger> <duration> <bot_count> [p_s]``.
-    """
-    parts = line.split()
-    kind = parts[0]
-    if kind == "apple_vanish":
-        if len(parts) not in (3, 4):
-            raise ValueError("expected: apple_vanish <trigger> <v_s> [p_s]")
-        return Event(kind=EventKind.APPLE_VANISH, trigger_tick=int(parts[1]),
-                     v_s=float(parts[2]), p_s=float(parts[3]) if len(parts) == 4 else 1.0)
-    if kind == "bot_intrusion":
-        if len(parts) not in (4, 5):
-            raise ValueError("expected: bot_intrusion <trigger> <duration> <bot_count> [p_s]")
-        return Event(kind=EventKind.BOT_INTRUSION, trigger_tick=int(parts[1]),
-                     duration=int(parts[2]), bot_count=int(parts[3]),
-                     p_s=float(parts[4]) if len(parts) == 5 else 1.0)
-    raise ValueError(f"unknown event kind {kind!r}")
+
+def parse_event(line: str) -> Event:
+    """Parse one schedule line, stripped of its comment: ``<kind> <trigger> <fields> [p_s]``."""
+    word, *values = line.split()
+    kind = next((k for k in EventKind if k.value == word), None)
+    if kind is None:
+        raise ValueError(f"unknown event kind {word!r}")
+    fields = EVENT_FIELDS[kind]
+    if len(values) - len(fields) not in (1, 2):
+        names = "".join(f"<{name}> " for name, _ in fields)
+        raise ValueError(f"expected: {kind.value} <trigger> {names}[p_s]")
+    # Converted in line order: trigger, fields, p_s.
+    return Event(kind=kind, trigger_tick=int(values[0]),
+                 **{name: read(v) for (name, read), v in zip(fields, values[1:])},
+                 p_s=float(values[-1]) if len(values) > len(fields) + 1 else 1.0)
+
+
+def schedule_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for each line left once ``#`` comments are cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def parse_schedule(text: str) -> EventSchedule:
-    """Parse the one-event-per-line schedule format (see ``parse_event``).
-
-    Blank lines and ``#`` comments are ignored.
-    """
+    """Parse the one-event-per-line schedule format (see ``parse_event``)."""
     events = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in schedule_lines(text):
         try:
             events.append(parse_event(line))
         except ValueError as exc:

@@ -464,11 +464,11 @@ def run_grid(grid: ExperimentGrid, sink: TraceSink | None = None) -> GridResult:
     cells = grid.sorted_cells()
     seeds = range(cells[0][1].episodes)
     run_seed = functools.partial(_run_seed, cells, sink=sink)
+    workers = min(workers, len(seeds))
     if workers > 1:
         # Imported here: it pulls in logging, which one-worker runs never use.
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(seeds))) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(run_seed, seeds))
     else:
         per_seed = [run_seed(k) for k in seeds]
@@ -529,16 +529,36 @@ PRESETS = {"table2": table2_preset, "bots": bots_preset}
 # ---------------------------------------------------------------------------
 # Scenario config files (INI format)
 
-def parse_scenario_config(path: str | Path) -> ScenarioConfig:
-    """Read a scenario from a sectioned key-value file.
+def _value(read: Callable[[str], object]) -> Callable[[str, Path], object]:
+    return lambda raw, here: read(raw)
 
-    Sections: ``[world]`` (map, regrowth_table), ``[agents]`` (policies),
-    ``[events]`` (schedule or schedule_file), ``[pipeline]``
-    (scenario_id, episode_length, episodes, base_seed, h_max, indicators).
-    Every key is optional; defaults mirror ScenarioConfig.
-    """
+
+def _listed(read: Callable[[str], object]) -> Callable[[str, Path], tuple]:
+    return lambda raw, here: tuple(read(item.strip()) for item in raw.split(","))
+
+
+# (section, key) -> (the ScenarioConfig field it sets, its reader).  A reader gets the
+# literal value and the config's directory, which a relative path is joined to.
+CONFIG_KEYS: dict[tuple[str, str], tuple[str, Callable[[str, Path], object]]] = {
+    ("world", "map"): ("map_text", lambda raw, here:
+                       DEFAULT_MAP if raw == "default" else (here / raw).read_text()),
+    ("world", "regrowth_table"): ("regrowth_table", _listed(float)),
+    ("agents", "policies"): ("policies", _listed(PolicyKind)),
+    ("events", "schedule"): ("schedule", _value(parse_schedule)),
+    ("events", "schedule_file"): ("schedule", lambda raw, here:
+                                  parse_schedule((here / raw).read_text())),
+    ("pipeline", "scenario_id"): ("scenario_id", _value(str)),
+    **{("pipeline", key): (key, _value(int))
+       for key in ("episode_length", "episodes", "base_seed", "h_max")},
+    ("pipeline", "indicators"): ("indicators", _listed(str)),
+}
+
+
+def parse_scenario_config(path: str | Path) -> ScenarioConfig:
+    """Read a scenario from an INI file keyed as ``CONFIG_KEYS``; the id defaults to its stem."""
     path = Path(path)
-    parser = configparser.ConfigParser()
+    # No header can name the default section "", so [DEFAULT] is one more unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -546,44 +566,21 @@ def parse_scenario_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-    known = {"world", "agents", "events", "pipeline"}
-    unknown = set(parser.sections()) - known
+    unknown = set(parser.sections()) - {section for section, _ in CONFIG_KEYS}
     if unknown:
         raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
-
     kwargs: dict = {"scenario_id": path.stem}
+    set_by: dict[str, str] = {}  # field -> the key that set it
     try:
-        if parser.has_option("world", "map"):
-            raw = parser.get("world", "map").strip()
-            if raw == "default":
-                kwargs["map_text"] = DEFAULT_MAP
-            else:
-                map_path = Path(raw)
-                if not map_path.is_absolute():
-                    map_path = path.parent / map_path
-                kwargs["map_text"] = map_path.read_text()
-        if parser.has_option("world", "regrowth_table"):
-            kwargs["regrowth_table"] = tuple(
-                float(x) for x in parser.get("world", "regrowth_table").split(","))
-        if parser.has_option("agents", "policies"):
-            names = [p.strip() for p in parser.get("agents", "policies").split(",")]
-            kwargs["policies"] = tuple(PolicyKind(name) for name in names)
-        if parser.has_option("events", "schedule"):
-            kwargs["schedule"] = parse_schedule(parser.get("events", "schedule"))
-        elif parser.has_option("events", "schedule_file"):
-            sched_path = Path(parser.get("events", "schedule_file").strip())
-            if not sched_path.is_absolute():
-                sched_path = path.parent / sched_path
-            kwargs["schedule"] = parse_schedule(sched_path.read_text())
-        if parser.has_option("pipeline", "scenario_id"):
-            kwargs["scenario_id"] = parser.get("pipeline", "scenario_id").strip()
-        for key in ("episode_length", "episodes", "base_seed", "h_max"):
-            if parser.has_option("pipeline", key):
-                kwargs[key] = parser.getint("pipeline", key)
-        if parser.has_option("pipeline", "indicators"):
-            kwargs["indicators"] = tuple(
-                s.strip() for s in parser.get("pipeline", "indicators").split(","))
+        for section in parser.sections():
+            for key, raw in parser.items(section):
+                if (section, key) not in CONFIG_KEYS:
+                    raise ValueError(f"unknown key {key!r} in [{section}]")
+                name, read = CONFIG_KEYS[section, key]
+                if name in set_by:
+                    raise ValueError(f"{set_by[name]} and {key} both set the {name}")
+                set_by[name] = key
+                kwargs[name] = read(raw, path.parent)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return ScenarioConfig(**kwargs)

@@ -273,7 +273,7 @@ def load_map(ascii_text: str) -> GridMap:
                 spawns.append(cell)
             elif ch == "A":
                 plain_apples.add(cell)
-            elif ch.isdigit() and ch != "0":
+            elif ch in "123456789":
                 labeled.setdefault(ch, []).append(cell)
             else:
                 raise ValueError(f"unknown map glyph {ch!r} at row {r}, col {c}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import gzip
 import hashlib
@@ -119,6 +120,37 @@ class TestValidate:
                 "component\n")
         assert episodes == []
         assert not (tmp_path / "sub").exists()
+
+    # Each was once accepted: `run` scored 5 episodes, read no schedule file,
+    # or took the [DEFAULT] episode count.
+    @pytest.mark.parametrize("text, message", [
+        (TINY_CONFIG + "episode = 1\n", "unknown key 'episode' in [pipeline]"),
+        ("[world]\nepisodes = 1\n" + TINY_CONFIG, "unknown key 'episodes' in [world]"),
+        (TINY_CONFIG.replace("[pipeline]", "schedule_file = nonexistent.txt\n[pipeline]"),
+         "schedule and schedule_file both set the schedule"),
+        ("[DEFAULT]\nepisodes = 1\n" + TINY_CONFIG, "unknown sections ['DEFAULT']"),
+        ("[DEFAULT]\n" + TINY_CONFIG, "unknown sections ['DEFAULT']"),
+    ], ids=["unknown_key", "key_in_another_section", "schedule_twice", "default_section",
+            "empty_default_section"])
+    def test_bad_key_refused_before_any_episode(self, tmp_path, capsys, monkeypatch,
+                                                 text, message):
+        episodes = []
+        monkeypatch.setattr(coopres.harness, "run_episode",
+                            lambda *args, **kwargs: episodes.append(args))
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        for argv in (["validate", "--config", str(path)],
+                     ["run", "--config", str(path), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error:config: {path}: {message}\n"
+        assert episodes == []
+        assert not (tmp_path / "out").exists()
+
+    def test_percent_sign_is_literal(self, tmp_path, capsys):
+        path = tmp_path / "pct.ini"
+        path.write_text(TINY_CONFIG + "scenario_id = run100%\n")
+        assert main(["validate", "--config", str(path)]) == 0
+        assert parse_scenario_config(path).scenario_id == "run100%"
 
     def test_map_without_apples_refused_before_any_episode(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -570,6 +602,22 @@ class TestRun:
             variables = [row["variable"] for row in csv.DictReader(fh)]
         assert variables == ["apples_pc", "hunger_index"]
 
+    def test_one_episode_runs_without_a_pool(self, tmp_path, monkeypatch):
+        # A pool of one worker once forked and pickled the seed's result back.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for one episode")
+
+        path = tmp_path / "one.ini"
+        path.write_text(TINY_CONFIG.replace("episodes = 2", "episodes = 1"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        outputs = {}
+        for threads in ("1", "4"):
+            monkeypatch.setenv("COOPRES_THREADS", threads)
+            out = tmp_path / f"threads_{threads}"
+            assert main(["run", "--config", str(path), "--out", str(out), "--traces"]) == 0
+            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert outputs["4"] == outputs["1"]
+
     @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "2"])
     def test_output_bytes_pinned(self, tmp_path, monkeypatch, threads):
         # sha256 of report.json and of every trace as written by CPython
@@ -694,8 +742,11 @@ class TestArgsAndExitCodes:
         (["grid", "--preset", "table2"], "a_file/sub/deeper"),
         (["measure", "--performance", "p.csv", "--reference", "r.csv"], "a_dir"),
         (["measure", "--performance", "p.csv", "--reference", "r.csv"], "a_file/r.json"),
+        (["run", "--config", "{config}"], ""),
+        (["grid", "--preset", "bots"], ""),
+        (["measure", "--performance", "p.csv", "--reference", "r.csv"], ""),
     ], ids=["run_file", "run_under_file", "grid_file", "grid_under_file", "measure_dir",
-            "measure_under_file"])
+            "measure_under_file", "run_empty", "grid_empty", "measure_empty"])
     def test_unusable_out_refused_before_any_work(self, tiny_config, tmp_path, capsys,
                                                   monkeypatch, command, out):
         def never(*args, **kwargs):
@@ -709,5 +760,6 @@ class TestArgsAndExitCodes:
         before = sorted(tmp_path.rglob("*"))
         argv = [arg.format(config=tiny_config) for arg in command]
         assert main([*argv, "--out", out]) == 2
-        assert capsys.readouterr().err.startswith(f"error:input: --out {out}")
+        assert capsys.readouterr().err.startswith(
+            f"error:input: --out {out}" if out else "error:input: --out is empty\n")
         assert sorted(tmp_path.rglob("*")) == before

@@ -7,13 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopres.disruptions import (
+    EVENT_FIELDS,
     Event,
     EventEngine,
     EventKind,
     EventSchedule,
     apply_apple_vanish,
     apply_bot_intrusion,
+    parse_event,
     parse_schedule,
+    schedule_lines,
 )
 from coopres.world import DEFAULT_MAP, PolicyKind, load_map, make_world, policy_action, step_world
 
@@ -62,6 +65,29 @@ class TestScheduleParsing:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError, match="apple_vanish"):
             parse_schedule("apple_vanish 100")
+
+    def test_every_kind_has_its_fields(self):
+        assert set(EVENT_FIELDS) == set(EventKind)
+
+    # The usage comes from EVENT_FIELDS; fields convert in line order.
+    @pytest.mark.parametrize("line, message", [
+        ("apple_vanish 100", "expected: apple_vanish <trigger> <v_s> [p_s]"),
+        ("apple_vanish 1 0.5 1 1", "expected: apple_vanish <trigger> <v_s> [p_s]"),
+        ("bot_intrusion 1 2", "expected: bot_intrusion <trigger> <duration> <bot_count> [p_s]"),
+        ("meteor 1 2", "unknown event kind 'meteor'"),
+        ("apple_vanish x y z", "invalid literal for int() with base 10: 'x'"),
+        ("bot_intrusion 5 a b c", "invalid literal for int() with base 10: 'a'"),
+        ("bot_intrusion 5 3 b c", "invalid literal for int() with base 10: 'b'"),
+        ("apple_vanish 5 0.5 c", "could not convert string to float: 'c'"),
+    ])
+    def test_line_refused_with_its_message(self, line, message):
+        with pytest.raises(ValueError) as info:
+            parse_event(line)
+        assert str(info.value) == message
+
+    def test_schedule_lines_cut_comments_and_blanks(self):
+        text = "# head\n\n  apple_vanish 5 0.5  # tail\n   \n12\n#\n"
+        assert list(schedule_lines(text)) == [(3, "apple_vanish 5 0.5"), (5, "12")]
 
 
 class TestAppleVanish:

@@ -4,16 +4,18 @@ import csv
 import json
 import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import coopres.harness
 from coopres.disruptions import Event, EventEngine, EventKind, EventSchedule
 from coopres.harness import (
+    CONFIG_KEYS,
     ConfigError,
     ExperimentGrid,
     GridResult,
@@ -26,8 +28,10 @@ from coopres.harness import (
     table2_preset,
 )
 from coopres.report import emit_report, export_indicators, grid_json_dict
-from coopres.indicators import EpisodeTrace, compute_indicators, write_indicator_csv
+from coopres.indicators import (INDICATOR_NAMES, EpisodeTrace, compute_indicators,
+                                write_indicator_csv)
 from coopres.world import (
+    DEFAULT_MAP,
     DEFAULT_REGROWTH_TABLE,
     PolicyKind,
     build_view,
@@ -180,6 +184,97 @@ class TestConfigFile:
         cfg_file.write_text("[agents]\npolicies = sneaky\n")
         with pytest.raises(ConfigError):
             parse_scenario_config(cfg_file)
+
+
+@st.composite
+def schedules(draw):
+    """A valid schedule of both event kinds, some with a ``p_s``."""
+    triggers = sorted(draw(st.sets(st.integers(0, 3000), max_size=4)))
+    p_s = st.floats(0.0, 1.0)
+    return EventSchedule(events=[
+        draw(st.one_of(
+            st.builds(vanish, st.just(t), st.floats(0.0, 1.0), p_s),
+            st.builds(bots, st.just(t), st.integers(1, 200), st.integers(0, 9), p_s)))
+        for t in triggers])
+
+
+def render_event(e: Event) -> str:
+    values = [e.v_s] if e.kind is EventKind.APPLE_VANISH else [e.duration, e.bot_count]
+    return " ".join(str(x) for x in [e.kind.value, e.trigger_tick, *values, repr(e.p_s)])
+
+
+class TestConfigKeys:
+    def test_every_field_has_a_key(self):
+        assert ({name for name, _ in CONFIG_KEYS.values()}
+                == {f.name for f in fields(ScenarioConfig)})
+
+    @given(
+        scenario_id=st.text("abcXYZ019-_.%", min_size=1, max_size=12),
+        map_file=st.booleans(),
+        policies=st.lists(st.sampled_from(list(PolicyKind)), min_size=1, max_size=6),
+        regrowth=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+        schedule=schedules(),
+        schedule_file=st.booleans(),
+        ints=st.tuples(*[st.integers(-10, 10**6)] * 4),
+        indicators=st.lists(st.sampled_from(INDICATOR_NAMES), min_size=1, unique=True))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_rendered_config_parses_back(self, tmp_path, scenario_id, map_file, policies,
+                                         regrowth, schedule, schedule_file, ints, indicators):
+        config = ScenarioConfig(
+            scenario_id=scenario_id, map_text="#####\n#S1S#\n#A.2#\n#####\n" if map_file
+            else DEFAULT_MAP, policies=tuple(policies), regrowth_table=tuple(regrowth),
+            schedule=schedule, indicators=tuple(indicators),
+            **dict(zip(("episode_length", "episodes", "base_seed", "h_max"), ints)))
+        events = "".join(f"\n    {render_event(e)}" for e in schedule)
+        (tmp_path / "map.txt").write_text(config.map_text)
+        (tmp_path / "events.txt").write_text(events)
+        path = tmp_path / "round.ini"
+        path.write_text(
+            "[world]\n"
+            f"map = {'map.txt' if map_file else 'default'}\n"
+            f"regrowth_table = {', '.join(map(repr, regrowth))}\n"
+            "[agents]\n"
+            f"policies = {', '.join(p.value for p in policies)}\n"
+            "[events]\n"
+            + ("schedule_file = events.txt\n" if schedule_file else f"schedule ={events}\n")
+            + "[pipeline]\n"
+            f"scenario_id = {scenario_id}\n"
+            + "".join(f"{key} = {getattr(config, key)}\n"
+                      for key in ("episode_length", "episodes", "base_seed", "h_max"))
+            + f"indicators = {', '.join(indicators)}\n")
+        assert parse_scenario_config(path) == config
+
+    def test_readme_example_is_the_default_setup(self, tmp_path):
+        # Its inline comments once made the map a missing file of that name.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "demo.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        config = parse_scenario_config(path)
+        assert config.schedule.events == [vanish(250, 0.7), bots(400, 25, 2)]
+        assert (replace(config, scenario_id="scenario", schedule=EventSchedule())
+                == ScenarioConfig())
+
+    def test_relative_paths_are_read_from_the_config_directory(self, tmp_path,
+                                                               monkeypatch):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "events.txt").write_text("apple_vanish 40 0.5\n")
+        (tmp_path / "sub" / "map.txt").write_text("#####\n#SAS#\n#####\n")
+        path = tmp_path / "sub" / "rel.ini"
+        path.write_text(f"[world]\nmap = {tmp_path / 'sub' / 'map.txt'}\n"
+                        "[events]\nschedule_file = events.txt\n")
+        monkeypatch.chdir(tmp_path)
+        config = parse_scenario_config("sub/rel.ini")
+        assert config.map_text == "#####\n#SAS#\n#####\n"
+        assert [e.trigger_tick for e in config.schedule] == [40]
+        assert config.scenario_id == "rel"
+
+    def test_values_are_literal(self, tmp_path):
+        # A '%' once failed as an interpolation error, outside ConfigError.
+        path = tmp_path / "pct.ini"
+        path.write_text("[pipeline]\nscenario_id = run100%\nindicators = %(x)s\n")
+        config = parse_scenario_config(path)
+        assert (config.scenario_id, config.indicators) == ("run100%", ("%(x)s",))
 
 
 class TestRunEpisode:

@@ -95,8 +95,10 @@ class TestLoadMap:
             load_map("###\n##\n###")
 
     def test_unknown_glyph_rejected(self):
-        with pytest.raises(ValueError, match="row 1, col 1"):
-            load_map("###\n#X#\n###")
+        # Tree labels are ASCII 1-9: a Unicode digit such as '²' once loaded as a tree.
+        for glyph in "X²":
+            with pytest.raises(ValueError, match=f"glyph '{glyph}' at row 1, col 1"):
+                load_map(f"###\n#{glyph}#\n###")
 
     def test_default_map(self):
         grid = load_map(DEFAULT_MAP)
