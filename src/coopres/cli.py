@@ -26,7 +26,8 @@ from .harness import (
     run_grid,
     run_scenario,
 )
-from .report import REPORTS, check_formats, emit_report, export_indicators
+from .report import (REPORTS, check_formats, emit_report, export_indicators, report_json_dict,
+                     write_json)
 from .resilience import CurvePair, detect_triggers, resilience_pipeline
 from .timeseries import TimeSeries
 
@@ -158,7 +159,7 @@ def _cmd_measure(args) -> int:
     report = resilience_pipeline({args.name: pair}, triggers)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    report.to_json(out)
+    write_json(report_json_dict(report), out)
     print(f"J = {report.assembled:.6f} (L={report.event_count})")
     return EXIT_OK
 

@@ -111,10 +111,8 @@ def apply_apple_vanish(state: WorldState, v_s: float, rng: random.Random) -> Wor
 
     Apples are visited in fixed cell order; the final live apple of each
     tree is exempt from the draw, so a tree never loses everything (and
-    never vanishes) to this event.
+    never vanishes) to this event.  ``v_s`` is in [0, 1], as ``Event`` checks.
     """
-    if not 0.0 <= v_s <= 1.0:
-        raise ValueError("v_s must be in [0, 1]")
     live = state.live_apples
     for cells in state.grid.trees:
         live_cells = [cell for cell in cells if cell in live]

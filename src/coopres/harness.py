@@ -84,10 +84,10 @@ class ScenarioConfig:
         return len(self.policies)
 
     def validate(self) -> None:
-        # The id names output files under --out, so it must not reach outside it.
-        if self.scenario_id in ("", ".", "..") or any(ch in self.scenario_id for ch in "/\\"):
-            raise ConfigError(
-                f"scenario_id {self.scenario_id!r} must be a plain file name component")
+        # The id names files under --out and prints on one line: no separator or control character.
+        sid = self.scenario_id
+        if sid in ("", ".", "..") or not sid.isprintable() or any(ch in sid for ch in "/\\"):
+            raise ConfigError(f"scenario_id {sid!r} must be a plain file name component")
         if self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
         # random.Random(-s) seeds as Random(s): a negative seed would repeat a positive one.
@@ -147,12 +147,6 @@ class ScenarioResult:
     reference: dict[str, np.ndarray]
     report: ResilienceReport
     per_episode_j: list[float | None]
-
-    def to_json_dict(self) -> dict:
-        d = self.report.to_json_dict()
-        d["scenario"] = self.scenario_id
-        d["per_episode_J"] = self.per_episode_j
-        return d
 
 
 @dataclass(frozen=True)

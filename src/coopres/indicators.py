@@ -1,13 +1,13 @@
 """Well-being indicator curves computed from episode traces.
 
 Each indicator is oriented so that higher values mean better collective
-well-being, which the downstream metric pipeline relies on.
+well-being, which the downstream metric pipeline relies on.  The curves
+are computed here and written by ``report.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -123,39 +123,3 @@ def stack_episodes(per_episode: Sequence[Mapping[str, np.ndarray]]) -> dict[str,
         raise ValueError("need at least one episode")
     return {name: np.stack([curves[name] for curves in per_episode])
             for name in per_episode[0]}
-
-
-# Ticks the writers format and join at once: bounds the strings held.
-BLOCK_TICKS = 256
-
-
-def join_rows(pieces: Sequence[str], fields: np.ndarray) -> str:
-    """Every row of an object array of strings, its fields set between the literal ``pieces``."""
-    cells = np.empty((len(fields), 2 * fields.shape[1] + 1), dtype=object)
-    cells[:, 0::2] = np.array(pieces, dtype=object)
-    cells[:, 1::2] = fields
-    return "".join(cells.ravel().tolist())
-
-
-def _repr_strings(column: np.ndarray) -> np.ndarray:
-    """``repr`` of each float of a 1-D column, taken once per distinct bit pattern."""
-    bits, inverse = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    return np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
-
-
-def write_indicator_csv(curves: Mapping[str, np.ndarray], path: str | Path) -> None:
-    """Write equal-length curves as a ``tick`` column plus one column per indicator.
-
-    Bytes as ``csv.writer`` writes them, each value by its ``repr``: no field
-    needs quoting, since names come from ``INDICATORS`` and a float's
-    ``repr`` holds no comma or quote.
-    """
-    h = len(next(iter(curves.values()), ()))
-    fields = np.stack([np.array([str(t) for t in range(h)], dtype=object),
-                       *map(_repr_strings, curves.values())], axis=1)
-    pieces = ["", *[","] * len(curves), "\r\n"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["tick", *curves]) + "\r\n")
-        for start in range(0, h, BLOCK_TICKS):
-            fh.write(join_rows(pieces, fields[start:start + BLOCK_TICKS]))

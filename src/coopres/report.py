@@ -1,7 +1,9 @@
-"""Report files of a scored grid: long-format CSV, nested JSON, SVG heatmap.
+"""Every report format but the trace JSONL (``world.write_trace_jsonl``).
 
-A single scenario is a one-cell grid, so every command writes through
-the same functions.
+A scored grid writes ``report.csv`` (long format), ``report.json`` (nested),
+``heatmap.svg`` and each scenario's indicator CSVs; ``measure`` writes one
+cell's scores as its JSON.  A single scenario is a one-cell grid, so every
+command writes through the same functions.
 """
 
 from __future__ import annotations
@@ -9,31 +11,44 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+from dataclasses import asdict
 from html import escape
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .harness import ConfigError, GridResult, ScenarioResult
-from .indicators import write_indicator_csv
+import numpy as np
 
-
-def _long_rows(results: list[ScenarioResult]) -> list[list]:
-    rows = []
-    for res in results:
-        rep = res.report
-        for name, vr in rep.per_variable.items():
-            for l, ev in enumerate(vr.events, start=1):
-                rows.append([res.scenario_id, name, l,
-                             repr(ev.j_value), repr(ev.f_profile), repr(ev.g_profile),
-                             repr(vr.folded), repr(rep.assembled)])
-    return rows
+from .harness import ConfigError, GridResult
+from .resilience import ResilienceReport
+from .world import BLOCK_TICKS, join_rows
 
 
 def _write_csv(result: GridResult, path: Path) -> None:
+    """One row per (scenario, variable, event), with the variable's and the scenario's score."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "variable", "event", "J_jl", "F", "G", "J_j", "J"])
-        writer.writerows(_long_rows(result.scenario_results()))
+        for res in result.scenario_results():
+            for name, vr in res.report.per_variable.items():
+                for l, ev in enumerate(vr.events, start=1):
+                    writer.writerow([res.scenario_id, name, l, repr(ev.j_value),
+                                     repr(ev.f_profile), repr(ev.g_profile),
+                                     repr(vr.folded), repr(res.report.assembled)])
+
+
+def report_json_dict(report: ResilienceReport) -> dict:
+    """A scored scenario's ``J``, ``L``, ``K`` and each variable's folded and per-event scores."""
+    return {
+        "J": report.assembled,
+        "L": report.event_count,
+        "K": report.variable_count,
+        "per_variable": {
+            name: {"J_j": vr.folded,
+                   "events": [{"J_jl": e.j_value, "F": e.f_profile, "G": e.g_profile,
+                               **asdict(e.milestones)} for e in vr.events]}
+            for name, vr in report.per_variable.items()
+        },
+    }
 
 
 def grid_json_dict(result: GridResult) -> dict:
@@ -42,15 +57,17 @@ def grid_json_dict(result: GridResult) -> dict:
         "row_labels": list(result.row_labels),
         "col_labels": list(result.col_labels),
         "cells": [
-            {"row": r, "col": c, **result.results[(r, c)].to_json_dict()}
-            for (r, c) in sorted(result.results)
+            {"row": r, "col": c, **report_json_dict(res.report),
+             "scenario": res.scenario_id, "per_episode_J": res.per_episode_j}
+            for (r, c), res in sorted(result.results.items())
         ],
     }
 
 
-def _write_json(result: GridResult, path: Path) -> None:
+def write_json(data: dict, path: str | Path) -> None:
+    """``data`` as indented JSON plus a newline: ``report.json`` and ``measure``'s output."""
     with open(path, "w") as fh:
-        json.dump(grid_json_dict(result), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 
@@ -104,7 +121,7 @@ def _heatmap_svg(result: GridResult) -> str:
 
 REPORTS = {
     "csv": ("report.csv", _write_csv),
-    "json": ("report.json", _write_json),
+    "json": ("report.json", lambda result, path: write_json(grid_json_dict(result), path)),
     "svg": ("heatmap.svg", lambda result, path: path.write_text(_heatmap_svg(result))),
 }
 """Report format name -> (file name under the output directory, writer)."""
@@ -127,6 +144,30 @@ def emit_report(result: GridResult, out_dir: str | Path,
     for name in formats:
         filename, write = REPORTS[name]
         write(result, Path(out_dir) / filename)
+
+
+def _repr_strings(column: np.ndarray) -> np.ndarray:
+    """``repr`` of each float of a 1-D column, taken once per distinct bit pattern."""
+    bits, inverse = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    return np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
+
+
+def write_indicator_csv(curves: Mapping[str, np.ndarray], path: str | Path) -> None:
+    """Write equal-length curves as a ``tick`` column plus one column per indicator.
+
+    Bytes as ``csv.writer`` writes them, each value by its ``repr``: no field
+    needs quoting, since names come from ``INDICATORS`` and a float's
+    ``repr`` holds no comma or quote.
+    """
+    h = len(next(iter(curves.values()), ()))
+    fields = np.stack([np.array([str(t) for t in range(h)], dtype=object),
+                       *map(_repr_strings, curves.values())], axis=1)
+    pieces = ["", *[","] * len(curves), "\r\n"]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["tick", *curves]) + "\r\n")
+        for start in range(0, h, BLOCK_TICKS):
+            fh.write(join_rows(pieces, fields[start:start + BLOCK_TICKS]))
 
 
 def export_indicators(result: GridResult, out_dir: str | Path) -> None:

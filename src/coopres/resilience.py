@@ -6,13 +6,12 @@ variable plus the trigger ticks of the disruptive events, scores each
 couples the per-variable scores with a harmonic mean.  The module holds
 every step of it, with the ratio guard and the threshold trigger detector,
 and scores the raw value arrays of the ``TimeSeries`` curves it is given.
+It writes no file: ``report.py`` formats the ``ResilienceReport``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -83,12 +82,6 @@ class EventResilience:
     g_profile: float
     milestones: Milestones
 
-    def to_json_dict(self) -> dict:
-        m = self.milestones
-        return {"J_jl": self.j_value, "F": self.f_profile, "G": self.g_profile,
-                "t_i": m.t_i, "t_f": m.t_f, "t_r": m.t_r,
-                "window_start": m.window_start}
-
 
 @dataclass
 class VariableResilience:
@@ -104,23 +97,6 @@ class ResilienceReport:
     assembled: float
     event_count: int
     variable_count: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "J": self.assembled,
-            "L": self.event_count,
-            "K": self.variable_count,
-            "per_variable": {
-                name: {"J_j": vr.folded,
-                       "events": [e.to_json_dict() for e in vr.events]}
-                for name, vr in self.per_variable.items()
-            },
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def partition_windows(schedule: Iterable[int], horizon: int,

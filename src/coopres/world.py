@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .indicators import BLOCK_TICKS, EpisodeTrace, join_rows
+from .indicators import EpisodeTrace
 
 Cell = tuple[int, int]
 
@@ -96,7 +96,8 @@ class GridMap:
     """Static geometry of a map: walls, tree layout, spawn and respawn cells.
 
     ``trees`` lists each tree's apple cells, in map order, and
-    ``apple_tree`` maps each apple cell to the index of its tree.
+    ``apple_tree`` maps each apple cell to the index of its tree.  ``load_map``
+    builds it, so each apple cell is a floor cell of exactly one tree.
 
     Also owns three tables over floor cells.  Walking distances to a cell,
     one BFS row per target cell built on first use, are the scripted
@@ -124,14 +125,7 @@ class GridMap:
         self._nbr_idx = [[index[n] for _, n in self.moves[a]] for a in self.floor]
         self._dist_rows: dict[int, list[int]] = {}  # target floor index -> distances to it
 
-        self.apple_tree: dict[Cell, int] = {}
-        for idx, cells in enumerate(trees):
-            for cell in cells:
-                if cell in walls:
-                    raise ValueError(f"apple cell {cell} is a wall")
-                if cell in self.apple_tree:
-                    raise ValueError(f"apple cell {cell} belongs to two trees")
-                self.apple_tree[cell] = idx
+        self.apple_tree = {cell: idx for idx, cells in enumerate(trees) for cell in cells}
         self.respawn_zone = self._compute_respawn_zone()
         self.visible = self._build_visibility_table()
 
@@ -304,12 +298,7 @@ def load_map(ascii_text: str) -> GridMap:
 
 def make_world(grid: GridMap, n_agents: int,
                regrowth_table: tuple[float, ...]) -> WorldState:
-    """Fresh episode state: pristine trees, agents on the first spawn points."""
-    if n_agents < 0 or n_agents > len(grid.spawn_points):
-        raise ValueError(
-            f"need {n_agents} spawn points, map has {len(grid.spawn_points)}")
-    if not regrowth_table or any(not 0.0 <= p <= 1.0 for p in regrowth_table):
-        raise ValueError("regrowth table must be non-empty probabilities in [0, 1]")
+    """Fresh state of a validated config: pristine trees, agents on the first spawn points."""
     state = WorldState(grid=grid, stock=[len(cells) for cells in grid.trees], agents={},
                        regrowth_table=tuple(regrowth_table),
                        live_apples=dict(grid.apple_tree), next_agent_id=n_agents)
@@ -544,6 +533,18 @@ def policy_action(policy: PolicyKind, state: WorldState, agent_id: int,
     if policy.explore_idle_prob > 0.0 and rng.random() < policy.explore_idle_prob:
         return Action.NOOP
     return wander(state, pos, rng, forbidden)
+
+
+# Ticks the writers format and join at once: bounds the strings held.
+BLOCK_TICKS = 256
+
+
+def join_rows(pieces: Sequence[str], fields: np.ndarray) -> str:
+    """Every row of an object array of strings, its fields set between the literal ``pieces``."""
+    cells = np.empty((len(fields), 2 * fields.shape[1] + 1), dtype=object)
+    cells[:, 0::2] = np.array(pieces, dtype=object)
+    cells[:, 1::2] = fields
+    return "".join(cells.ravel().tolist())
 
 
 def _trace_record_pieces(n_trees: int, n_agents: int) -> list[str]:

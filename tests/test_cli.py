@@ -101,16 +101,20 @@ class TestValidate:
         assert "ok (5 agents, 2 events" in capsys.readouterr().out
 
     # Output files are named after the id, so `../escaped` once wrote
-    # `escaped_*.csv` next to --out.
-    @pytest.mark.parametrize("scenario_id", ["../escaped", "a/b", "a\\b", "..", ".", ""],
-                             ids=["parent", "slash", "backslash", "dotdot", "dot", "empty"])
+    # `escaped_*.csv` next to --out, and a multi-line value once named files
+    # `a\nb_performance.csv`.
+    @pytest.mark.parametrize("scenario_id",
+                             ["../escaped", "a/b", "a\\b", "..", ".", "", "a\nb", "a\tb"],
+                             ids=["parent", "slash", "backslash", "dotdot", "dot", "empty",
+                                  "newline", "tab"])
     def test_scenario_id_must_be_a_plain_file_name(self, tmp_path, capsys, monkeypatch,
                                                    scenario_id):
         episodes = []
         monkeypatch.setattr(coopres.harness, "run_episode",
                             lambda *args, **kwargs: episodes.append(args))
         path = tmp_path / "bad.ini"
-        path.write_text(TINY_CONFIG + f"scenario_id = {scenario_id}\n")
+        # An indented line continues the value: `a` then `    b` reads as "a\nb".
+        path.write_text(TINY_CONFIG + "scenario_id = " + scenario_id.replace("\n", "\n    ") + "\n")
         out = tmp_path / "sub" / "out"
         for argv in (["validate", "--config", str(path)],
                      ["run", "--config", str(path), "--out", str(out)]):
@@ -166,6 +170,38 @@ class TestValidate:
                      ["run", "--config", str(path), "--out", str(tmp_path / "out")]):
             assert main(argv) == 1
             assert capsys.readouterr().err == "error:config: map: has no apple cell\n"
+        assert episodes == []
+        assert not (tmp_path / "out").exists()
+
+    # The simulator restates none of these rules, so this is where each is kept.
+    @pytest.mark.parametrize("text, message", [
+        (TINY_CONFIG + "[world]\nregrowth_table = 0.0, 1.5\n",
+         "regrowth_table must be probabilities in [0, 1]"),
+        (TINY_CONFIG.replace("= 220", "= 1"), "episode_length must be >= 2"),
+        (TINY_CONFIG + "h_max = 0\n", "h_max must be >= 1"),
+        ("[events]\nschedule = apple_vanish -3 0.5\n",
+         "{path}: schedule line 1: trigger tick must be >= 0"),
+        ("[events]\nschedule = bot_intrusion 30 10 -1\n",
+         "{path}: schedule line 1: bot count must be >= 0"),
+        (TINY_CONFIG + "episodes\n",
+         "{path}: Source contains parsing errors: {path!r}\n\t[line  7]: 'episodes\\n'"),
+        (TINY_CONFIG + "[pipeline]\nh_max = 5\n",
+         "{path}: While reading from {path!r} [line  7]: section 'pipeline' already exists"),
+        ("[world]\nmap = empty.txt\n" + TINY_CONFIG, "map: map is empty"),
+    ], ids=["regrowth_above_one", "one_tick_episode", "h_max_zero", "negative_trigger",
+            "negative_bot_count", "line_without_equals", "repeated_section", "empty_map"])
+    def test_boundary_rule_refused_before_any_episode(self, tmp_path, capsys, monkeypatch,
+                                                       text, message):
+        episodes = []
+        monkeypatch.setattr(coopres.harness, "run_episode",
+                            lambda *args, **kwargs: episodes.append(args))
+        (tmp_path / "empty.txt").write_text("")
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        for argv in (["validate", "--config", str(path)],
+                     ["run", "--config", str(path), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error:config: {message.format(path=str(path))}\n"
         assert episodes == []
         assert not (tmp_path / "out").exists()
 
@@ -243,6 +279,15 @@ class TestMeasure:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:input:") and "finite" in err and "p.csv" in err
+        assert not out.exists()
+
+    def test_negative_curve_value_refused(self, tmp_path, capsys):
+        p_path, r_path = write_curves(tmp_path, [1.0] * 20 + [-0.5] + [1.0] * 19, [1.0] * 40)
+        out = tmp_path / "report.json"
+        assert main(["measure", "--performance", str(p_path), "--reference", str(r_path),
+                     "--schedule", str(write_schedule(tmp_path, 20)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error:input: curves must be non-negative (positive-orientation indicators)\n")
         assert not out.exists()
 
     def test_curves_starting_at_tick_5(self, tmp_path):

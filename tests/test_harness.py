@@ -27,9 +27,9 @@ from coopres.harness import (
     run_scenario,
     table2_preset,
 )
-from coopres.report import emit_report, export_indicators, grid_json_dict
-from coopres.indicators import (INDICATOR_NAMES, EpisodeTrace, compute_indicators,
-                                write_indicator_csv)
+from coopres.report import (emit_report, export_indicators, grid_json_dict, report_json_dict,
+                            write_indicator_csv)
+from coopres.indicators import INDICATOR_NAMES, EpisodeTrace, compute_indicators
 from coopres.world import (
     DEFAULT_MAP,
     DEFAULT_REGROWTH_TABLE,
@@ -566,7 +566,7 @@ class TestRunScenario:
         cfg = quick_config()
         a = run_one(cfg)
         b = run_one(cfg)
-        assert a.report.to_json_dict() == b.report.to_json_dict()
+        assert report_json_dict(a.report) == report_json_dict(b.report)
         assert a.per_episode_j == b.per_episode_j
         for twin in ("performance", "reference"):
             curves_a, curves_b = getattr(a, twin), getattr(b, twin)
@@ -661,8 +661,10 @@ class TestGrids:
         together = run_grid(grid)
         alone_a = run_one(cfg_a)
         alone_b = run_one(cfg_b)
-        assert together.results[(0, 0)].report.to_json_dict() == alone_a.report.to_json_dict()
-        assert together.results[(0, 1)].report.to_json_dict() == alone_b.report.to_json_dict()
+        assert (report_json_dict(together.results[(0, 0)].report)
+                == report_json_dict(alone_a.report))
+        assert (report_json_dict(together.results[(0, 1)].report)
+                == report_json_dict(alone_b.report))
 
     def test_runtime_failure_carries_cell_coordinates(self, monkeypatch):
         monkeypatch.setattr(coopres.harness, "run_episode", _failing_episode_for("bad"))
@@ -731,8 +733,8 @@ class TestGrids:
         monkeypatch.setenv("COOPRES_THREADS", "2")
         parallel = run_grid(grid)
         for cell in cells:
-            assert (parallel.results[cell].report.to_json_dict()
-                    == sequential.results[cell].report.to_json_dict())
+            assert (report_json_dict(parallel.results[cell].report)
+                    == report_json_dict(sequential.results[cell].report))
 
 
 @st.composite
@@ -773,7 +775,7 @@ class TestPrefixForks:
             for name in cfg.indicators:
                 assert np.array_equal(forked.performance[name], alone.performance[name])
                 assert np.array_equal(forked.reference[name], alone.reference[name])
-            assert forked.report.to_json_dict() == alone.report.to_json_dict()
+            assert report_json_dict(forked.report) == report_json_dict(alone.report)
             assert forked.per_episode_j == alone.per_episode_j
 
 

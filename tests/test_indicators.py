@@ -15,8 +15,8 @@ from coopres.indicators import (
     compute_indicators,
     gini,
     stack_episodes,
-    write_indicator_csv,
 )
+from coopres.report import write_indicator_csv
 
 from conftest import build_trace
 

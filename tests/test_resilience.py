@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coopres.report import report_json_dict, write_json
 from coopres.resilience import (
     EPS,
     TRIGGER_THRESHOLD,
@@ -518,8 +519,8 @@ class TestPipeline:
     def test_deterministic(self):
         p = [1.0] * 50 + [0.4] * 20 + [0.9] * 130
         pair = pair_from(p, [1.0] * 200)
-        a = resilience_pipeline({"v": pair}, [50]).to_json_dict()
-        b = resilience_pipeline({"v": pair}, [50]).to_json_dict()
+        a = report_json_dict(resilience_pipeline({"v": pair}, [50]))
+        b = report_json_dict(resilience_pipeline({"v": pair}, [50]))
         assert a == b
 
     @given(data=st.data(), c=st.floats(min_value=1e-2, max_value=1e2))
@@ -587,5 +588,5 @@ class TestReportSerialization:
         report = resilience_pipeline({"apples_pc": pair, "trees_pc": flat_pair(200)},
                                      [40, 120])
         path = tmp_path / "report.json"
-        report.to_json(path)
-        assert json.loads(path.read_text()) == report.to_json_dict()
+        write_json(report_json_dict(report), path)
+        assert json.loads(path.read_text()) == report_json_dict(report)

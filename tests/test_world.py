@@ -12,9 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coopres.disruptions import EventEngine, apply_apple_vanish, parse_schedule
-from coopres.indicators import BLOCK_TICKS, EpisodeTrace
+from coopres.indicators import EpisodeTrace
 from coopres.world import (
     ACTIONS,
+    BLOCK_TICKS,
     DEFAULT_MAP,
     UNREACHABLE,
     VIEW_RADIUS,
