@@ -20,6 +20,7 @@ from .harness import (
     DEFAULT_SEED,
     PRESETS,
     ConfigError,
+    ExperimentGrid,
     GridResult,
     ScenarioConfig,
     parse_scenario_config,
@@ -200,7 +201,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = parse_scenario_config(args.config)
-    config.validate()
+    ExperimentGrid.single(config).validate()
     print(f"{args.config}: ok ({config.n_agents} agents, "
           f"{len(config.schedule)} events, {config.episodes} episodes)")
     return EXIT_OK

@@ -56,6 +56,8 @@ class ConfigError(ValueError):
 DEFAULT_POLICIES = (PolicyKind.SUSTAINABLE, PolicyKind.SUSTAINABLE,
                     PolicyKind.SUSTAINABLE, PolicyKind.GREEDY, PolicyKind.GREEDY)
 DEFAULT_SEED = 42
+# The most bytes one episode's row buffer, or one twin's kept curves, may take.
+MEMORY_LIMIT = 1 << 30
 # Called as sink(cell, k, performance, reference) with episode k's traces of a grid cell.
 TraceSink = Callable[[tuple[int, int], int, EpisodeTrace, EpisodeTrace], None]
 
@@ -126,6 +128,12 @@ class ScenarioConfig:
         # Without apples no event can move a welfare curve, so J would read 1 for any schedule.
         if not grid.trees:
             raise ConfigError("map: has no apple cell")
+        # Both are sized before any episode runs: refuse here what could not be allocated.
+        h, width = self.episode_length, len(grid.trees) + 3 * self.n_agents + 3
+        for what, size in (("an episode's row buffer", h * width * 8),
+                           ("a twin's curves", self.episodes * h * len(self.indicators) * 8)):
+            if size > MEMORY_LIMIT:
+                raise ConfigError(f"{what} would take {size} bytes; the limit is {MEMORY_LIMIT}")
         # Bots enter on free spawn cells.  Counting every intrusion as firing,
         # the most present at once is reached at some intrusion's trigger.
         bots = [e for e in self.schedule if e.kind is EventKind.BOT_INTRUSION]
@@ -185,9 +193,8 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     calls: it draws its idle coin and, only if it moves, wanders.
     ``step_world`` gets the actions other than ``NOOP``.  The tick after
     one with none is quiet if it revived no apple and no event is due:
-    nothing in its row has moved, so it writes no row and keeps the stock
-    vector and each agent's has-a-target flag.  Skipped rows are copied in
-    place from the last row written, before a snapshot and at the end.
+    nothing in its row has moved, so its row is copied from the one before
+    it, and it keeps the stock vector and each agent's has-a-target flag.
 
     ``snapshots`` lists ticks by its keys; the episode's state at the
     start of each is stored under it.  ``start`` continues from such a
@@ -203,7 +210,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     schedule = config.schedule if with_events else EventSchedule()
 
     h, n, nt = config.episode_length, config.n_agents, len(grid.trees)
-    rows = np.full((h, nt + 3 * n + 3), -1, dtype=np.int64)  # -1 marks a row not written
+    rows = np.empty((h, nt + 3 * n + 3), dtype=np.int64)
     if start is None:
         t0, engine = 0, EventEngine(schedule)
         state = make_world(grid, n, config.regrowth_table)
@@ -221,14 +228,6 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
         rows[:t0] = start.rows
         bot_records = start.bot_records.copy()
 
-    def fill(stop: int) -> None:
-        """Copy the last row written into the rows before ``stop`` that quiet ticks skipped."""
-        head = rows[:stop]
-        # A skipped row still ends in the buffer's -1; that column is a ledger, never negative.
-        src = np.maximum.accumulate(np.where(head[:, -1] != -1, np.arange(stop), 0))
-        for a in range(0, stop, 256):  # blocks bound the gathered copy
-            head[a:a + 256] = head[src[a:a + 256]]
-
     # The welfare agents keep their objects for the whole episode; bots come after them.
     agents, welfare = state.agents, [state.agents[i] for i in range(n)]
     visible, live, noop, draw = grid.visible, state.live_apples, Action.NOOP, rng.random
@@ -236,7 +235,6 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     quiet = False
     for t in range(t0, h):
         if snapshots is not None and t in snapshots:
-            fill(t)
             snapshots[t] = Snapshot(
                 tick=t, state=state.copy(), rng_state=rng.getstate(),
                 event_rng_state=event_rng.getstate(),
@@ -265,6 +263,8 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
                         deciders if len(agents) == n else
                         deciders + [(i, agents[i], PolicyKind.UNSUSTAINABLE_BOT)
                                     for i in sorted(agents) if i >= n])]
+        else:
+            rows[t] = rows[t - 1]
         bot_records.append(present)
 
         actions = {}
@@ -282,7 +282,6 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
         regrown = state.total_regrown
         step_world(state, actions, rng)
         quiet = not actions and state.total_regrown == regrown
-    fill(h)
 
     trace = EpisodeTrace(n_agents=n, rows=rows, fired_triggers=tuple(engine.fired),
                          bot_records=bot_records)
@@ -312,8 +311,8 @@ def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
     Cells differ only in their schedules.  Each performance episode forks
     from the episode run before it (the reference first) that shares the
     longest prefix of its schedule, the first such on a tie, at
-    ``_fork_tick``, or reuses it outright when the schedules are equal.  A
-    snapshot is dropped once its last fork has started.
+    ``_fork_tick``, or reuses it outright when the schedules are equal.
+    Snapshots are held until the seed ends.
     A failure raises ``RuntimeError`` naming the cell being run (the first
     while the reference runs), unless it is a ``ConfigError``.  Then
     ``sink``, if given, gets each cell's traces; what it raises passes through.
@@ -325,8 +324,8 @@ def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
         return compute_indicators(trace, config.indicators, config.h_max)
 
     # Episode 0 is the reference, i > 0 cell i - 1's.  Sorted by their events'
-    # reprs, each schedule runs just before those it is a prefix of, which
-    # bounds the snapshots held.  forks[i] = (tick, j) continues i from j.
+    # reprs, each schedule runs before those it is a prefix of, so that they
+    # can fork from it.  forks[i] = (tick, j) continues i from j.
     schedules = [()] + [tuple(cfg.schedule) for _, cfg in cells]
     order = sorted(range(len(schedules)), key=lambda i: [repr(e) for e in schedules[i]])
     forks = {i: max(((_fork_tick(schedules[j], schedules[i], h), j) for j in order[:n]),
@@ -334,20 +333,16 @@ def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
     snapshots: list[dict[int, Snapshot | None]] = [
         {tick: None for tick, j in forks.values() if j == i and tick < h}
         for i in range(len(schedules))]
-    last_use = {forks[i]: n for n, i in enumerate(order) if n}
     episodes: dict[int, _Episode] = {}
     traces: dict[int, EpisodeTrace | None] = {}  # kept only for the sink
     try:
         for n, i in enumerate(order):
             cell, cfg = cells[max(i - 1, 0)]
-            if n == 0:
-                start = None
-            elif (fork := forks[i])[0] == h:
+            fork = forks.get(i)  # None for the reference, which runs first
+            if fork is not None and fork[0] == h:
                 episodes[i], traces[i] = episodes[fork[1]], traces[fork[1]]
                 continue
-            else:
-                tick, j = fork
-                start = snapshots[j][tick] if last_use[fork] > n else snapshots[j].pop(tick)
+            start = None if fork is None else snapshots[fork[1]][fork[0]]
             trace = run_episode(cfg, seed, with_events=n > 0, snapshots=snapshots[i], start=start)
             episodes[i] = _Episode(curves(trace), trace.fired_triggers)
             traces[i] = trace if sink is not None else None
@@ -407,6 +402,9 @@ class ExperimentGrid:
                     f"grid cell {cell} must share every setting with the others; "
                     "only the scenario id and the schedule may differ")
             cfg.validate()
+            # Every score is taken over event windows.
+            if not cfg.schedule.events:
+                raise ConfigError(f"scenario {cfg.scenario_id!r} has no events to score")
         # A cell's id names its output files.
         owners: dict[str, tuple[int, int]] = {}
         for cell, cfg in cells:
@@ -416,6 +414,12 @@ class ExperimentGrid:
 
     def sorted_cells(self) -> list[tuple[tuple[int, int], ScenarioConfig]]:
         return sorted(self.cells.items())
+
+    @classmethod
+    def single(cls, config: ScenarioConfig) -> ExperimentGrid:
+        """The one-cell grid that runs ``config`` alone, as cell (0, 0)."""
+        return cls(grid_id=config.scenario_id, row_labels=[""], col_labels=[""],
+                   cells={(0, 0): config})
 
 
 @dataclass
@@ -431,9 +435,7 @@ class GridResult:
 
 def run_scenario(config: ScenarioConfig, sink: TraceSink | None = None) -> GridResult:
     """Run one scenario as a one-cell grid; its result is ``.results[(0, 0)]``."""
-    grid = ExperimentGrid(grid_id=config.scenario_id, row_labels=[""], col_labels=[""],
-                          cells={(0, 0): config})
-    return run_grid(grid, sink)
+    return run_grid(ExperimentGrid.single(config), sink)
 
 
 def run_grid(grid: ExperimentGrid, sink: TraceSink | None = None) -> GridResult:
@@ -558,6 +560,10 @@ def parse_scenario_config(path: str | Path) -> ScenarioConfig:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: a key before any [section] header") from None
+    except configparser.ParsingError as exc:  # lists every bad line: the first is named
+        raise ConfigError(f"{path}: line {exc.errors[0][0]}: not a key = value line") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     unknown = set(parser.sections()) - {section for section, _ in CONFIG_KEYS}

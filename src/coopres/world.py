@@ -99,12 +99,12 @@ class GridMap:
     ``apple_tree`` maps each apple cell to the index of its tree.  ``load_map``
     builds it, so each apple cell is a floor cell of exactly one tree.
 
-    Also owns three tables over floor cells.  Walking distances to a cell,
-    one BFS row per target cell built on first use, are the scripted
-    policies' knowledge of the (static) map layout.  ``visible``, built
-    here, maps each floor cell to the (apple cell, tree index) pairs an
-    agent standing there can see: within ``VIEW_RADIUS`` in both axes and
-    in line of sight.  ``moves`` lists each cell's moves into open cells.
+    Also owns three tables keyed by floor cell.  ``moves`` lists each
+    cell's moves into open cells.  Walking distances to a cell, one BFS
+    row per target cell built on first use, are the scripted policies'
+    knowledge of the (static) map layout.  ``visible``, built here, maps
+    each floor cell to the (apple cell, tree index) pairs an agent standing
+    there can see: within ``VIEW_RADIUS`` in both axes and in line of sight.
     """
 
     def __init__(self, width: int, height: int, walls: frozenset[Cell],
@@ -116,14 +116,12 @@ class GridMap:
         self.spawn_points = spawn_points
         self.floor = [(r, c) for r in range(height) for c in range(width)
                       if (r, c) not in walls]
-        index = self._floor_index = {cell: i for i, cell in enumerate(self.floor)}
+        floor = set(self.floor)
         # floor cell -> (move, floor cell) for each open cell next to it, in MOVES order
-        self.moves = {a: tuple((move, self.floor[index[n]]) for move, (dr, dc) in MOVES
-                               if (n := (a[0] + dr, a[1] + dc)) in index)
+        self.moves = {a: tuple((move, n) for move, (dr, dc) in MOVES
+                               if (n := (a[0] + dr, a[1] + dc)) in floor)
                       for a in self.floor}
-        # floor index -> floor indices of the open cells next to it
-        self._nbr_idx = [[index[n] for _, n in self.moves[a]] for a in self.floor]
-        self._dist_rows: dict[int, list[int]] = {}  # target floor index -> distances to it
+        self._dist_rows: dict[Cell, dict[Cell, int]] = {}  # target cell -> distances to it
 
         self.apple_tree = {cell: idx for idx, cells in enumerate(trees) for cell in cells}
         self.respawn_zone = self._compute_respawn_zone()
@@ -131,20 +129,18 @@ class GridMap:
 
     def is_wall(self, cell: Cell) -> bool:
         """True for a ``#`` cell and for any cell off the map."""
-        return cell not in self._floor_index
+        return cell not in self.moves
 
-    def _bfs(self, sources: list[int]) -> list[int]:
-        """Walking distance from the nearest of ``sources`` to each floor cell, by floor index."""
-        nbr_idx = self._nbr_idx
-        row = [UNREACHABLE] * len(self.floor)
-        for s in sources:
-            row[s] = 0
+    def _bfs(self, sources: list[Cell]) -> dict[Cell, int]:
+        """Walking distance from the nearest of ``sources`` to each floor cell it reaches."""
+        moves = self.moves
+        row = dict.fromkeys(sources, 0)
         q = deque(sources)
         while q:
             u = q.popleft()
             du = row[u] + 1
-            for v in nbr_idx[u]:
-                if row[v] > du:
+            for _, v in moves[u]:
+                if v not in row:
                     row[v] = du
                     q.append(v)
         return row
@@ -152,12 +148,12 @@ class GridMap:
     def _compute_respawn_zone(self) -> list[Cell]:
         if not self.apple_tree:
             return list(self.floor)
-        dist = self._bfs([self._floor_index[cell] for cell in self.apple_tree])
-        far = max(d for d in dist if d < UNREACHABLE)
-        return [c for c, d in zip(self.floor, dist) if d == far]
+        dist = self._bfs(list(self.apple_tree))
+        far = max(dist.values())
+        return [c for c in self.floor if dist.get(c) == far]
 
-    def _build_distance_table(self, s: int) -> list[int]:
-        """Walking distances between floor cell ``s`` and every floor cell, by floor index."""
+    def _build_distance_table(self, s: Cell) -> dict[Cell, int]:
+        """Walking distances between floor cell ``s`` and every floor cell it reaches."""
         return self._bfs([s])
 
     def distance(self, a: Cell, b: Cell) -> int:
@@ -165,14 +161,12 @@ class GridMap:
 
         Only ``b``'s row is built, on first use: policies pass apple cells as ``b``.
         """
-        ia = self._floor_index.get(a)
-        ib = self._floor_index.get(b)
-        if ia is None or ib is None:
-            return UNREACHABLE
-        row = self._dist_rows.get(ib)
+        row = self._dist_rows.get(b)
         if row is None:
-            row = self._dist_rows[ib] = self._build_distance_table(ib)
-        return row[ia]
+            if b not in self.moves:
+                return UNREACHABLE
+            row = self._dist_rows[b] = self._build_distance_table(b)
+        return row.get(a, UNREACHABLE)
 
     def _build_visibility_table(self) -> dict[Cell, tuple[tuple[Cell, int], ...]]:
         # One (cell, tree index) tuple per apple cell, shared by every entry.
@@ -578,14 +572,12 @@ def write_trace_jsonl(trace: EpisodeTrace, path: str | Path) -> None:
 
     A record holds ``tick``, ``apples_per_tree`` and ``per_agent`` (keyed by
     agent id: ``consumed``, ``hunger_ticks``, ``pos``), all ints, and a
-    ``bots`` list only on ticks with bots on the map.  Its fields are the
-    tick, then the tick's row without the ledgers, with each agent's derived
-    ``hunger_ticks`` after its ``consumed``.
+    ``bots`` list only on ticks with bots on the map.
     """
-    n_trees, n = trace.apples_per_tree.shape[1], trace.n_agents
-    fields = np.insert(trace.rows[:, :-3], n_trees + 1 + 3 * np.arange(n),
-                       trace.hunger_ticks, axis=1)
-    ticks, pieces = np.arange(trace.horizon), _trace_record_pieces(n_trees, n)
+    n_trees, n, h = trace.apples_per_tree.shape[1], trace.n_agents, trace.horizon
+    per_agent = np.dstack([trace.consumed, trace.hunger_ticks, trace.positions])
+    fields = np.column_stack([trace.apples_per_tree, per_agent.reshape(h, 4 * n)])
+    ticks, pieces = np.arange(h), _trace_record_pieces(n_trees, n)
     # ``initial`` takes the ticks 0..horizon - 1 into the range.
     strings = _int_strings(int(fields.min(initial=0)), int(fields.max(initial=len(ticks) - 1)),
                            ticks.size + fields.size)

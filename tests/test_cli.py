@@ -78,7 +78,8 @@ class TestValidate:
          r"window \[201, 202\) is shorter than 2 ticks"),
         (["apple_vanish 0 0.3", "apple_vanish 1 0.3"],
          r"window \[0, 1\) is shorter than 2 ticks"),
-    ], ids=["never_fires", "windows_one_tick_apart", "first_window_one_tick"])
+        ([], "scenario 'bad' has no events to score"),
+    ], ids=["never_fires", "windows_one_tick_apart", "first_window_one_tick", "no_events"])
     def test_schedule_that_cannot_be_scored_is_refused_before_running(
             self, tmp_path, capsys, events, message):
         path = tmp_path / "bad.ini"
@@ -183,13 +184,23 @@ class TestValidate:
          "{path}: schedule line 1: trigger tick must be >= 0"),
         ("[events]\nschedule = bot_intrusion 30 10 -1\n",
          "{path}: schedule line 1: bot count must be >= 0"),
-        (TINY_CONFIG + "episodes\n",
-         "{path}: Source contains parsing errors: {path!r}\n\t[line  7]: 'episodes\\n'"),
+        (TINY_CONFIG + "episodes\n", "{path}: line 7: not a key = value line"),
+        ("episodes = 2\n" + TINY_CONFIG, "{path}: line 1: a key before any [section] header"),
         (TINY_CONFIG + "[pipeline]\nh_max = 5\n",
          "{path}: While reading from {path!r} [line  7]: section 'pipeline' already exists"),
         ("[world]\nmap = empty.txt\n" + TINY_CONFIG, "map: map is empty"),
+        ("[pipeline]\nepisode_length = 60\nepisodes = 2\n",
+         "scenario 'bad' has no events to score"),
+        ("[events]\nschedule = apple_vanish 30 0.5\n"
+         "[pipeline]\nepisode_length = 5592406\nepisodes = 1\n",
+         "an episode's row buffer would take 1073741952 bytes; the limit is 1073741824"),
+        ("[events]\nschedule = apple_vanish 30 0.5\n"
+         "[pipeline]\nepisode_length = 1000\nepisodes = 33555\n",
+         "a twin's curves would take 1073760000 bytes; the limit is 1073741824"),
     ], ids=["regrowth_above_one", "one_tick_episode", "h_max_zero", "negative_trigger",
-            "negative_bot_count", "line_without_equals", "repeated_section", "empty_map"])
+            "negative_bot_count", "line_without_equals", "key_before_any_section",
+            "repeated_section", "empty_map", "no_events", "row_buffer_over_memory_limit",
+            "curves_over_memory_limit"])
     def test_boundary_rule_refused_before_any_episode(self, tmp_path, capsys, monkeypatch,
                                                        text, message):
         episodes = []
@@ -204,6 +215,17 @@ class TestValidate:
             assert capsys.readouterr().err == f"error:config: {message.format(path=str(path))}\n"
         assert episodes == []
         assert not (tmp_path / "out").exists()
+
+    # The default map's rows are 6 + 3 * 5 + 3 = 24 ints, 192 bytes a tick; the four
+    # curves of one episode take 32 bytes a tick.  One tick or episode more is refused.
+    @pytest.mark.parametrize("pipeline", ["episode_length = 5592405\nepisodes = 1\n",
+                                          "episode_length = 1000\nepisodes = 33554\n"],
+                             ids=["row_buffer", "curves"])
+    def test_config_at_the_memory_limit_validates(self, tmp_path, capsys, pipeline):
+        path = tmp_path / "big.ini"
+        path.write_text("[events]\nschedule = apple_vanish 30 0.5\n[pipeline]\n" + pipeline)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert ": ok (5 agents, 1 events" in capsys.readouterr().out
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.ini")]) == 1

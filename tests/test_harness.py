@@ -639,7 +639,8 @@ class TestGrids:
     def test_cells_may_differ_in_id_and_schedule(self):
         base = quick_config()
         cells = {(0, 0): base,
-                 (0, 1): replace(base, scenario_id="quiet", schedule=EventSchedule())}
+                 (0, 1): replace(base, scenario_id="quiet",
+                                 schedule=EventSchedule(events=[vanish(120, 0.3)]))}
         ExperimentGrid(grid_id="ok", row_labels=["r"], col_labels=["a", "b"],
                        cells=cells).validate()
 
