@@ -23,6 +23,7 @@ from .harness import (
     ExperimentGrid,
     GridResult,
     ScenarioConfig,
+    ScenarioResult,
     parse_scenario_config,
     run_grid,
     run_scenario,
@@ -132,6 +133,12 @@ def _write_traces(out: Path, cell, k: int, performance, reference) -> None:
         world.write_trace_jsonl(trace, out / f"trace_{label}_ep{k}.jsonl")
 
 
+def _unscored(res: ScenarioResult) -> str:
+    """Stdout's ``J`` of a scenario in which no event fired."""
+    n = len(res.per_episode_j)
+    return f"J = n/a (no event fired in {n} episode{'s' if n != 1 else ''})"
+
+
 def _cmd_run(args) -> int:
     formats = _formats(args)
     out = _check_out(args.out, "directory")
@@ -140,9 +147,10 @@ def _cmd_run(args) -> int:
         config = replace(config, base_seed=args.seed)
     result = run_scenario(config, functools.partial(_write_traces, out) if args.traces else None)
     _write_outputs(result, out, formats)
-    report = result.results[(0, 0)].report
-    print(f"J = {report.assembled:.6f} "
-          f"(L={report.event_count}, K={report.variable_count})")
+    res = result.results[(0, 0)]
+    report = res.report
+    print(_unscored(res) if report.assembled is None else
+          f"J = {report.assembled:.6f} (L={report.event_count}, K={report.variable_count})")
     return EXIT_OK
 
 
@@ -172,7 +180,8 @@ def _cmd_grid(args) -> int:
     result = run_grid(PRESETS[args.preset](base))
     _write_outputs(result, out, formats)
     for res in result.scenario_results():
-        print(f"{res.scenario_id}: J = {res.report.assembled:.6f}")
+        j = res.report.assembled
+        print(f"{res.scenario_id}: " + (_unscored(res) if j is None else f"J = {j:.6f}"))
     return EXIT_OK
 
 

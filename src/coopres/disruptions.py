@@ -106,7 +106,7 @@ def parse_schedule(text: str) -> EventSchedule:
     return EventSchedule(events=events)
 
 
-def apply_apple_vanish(state: WorldState, v_s: float, rng: random.Random) -> WorldState:
+def apply_apple_vanish(state: WorldState, v_s: float, rng: random.Random) -> None:
     """Remove each live apple with probability ``v_s``, sparing one per tree.
 
     Apples are visited in fixed cell order; the final live apple of each
@@ -120,24 +120,20 @@ def apply_apple_vanish(state: WorldState, v_s: float, rng: random.Random) -> Wor
             if rng.random() < v_s:
                 state.remove_apple(cell)
                 state.total_event_vanished += 1
-    return state
 
 
-def apply_bot_intrusion(state: WorldState, event: Event) -> WorldState:
-    """Spawn the event's bots at the free spawn cells nearest the map center."""
+def apply_bot_intrusion(state: WorldState, event: Event) -> None:
+    """Spawn the event's bots, as the next agent ids, on the free spawn cells nearest the center.
+
+    Enough are free: ``ScenarioConfig.validate`` checks the spawn points hold every agent and bot.
+    """
     center = (state.grid.height / 2.0, state.grid.width / 2.0)
     free = [c for c in state.grid.spawn_points if c not in state.occupied]
     free.sort(key=lambda c: ((c[0] - center[0]) ** 2 + (c[1] - center[1]) ** 2, c))
-    if len(free) < event.bot_count:
-        raise ValueError(
-            f"bot intrusion needs {event.bot_count} free spawn cells, found {len(free)}")
-    for i in range(event.bot_count):
-        bot_id = state.next_agent_id
+    for cell in free[:event.bot_count]:
+        state.agents[state.next_agent_id] = AgentState(position=cell)
+        state.occupied[cell] = state.next_agent_id
         state.next_agent_id += 1
-        bot = AgentState(id=bot_id, position=free[i], is_bot=True)
-        state.agents[bot_id] = bot
-        state.occupied[free[i]] = bot_id
-    return state
 
 
 class EventEngine:
@@ -167,7 +163,7 @@ class EventEngine:
         return min([e.trigger_tick for e in self.schedule if e.trigger_tick >= tick]
                    + list(self.removals), default=None)
 
-    def fire_events(self, state: WorldState, tick: int, rng: random.Random) -> WorldState:
+    def fire_events(self, state: WorldState, tick: int, rng: random.Random) -> None:
         for removal_tick in [t for t in self.removals if t <= tick]:
             for bot_id in self.removals.pop(removal_tick):
                 del state.occupied[state.agents.pop(bot_id).position]
@@ -186,4 +182,3 @@ class EventEngine:
             self.fired.append(tick)
         # Every removal left is after this tick.
         self.next_due = self._due_from(tick + 1)
-        return state

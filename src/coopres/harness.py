@@ -252,7 +252,7 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
                 row += a.cumulative_consumed, *a.position
             row += state.total_consumed, state.total_regrown, state.total_event_vanished
             rows[t] = row
-            present = ([(b.id, b.position, b.cumulative_consumed) for b in state.bots()]
+            present = ([(i, a.position, a.cumulative_consumed) for i, a in agents.items() if i >= n]
                        if len(agents) > n else [])
             # Each decider with whether it explores: its policy has an idle
             # coin and it has no target in view.
@@ -361,7 +361,8 @@ def _score(config: ScenarioConfig, episodes: list[_Episode],
     """Score one scenario on its averaged curves, and each episode on its own.
 
     ``reference`` holds the episodes' reference curves, already stacked;
-    every cell of a grid shares it.
+    every cell of a grid shares it.  When no event fired in any episode the
+    scenario is not scored: its report has ``J`` None and ``L`` 0.
     """
     performance = stack_episodes([ep.performance for ep in episodes])
 
@@ -373,7 +374,8 @@ def _score(config: ScenarioConfig, episodes: list[_Episode],
     # Events that fired in any episode define the scenario's window layout;
     # with p_s = 1 this is simply the schedule.
     triggers = sorted({t for ep in episodes for t in ep.fired_triggers})
-    report = resilience_pipeline(pairs(lambda curves: curves.mean(axis=0)), triggers)
+    report = (resilience_pipeline(pairs(lambda curves: curves.mean(axis=0)), triggers)
+              if triggers else ResilienceReport({}, None, 0, len(performance)))
     per_episode_j = [resilience_pipeline(pairs(lambda curves: curves[k]),
                                          ep.fired_triggers).assembled
                      if ep.fired_triggers else None
@@ -564,8 +566,11 @@ def parse_scenario_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: line {exc.lineno}: a key before any [section] header") from None
     except configparser.ParsingError as exc:  # lists every bad line: the first is named
         raise ConfigError(f"{path}: line {exc.errors[0][0]}: not a key = value line") from None
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: repeated section [{exc.section}]") from None
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(
+            f"{path}: line {exc.lineno}: repeated key {exc.option!r} in [{exc.section}]") from None
     unknown = set(parser.sections()) - {section for section, _ in CONFIG_KEYS}
     if unknown:
         raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")

@@ -71,8 +71,10 @@ def write_json(data: dict, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _heat_color(j: float) -> tuple[str, str]:
-    """Fill and text color for a score: darker cell = lower resilience."""
+def _heat_color(j: float | None) -> tuple[str, str]:
+    """Fill and text color for a score: darker cell = lower resilience; grey for none."""
+    if j is None:
+        return "#d9d9d9", "#000000"
     j = min(max(j, 0.0), 1.0)
     dark = (8, 48, 107)
     light = (222, 235, 247)
@@ -104,13 +106,14 @@ def _heatmap_svg(result: GridResult) -> str:
             f'text-anchor="end" font-family="sans-serif" font-size="12">{escape(label)}</text>')
     for (r, c), res in sorted(result.results.items()):
         x, y = left + c * cell_w, top + r * cell_h
-        fill, text = _heat_color(res.report.assembled)
+        j = res.report.assembled
+        fill, text = _heat_color(j)
         parts.append(f'<rect x="{x}" y="{y}" width="{cell_w}" height="{cell_h}" '
                      f'fill="{fill}" stroke="#ffffff"/>')
         parts.append(
             f'<text x="{x + cell_w / 2}" y="{y + cell_h / 2 - 4}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16" fill="{text}">'
-            f'{res.report.assembled:.2f}</text>')
+            f'{"n/a" if j is None else f"{j:.2f}"}</text>')
         parts.append(
             f'<text x="{x + cell_w / 2}" y="{y + cell_h / 2 + 16}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10" fill="{text}">'

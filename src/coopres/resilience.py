@@ -94,7 +94,7 @@ class ResilienceReport:
     """Full output of the pipeline, intermediate values included."""
 
     per_variable: dict[str, VariableResilience]
-    assembled: float
+    assembled: float | None  # None, with no variable scored, when no event fired
     event_count: int
     variable_count: int
 

@@ -99,28 +99,27 @@ class GridMap:
     ``apple_tree`` maps each apple cell to the index of its tree.  ``load_map``
     builds it, so each apple cell is a floor cell of exactly one tree.
 
-    Also owns three tables keyed by floor cell.  ``moves`` lists each
-    cell's moves into open cells.  Walking distances to a cell, one BFS
-    row per target cell built on first use, are the scripted policies'
-    knowledge of the (static) map layout.  ``visible``, built here, maps
-    each floor cell to the (apple cell, tree index) pairs an agent standing
-    there can see: within ``VIEW_RADIUS`` in both axes and in line of sight.
+    Also owns three tables keyed by floor cell.  ``moves``, the map's one
+    record of which cells are open, lists each cell's moves into open
+    cells.  Walking distances to a cell, one BFS row per target cell built
+    on first use, are the scripted policies' knowledge of the (static) map
+    layout.  ``visible``, built here, maps each floor cell to the (apple
+    cell, tree index) pairs an agent standing there can see: within
+    ``VIEW_RADIUS`` in both axes and in line of sight.
     """
 
     def __init__(self, width: int, height: int, walls: frozenset[Cell],
                  trees: list[tuple[Cell, ...]], spawn_points: list[Cell]):
         self.width = width
         self.height = height
-        self.walls = walls
         self.trees = trees
         self.spawn_points = spawn_points
-        self.floor = [(r, c) for r in range(height) for c in range(width)
-                      if (r, c) not in walls]
-        floor = set(self.floor)
-        # floor cell -> (move, floor cell) for each open cell next to it, in MOVES order
+        floor = dict.fromkeys((r, c) for r in range(height) for c in range(width)
+                              if (r, c) not in walls)
+        # floor cell, in row-major order -> (move, floor cell) for each open cell next to it
         self.moves = {a: tuple((move, n) for move, (dr, dc) in MOVES
                                if (n := (a[0] + dr, a[1] + dc)) in floor)
-                      for a in self.floor}
+                      for a in floor}
         self._dist_rows: dict[Cell, dict[Cell, int]] = {}  # target cell -> distances to it
 
         self.apple_tree = {cell: idx for idx, cells in enumerate(trees) for cell in cells}
@@ -147,10 +146,10 @@ class GridMap:
 
     def _compute_respawn_zone(self) -> list[Cell]:
         if not self.apple_tree:
-            return list(self.floor)
+            return list(self.moves)
         dist = self._bfs(list(self.apple_tree))
         far = max(dist.values())
-        return [c for c in self.floor if dist.get(c) == far]
+        return [c for c in self.moves if dist.get(c) == far]
 
     def _build_distance_table(self, s: Cell) -> dict[Cell, int]:
         """Walking distances between floor cell ``s`` and every floor cell it reaches."""
@@ -172,7 +171,7 @@ class GridMap:
         # One (cell, tree index) tuple per apple cell, shared by every entry.
         pairs = list(self.apple_tree.items())
         table = {}
-        for a in self.floor:
+        for a in self.moves:
             r0, c0 = a
             table[a] = tuple(
                 pair for pair, cell in zip(pairs, self.apple_tree)
@@ -183,11 +182,9 @@ class GridMap:
 
 @dataclass
 class AgentState:
-    id: int
     position: Cell
     orientation: Orientation = Orientation.N
     cumulative_consumed: int = 0
-    is_bot: bool = False
     zap_cooldown: int = 0
 
 
@@ -195,7 +192,7 @@ class AgentState:
 class WorldState:
     grid: GridMap
     stock: list[int]  # live apples per tree
-    agents: dict[int, AgentState]
+    agents: dict[int, AgentState]  # agent id -> agent; the ids from n_agents up are bots
     regrowth_table: tuple[float, ...]
     live_apples: dict[Cell, int] = field(default_factory=dict)  # cell -> tree index
     occupied: dict[Cell, int] = field(default_factory=dict)     # cell -> agent id
@@ -204,17 +201,12 @@ class WorldState:
     total_event_vanished: int = 0
     next_agent_id: int = 0
 
-    def bots(self) -> list[AgentState]:
-        return [a for a in self.agents.values() if a.is_bot]
-
     def remove_apple(self, cell: Cell) -> None:
         """Take the live apple off ``cell``."""
         self.stock[self.live_apples.pop(cell)] -= 1
 
     def revive_apple(self, cell: Cell) -> None:
-        """Put an apple back on the dead apple cell ``cell``."""
-        if cell in self.live_apples:
-            raise ValueError(f"apple cell {cell} already bears an apple")
+        """Put an apple back on the dead apple cell ``cell`` (``regrow`` checks it is dead)."""
         idx = self.live_apples[cell] = self.grid.apple_tree[cell]
         self.stock[idx] += 1
 
@@ -298,12 +290,12 @@ def make_world(grid: GridMap, n_agents: int,
                        live_apples=dict(grid.apple_tree), next_agent_id=n_agents)
     for i in range(n_agents):
         pos = grid.spawn_points[i]
-        state.agents[i] = AgentState(id=i, position=pos)
+        state.agents[i] = AgentState(position=pos)
         state.occupied[pos] = i
     return state
 
 
-def regrow(state: WorldState, rng: random.Random) -> WorldState:
+def regrow(state: WorldState, rng: random.Random) -> None:
     """Stock-dependent apple regrowth; a fully stripped tree is dead for good.
 
     Each dead cell of a tree with stock revives independently with the
@@ -324,7 +316,6 @@ def regrow(state: WorldState, rng: random.Random) -> WorldState:
             if cell not in live_apples and cell not in occupied and draw() < p:
                 state.revive_apple(cell)
                 state.total_regrown += 1
-    return state
 
 
 def shuffle_order(rng: random.Random, n: int, order: list | None = None) -> None:
@@ -342,30 +333,26 @@ def shuffle_order(rng: random.Random, n: int, order: list | None = None) -> None
             order[i], order[j] = order[j], order[i]
 
 
-def step_world(state: WorldState, actions: dict[int, Action],
-               rng: random.Random) -> WorldState:
+def step_world(state: WorldState, actions: dict[int, Action], rng: random.Random) -> None:
     """Advance the world one tick.
 
-    ``actions`` maps the acting agents' ids to their actions; an agent not
-    in it takes ``NOOP``.  Agents act in a seeded-random order, in two
-    passes.  In the first each agent rotates or moves (walls and occupied
-    cells block; entering a live apple cell consumes it).  The second
-    covers only the agents that zap this tick or are cooling down: each
-    one's cooldown runs down, then its zap resolves.  Regrowth comes last.
+    ``actions`` maps ids of agents in ``state.agents`` to their actions (the
+    episode loop builds it from them); an agent not in it takes ``NOOP``.
+    Agents act in a seeded-random order, in two passes.  In the first each
+    agent rotates or moves (walls and occupied cells block; entering a live
+    apple cell consumes it).  The second covers only the agents that zap
+    this tick or are cooling down: each one's cooldown runs down, then its
+    zap resolves.  Regrowth comes last.
 
     When ``actions`` is empty and no agent is cooling down, only the bits
     of the order's shuffle are drawn before regrowth, with no order built:
     the same draws and the same world as the two passes.
     """
     agents, occupied = state.agents, state.occupied
-    if actions:
-        for agent_id in actions:
-            if agent_id not in agents:
-                raise ValueError(f"action for unknown agent {agent_id}")
-    elif not any(a.zap_cooldown for a in agents.values()):
+    if not actions and not any(a.zap_cooldown for a in agents.values()):
         shuffle_order(rng, len(agents))
         regrow(state, rng)
-        return state
+        return
 
     order = sorted(agents)
     shuffle_order(rng, len(order), order)
@@ -409,19 +396,19 @@ def step_world(state: WorldState, actions: dict[int, Action],
                 break
             hit = occupied.get(cell)
             if hit is not None:
-                _relocate(state, agents[hit])
+                _relocate(state, hit)
                 break
 
     regrow(state, rng)
-    return state
 
 
-def _relocate(state: WorldState, agent: AgentState) -> None:
+def _relocate(state: WorldState, agent_id: int) -> None:
+    agent = state.agents[agent_id]
     for cell in state.grid.respawn_zone:
         if cell not in state.occupied:
             del state.occupied[agent.position]
             agent.position = cell
-            state.occupied[cell] = agent.id
+            state.occupied[cell] = agent_id
             return
     # No free respawn cell: the zap fizzles and the target stays put.
 
@@ -442,7 +429,7 @@ def line_of_sight(grid: GridMap, a: Cell, b: Cell) -> bool:
         if e2 < dr:
             err += dr
             c += sc
-        if (r, c) != (r1, c1) and (r, c) in grid.walls:
+        if (r, c) != (r1, c1) and (r, c) not in grid.moves:
             return False
     return True
 

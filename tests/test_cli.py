@@ -1,26 +1,35 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import gzip
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from dataclasses import replace
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coopres.cli
 import coopres.harness
 import coopres.resilience
 import coopres.world
 from coopres.cli import main
+from coopres.disruptions import parse_schedule
 from coopres.harness import (
+    ExperimentGrid,
     ScenarioConfig,
     bots_preset,
     parse_scenario_config,
@@ -186,8 +195,8 @@ class TestValidate:
          "{path}: schedule line 1: bot count must be >= 0"),
         (TINY_CONFIG + "episodes\n", "{path}: line 7: not a key = value line"),
         ("episodes = 2\n" + TINY_CONFIG, "{path}: line 1: a key before any [section] header"),
-        (TINY_CONFIG + "[pipeline]\nh_max = 5\n",
-         "{path}: While reading from {path!r} [line  7]: section 'pipeline' already exists"),
+        (TINY_CONFIG + "[pipeline]\nh_max = 5\n", "{path}: line 7: repeated section [pipeline]"),
+        (TINY_CONFIG + "episodes = 3\n", "{path}: line 7: repeated key 'episodes' in [pipeline]"),
         ("[world]\nmap = empty.txt\n" + TINY_CONFIG, "map: map is empty"),
         ("[pipeline]\nepisode_length = 60\nepisodes = 2\n",
          "scenario 'bad' has no events to score"),
@@ -197,10 +206,14 @@ class TestValidate:
         ("[events]\nschedule = apple_vanish 30 0.5\n"
          "[pipeline]\nepisode_length = 1000\nepisodes = 33555\n",
          "a twin's curves would take 1073760000 bytes; the limit is 1073741824"),
+        # Five agents and four bots on the default map's eight spawn points.
+        ("[events]\nschedule = bot_intrusion 30 10 4\n"
+         "[pipeline]\nepisode_length = 60\nepisodes = 2\n",
+         "map has 8 spawn points; 5 agents and up to 4 bots at once need 9"),
     ], ids=["regrowth_above_one", "one_tick_episode", "h_max_zero", "negative_trigger",
             "negative_bot_count", "line_without_equals", "key_before_any_section",
-            "repeated_section", "empty_map", "no_events", "row_buffer_over_memory_limit",
-            "curves_over_memory_limit"])
+            "repeated_section", "repeated_key", "empty_map", "no_events",
+            "row_buffer_over_memory_limit", "curves_over_memory_limit", "too_many_bots"])
     def test_boundary_rule_refused_before_any_episode(self, tmp_path, capsys, monkeypatch,
                                                        text, message):
         episodes = []
@@ -611,16 +624,38 @@ class TestRun:
         assert err.startswith("error:input: no space left writing trace_performance_ep")
         assert not (out / "report.json").exists()
 
-    def test_no_event_fired_keeps_the_traces_but_writes_no_report(self, tmp_path, capsys):
+    def test_no_event_fired_writes_the_report_and_the_traces(self, tmp_path, capsys):
         # Seeds 42 and 43 draw no firing of a p_s = 0.01 event.
         path = tmp_path / "quiet.ini"
         path.write_text(TINY_CONFIG.replace("apple_vanish 60 0.6", "apple_vanish 60 0.6 0.01"))
         out = tmp_path / "results"
-        assert main(["run", "--config", str(path), "--out", str(out), "--traces"]) == 2
-        assert capsys.readouterr().err.startswith("error:input: no disruptive events")
-        assert sorted(p.name for p in out.iterdir()) == [
-            f"trace_{label}_ep{k}.jsonl" for label in ("performance", "reference")
-            for k in range(2)]
+        assert main(["run", "--config", str(path), "--out", str(out), "--traces"]) == 0
+        assert capsys.readouterr().out == "J = n/a (no event fired in 2 episodes)\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["heatmap.svg", "report.csv", "report.json"]
+            + [f"quiet_{twin}{std}.csv" for twin in ("performance", "reference")
+               for std in ("", "_std")]
+            + [f"trace_{label}_ep{k}.jsonl" for label in ("performance", "reference")
+               for k in range(2)])
+
+    # Base seeds 4 and 5 draw no firing in either episode; seeds 1, 2, 3 and 6 do.
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_no_event_fired_is_reported_with_j_null(self, tmp_path, capsys, seed):
+        path = tmp_path / "half.ini"
+        path.write_text("[events]\nschedule = apple_vanish 30 0.5 0.5\n"
+                        "[pipeline]\nepisode_length = 60\nepisodes = 2\n")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("J = n/a (no event fired in 2 episodes)\n", "")
+        cell = json.loads((out / "report.json").read_text())["cells"][0]
+        assert (cell["J"], cell["L"], cell["per_variable"]) == (None, 0, {})
+        assert cell["per_episode_J"] == [None, None]
+        assert (out / "report.csv").read_bytes() == b"scenario,variable,event,J_jl,F,G,J_j,J\r\n"
+        assert ">n/a</text>" in (out / "heatmap.svg").read_text()
+        for twin in ("performance", "reference"):
+            assert (out / f"half_{twin}.csv").read_text().count("\n") == 61
 
     def test_seed_override_changes_results(self, tiny_config, tmp_path):
         out_a, out_b, out_c = (tmp_path / d for d in ("a", "b", "c"))
@@ -738,6 +773,55 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
 
+EVENT_LINES = {
+    "apple_vanish": st.tuples(st.sampled_from([0.3, 0.7, 1.0])),
+    "bot_intrusion": st.tuples(st.integers(1, 30), st.integers(0, 4)),
+}
+
+
+@st.composite
+def small_scenarios(draw):
+    """INI text of a small scenario: 40-80 ticks, 1-2 episodes, one or two events."""
+    length = draw(st.integers(40, 80))
+    triggers = sorted(draw(st.sets(st.integers(0, length), min_size=1, max_size=2)))
+    lines = []
+    for trigger in triggers:
+        kind = draw(st.sampled_from(sorted(EVENT_LINES)))
+        fields = draw(EVENT_LINES[kind])
+        # p_s = 0.5 about half the time: an event that may fire in no episode.
+        p_s = draw(st.one_of(st.just(0.5), st.sampled_from([0.0, 0.1, 0.9, 1.0])))
+        lines.append(" ".join(map(str, [kind, trigger, *fields, p_s])))
+    return ("[events]\nschedule =\n" + "".join(f"    {line}\n" for line in lines)
+            + f"[pipeline]\nepisode_length = {length}\n"
+            + f"episodes = {draw(st.integers(1, 2))}\nbase_seed = {draw(st.integers(0, 50))}\n")
+
+
+class TestRunNeverFailsLate:
+    @given(text=small_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_run_scores_or_refuses_before_any_episode(self, text):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_episode(*args, **kwargs)
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            mp.setattr(coopres.harness, "run_episode", counted)
+            path, out = Path(tmp) / "s.ini", Path(tmp) / "out"
+            path.write_text(text)
+            code = main(["run", "--config", str(path), "--out", str(out)])
+            if code == 0:
+                cell = json.loads((out / "report.json").read_text())["cells"][0]
+                for j in [cell["J"], *cell["per_episode_J"]]:
+                    assert j is None or 0.0 <= j <= 1.0
+            else:
+                assert code == 1 and err.getvalue().startswith("error:config:")
+                assert calls == [] and not out.exists()
+
+
 class TestGrid:
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_thread_count_rejected_before_any_episode(self, tiny_config, tmp_path,
@@ -754,6 +838,21 @@ class TestGrid:
                 f"error:config: COOPRES_THREADS must be a positive integer, got {value!r}\n")
         assert episodes == []
         assert not (tmp_path / "o").exists()
+
+    def test_cell_without_a_fired_event_prints_n_a(self, tmp_path, capsys, monkeypatch):
+        # A p_s = 0.01 event fires in none of seeds 42-46; the other cell's always fires.
+        base = ScenarioConfig(episode_length=60)
+        cells = {(0, c): replace(base, scenario_id=f"E{c + 1}", schedule=parse_schedule(line))
+                 for c, line in enumerate(["apple_vanish 30 0.5", "apple_vanish 30 0.5 0.01"])}
+        grid = ExperimentGrid(grid_id="quiet", row_labels=["r"], col_labels=["a", "b"],
+                              cells=cells)
+        monkeypatch.setitem(coopres.cli.PRESETS, "quiet", lambda base: grid)
+        assert main(["grid", "--preset", "quiet", "--out", str(tmp_path / "o")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"E1: J = [01]\.\d{6}", lines[0])
+        assert lines[1:] == ["E2: J = n/a (no event fired in 5 episodes)"]
+        cells = json.loads((tmp_path / "o" / "report.json").read_text())["cells"]
+        assert [cell["J"] is None for cell in cells] == [False, True]
 
     def test_seed_is_the_preset_base(self, tmp_path, capsys):
         assert main(["grid", "--preset", "bots", "--seed", "3", "--format", "json",

@@ -120,11 +120,11 @@ class TestAppleVanish:
 
     def test_only_removes_apples(self):
         state = fresh_state(n_agents=2)
-        positions = {a.id: a.position for a in state.agents.values()}
+        positions = {i: a.position for i, a in state.agents.items()}
         before = set(state.live_apples)
         apply_apple_vanish(state, 0.6, random.Random(7))
         assert set(state.live_apples) <= before
-        assert {a.id: a.position for a in state.agents.values()} == positions
+        assert {i: a.position for i, a in state.agents.items()} == positions
 
     def test_mean_survivors_match_spared_binomial(self):
         # one guaranteed survivor, the other five independently kept at 1 - v_s
@@ -150,17 +150,9 @@ class TestBotIntrusion:
         event = Event(kind=EventKind.BOT_INTRUSION, trigger_tick=0, duration=10,
                       bot_count=2)
         apply_bot_intrusion(state, event)
-        bots = state.bots()
-        assert len(bots) == 2
-        assert all(b.is_bot for b in bots)
-        assert {b.position for b in bots} == {(2, 3), (2, 5)}  # centremost spawns first
-
-    def test_no_free_spawns_rejected(self):
-        state = fresh_state(n_agents=3)  # all three spawn cells taken
-        event = Event(kind=EventKind.BOT_INTRUSION, trigger_tick=0, duration=10,
-                      bot_count=1)
-        with pytest.raises(ValueError, match="free spawn"):
-            apply_bot_intrusion(state, event)
+        assert sorted(state.agents) == [0, 1]  # bots take the ids from n_agents up
+        # centremost spawns first
+        assert {b.position for b in state.agents.values()} == {(2, 3), (2, 5)}
 
     def test_zero_bots_is_noop(self):
         state = fresh_state()
@@ -168,7 +160,7 @@ class TestBotIntrusion:
             Event(kind=EventKind.BOT_INTRUSION, trigger_tick=3, duration=5, bot_count=0)]))
         for tick in range(10):
             engine.fire_events(state, tick, random.Random(0))
-        assert state.bots() == []
+        assert state.agents == {}  # no welfare agent, and no bot
         assert engine.fired == [3]  # fired, just with nobody arriving
 
 
@@ -182,7 +174,7 @@ class TestEventEngine:
         presence = {}
         for tick in range(140):
             engine.fire_events(state, tick, rng)
-            presence[tick] = len(state.bots())
+            presence[tick] = len(state.agents)  # no welfare agent: every agent is a bot
         assert all(presence[t] == 0 for t in range(100))
         assert all(presence[t] == 2 for t in range(100, 125))
         assert all(presence[t] == 0 for t in range(125, 140))
@@ -265,7 +257,7 @@ def stepped_world(schedule, seed, every_tick):
         if every_tick or t == engine.next_due:
             engine.fire_events(state, t, event_rng)
             calls += 1
-        history.append((sorted((a.id, a.is_bot, a.position) for a in state.agents.values()),
+        history.append((sorted((i, a.position) for i, a in state.agents.items()),
                         dict(state.occupied), dict(state.live_apples), list(engine.fired)))
         actions = {i: policy_action(PolicyKind.RANDOM, state, i, {}, rng) for i in state.agents}
         step_world(state, actions, rng)

@@ -425,12 +425,14 @@ def plain_episode(config, seed, with_events):
         for a in welfare:
             row += a.cumulative_consumed, *a.position
         rows.append(row + [state.total_consumed, state.total_regrown, state.total_event_vanished])
-        bot_records.append([(b.id, b.position, b.cumulative_consumed) for b in state.bots()])
+        # Bots are the agents from n_agents up.
+        bot_records.append([(i, a.position, a.cumulative_consumed)
+                            for i, a in state.agents.items() if i >= config.n_agents])
         hunger.append(counter)
-        actions = {i: policy_action(PolicyKind.UNSUSTAINABLE_BOT if a.is_bot
-                                    else config.policies[i],
+        actions = {i: policy_action(config.policies[i] if i < config.n_agents
+                                    else PolicyKind.UNSUSTAINABLE_BOT,
                                     state, i, build_view(state, i, stocks), rng)
-                   for i, a in sorted(state.agents.items())}
+                   for i in sorted(state.agents)}
         before = [a.cumulative_consumed for a in welfare]
         step_world(state, actions, rng)
         counter = [0 if a.cumulative_consumed > ate else c + 1
