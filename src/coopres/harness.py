@@ -149,10 +149,9 @@ class ScenarioConfig:
 @dataclass
 class ScenarioResult:
     scenario_id: str
-    # One (episodes, horizon) array per indicator and twin; row k is episode k.
-    # The reference arrays are shared by every cell of a grid.
+    # One (episodes, horizon) array per indicator; row k is episode k.  The
+    # reference arrays, every cell's, are ``GridResult.reference``.
     performance: dict[str, np.ndarray]
-    reference: dict[str, np.ndarray]
     report: ResilienceReport
     per_episode_j: list[float | None]
 
@@ -199,8 +198,8 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     ``snapshots`` lists ticks by its keys; the episode's state at the
     start of each is stored under it.  ``start`` continues from such a
     snapshot of the same seed, copying the rows before it.  That equals
-    stepping from tick 0 when the events before the snapshot's tick are
-    those the snapshot's episode applied.
+    stepping from tick 0, since ``_run_seed`` forks at ``_fork_tick``: the
+    events before it are those the snapshot's episode applied.
     """
     grid = _grid_for(config.map_text)
     rng = random.Random(seed)
@@ -218,10 +217,6 @@ def run_episode(config: ScenarioConfig, seed: int, with_events: bool, *,
     else:
         t0, engine = start.tick, EventEngine(schedule, start.engine.fired,
                                              start.engine.removals, start.tick)
-        if ([e for e in schedule if e.trigger_tick < t0]
-                != [e for e in start.engine.schedule if e.trigger_tick < t0]):
-            raise ValueError(
-                f"cannot continue from tick {t0}: an event that triggers before it differs")
         state = start.state.copy()
         rng.setstate(start.rng_state)
         event_rng.setstate(start.event_rng_state)
@@ -314,7 +309,7 @@ def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
     ``_fork_tick``, or reuses it outright when the schedules are equal.
     Snapshots are held until the seed ends.
     A failure raises ``RuntimeError`` naming the cell being run (the first
-    while the reference runs), unless it is a ``ConfigError``.  Then
+    while the reference runs; configs are validated before).  Then
     ``sink``, if given, gets each cell's traces; what it raises passes through.
     """
     cell, config = cells[0]
@@ -346,8 +341,6 @@ def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
             trace = run_episode(cfg, seed, with_events=n > 0, snapshots=snapshots[i], start=start)
             episodes[i] = _Episode(curves(trace), trace.fired_triggers)
             traces[i] = trace if sink is not None else None
-    except ConfigError:
-        raise
     except Exception as exc:
         raise RuntimeError(f"grid cell {cell} failed: {exc}") from exc
     if sink is not None:
@@ -382,7 +375,7 @@ def _score(config: ScenarioConfig, episodes: list[_Episode],
                      for k, ep in enumerate(episodes)]
 
     return ScenarioResult(scenario_id=config.scenario_id, performance=performance,
-                          reference=reference, report=report, per_episode_j=per_episode_j)
+                          report=report, per_episode_j=per_episode_j)
 
 
 @dataclass
@@ -426,9 +419,8 @@ class ExperimentGrid:
 
 @dataclass
 class GridResult:
-    grid_id: str
-    row_labels: list[str]
-    col_labels: list[str]
+    grid: ExperimentGrid
+    reference: dict[str, np.ndarray]
     results: dict[tuple[int, int], ScenarioResult]
 
     def scenario_results(self) -> list[ScenarioResult]:
@@ -446,10 +438,10 @@ def run_grid(grid: ExperimentGrid, sink: TraceSink | None = None) -> GridResult:
     Each seed's reference episode is simulated once and shared by all
     cells (see the module docstring).  Seeds run in order, or spread over
     at most COOPRES_THREADS processes (sequential when it is unset).
-    Either way a failing episode raises ``RuntimeError`` naming its cell,
-    and a ``ConfigError`` passes through unchanged.  ``sink``, if given, gets
-    each cell's traces of a seed as soon as the seed is done, in the process
-    that ran it (so it must pickle), and what it raises passes through.
+    Either way a failing episode raises ``RuntimeError`` naming its cell.
+    ``sink``, if given, gets each cell's traces of a seed as soon as the
+    seed is done, in the process that ran it (so it must pickle), and what
+    it raises passes through.
     """
     raw = os.environ.get("COOPRES_THREADS", "1")
     try:
@@ -475,8 +467,7 @@ def run_grid(grid: ExperimentGrid, sink: TraceSink | None = None) -> GridResult:
     reference = stack_episodes([ref_curves for ref_curves, _ in per_seed])
     results = {cell: _score(cfg, [episodes.pop(0) for _, episodes in per_seed], reference)
                for cell, cfg in cells}
-    return GridResult(grid_id=grid.grid_id, row_labels=grid.row_labels,
-                      col_labels=grid.col_labels, results=results)
+    return GridResult(grid=grid, reference=reference, results=results)
 
 
 # ---------------------------------------------------------------------------

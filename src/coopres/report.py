@@ -53,9 +53,9 @@ def report_json_dict(report: ResilienceReport) -> dict:
 
 def grid_json_dict(result: GridResult) -> dict:
     return {
-        "grid_id": result.grid_id,
-        "row_labels": list(result.row_labels),
-        "col_labels": list(result.col_labels),
+        "grid_id": result.grid.grid_id,
+        "row_labels": list(result.grid.row_labels),
+        "col_labels": list(result.grid.col_labels),
         "cells": [
             {"row": r, "col": c, **report_json_dict(res.report),
              "scenario": res.scenario_id, "per_episode_J": res.per_episode_j}
@@ -72,10 +72,12 @@ def write_json(data: dict, path: str | Path) -> None:
 
 
 def _heat_color(j: float | None) -> tuple[str, str]:
-    """Fill and text color for a score: darker cell = lower resilience; grey for none."""
+    """Fill and text color for a score: darker cell = lower resilience; grey for none.
+
+    ``assemble_variables`` keeps every score in [0, 1].
+    """
     if j is None:
         return "#d9d9d9", "#000000"
-    j = min(max(j, 0.0), 1.0)
     dark = (8, 48, 107)
     light = (222, 235, 247)
     rgb = tuple(round(d + (l - d) * j) for d, l in zip(dark, light))
@@ -84,23 +86,24 @@ def _heat_color(j: float | None) -> tuple[str, str]:
 
 
 def _heatmap_svg(result: GridResult) -> str:
+    grid = result.grid
     cell_w, cell_h = 96, 64
     left, top = 110, 56
-    rows, cols = len(result.row_labels), len(result.col_labels)
+    rows, cols = len(grid.row_labels), len(grid.col_labels)
     width = left + cols * cell_w + 20
     height = top + rows * cell_h + 20
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{left + cols * cell_w / 2}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(result.grid_id)} resilience</text>',
+        f'font-family="sans-serif" font-size="15">{escape(grid.grid_id)} resilience</text>',
     ]
-    for c, label in enumerate(result.col_labels):
+    for c, label in enumerate(grid.col_labels):
         parts.append(
             f'<text x="{left + c * cell_w + cell_w / 2}" y="{top - 10}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
             f'{escape(label)}</text>')
-    for r, label in enumerate(result.row_labels):
+    for r, label in enumerate(grid.row_labels):
         parts.append(
             f'<text x="{left - 8}" y="{top + r * cell_h + cell_h / 2 + 4}" '
             f'text-anchor="end" font-family="sans-serif" font-size="12">{escape(label)}</text>')
@@ -140,10 +143,7 @@ def check_formats(formats: Sequence[str]) -> None:
 
 def emit_report(result: GridResult, out_dir: str | Path,
                 formats: Sequence[str] = tuple(REPORTS)) -> None:
-    """Write the named report formats of a grid into ``out_dir``."""
-    check_formats(formats)
-    if not result.results:
-        raise ValueError("no results to emit")
+    """Write ``run_grid``'s result into ``out_dir`` in the named formats, keys of ``REPORTS``."""
     for name in formats:
         filename, write = REPORTS[name]
         write(result, Path(out_dir) / filename)
@@ -178,23 +178,17 @@ def export_indicators(result: GridResult, out_dir: str | Path) -> None:
 
     Each cell writes ``<id>_performance.csv``, ``<id>_reference.csv`` and
     their ``_std`` twins.  Cells of one grid share their reference episodes,
-    so a reference file repeats the first cell's and is copied from it.
+    so the first cell's reference files are written and the others copied.
     """
     out = Path(out_dir)
-    first = None
-    for scenario in result.scenario_results():
-        twins = [("performance", scenario.performance)]
-        if first is None or scenario.reference is not first.reference:
-            twins.append(("reference", scenario.reference))
-        else:
-            for suffix in ("", "_std"):
-                shutil.copyfile(out / f"{first.scenario_id}_reference{suffix}.csv",
-                                out / f"{scenario.scenario_id}_reference{suffix}.csv")
-        for label, episodes in twins:
-            stem = out / f"{scenario.scenario_id}_{label}"
-            write_indicator_csv({name: a.mean(axis=0) for name, a in episodes.items()},
-                                f"{stem}.csv")
-            write_indicator_csv({name: a.std(axis=0) for name, a in episodes.items()},
-                                f"{stem}_std.csv")
-        if first is None:
-            first = scenario
+    scenarios = result.scenario_results()
+    first = scenarios[0].scenario_id
+    for stem, episodes in [(f"{first}_reference", result.reference),
+                           *((f"{s.scenario_id}_performance", s.performance) for s in scenarios)]:
+        for suffix, reduce in (("", np.mean), ("_std", np.std)):
+            write_indicator_csv({name: reduce(a, axis=0) for name, a in episodes.items()},
+                                out / f"{stem}{suffix}.csv")
+    for scenario in scenarios[1:]:
+        for suffix in ("", "_std"):
+            shutil.copyfile(out / f"{first}_reference{suffix}.csv",
+                            out / f"{scenario.scenario_id}_reference{suffix}.csv")

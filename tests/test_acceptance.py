@@ -181,8 +181,8 @@ def _rows_within_band(heatmap: np.ndarray, band: float = 0.05) -> int:
 def _assembled(result) -> np.ndarray:
     """Each cell's assembled score, rows x cols, as the report's heatmap shows it."""
     return np.array([[result.results[(r, c)].report.assembled
-                      for c in range(len(result.col_labels))]
-                     for r in range(len(result.row_labels))])
+                      for c in range(len(result.grid.col_labels))]
+                     for r in range(len(result.grid.row_labels))])
 
 
 def test_criterion_7_magnitude_and_count_trend(table2_result):
