@@ -121,6 +121,9 @@ class ScenarioConfig:
         unknown = set(self.indicators) - set(INDICATOR_NAMES)
         if unknown:
             raise ConfigError(f"unknown indicators: {sorted(unknown)}")
+        repeated = sorted({name for name in self.indicators if self.indicators.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"repeated indicators: {repeated}")
         try:
             grid = _grid_for(self.map_text)
         except ValueError as exc:

@@ -29,12 +29,13 @@ def guarded_ratio(num: float | np.ndarray, den: float | np.ndarray) -> float | n
     Elementwise over arrays; two scalars give a Python float.  Where the
     denominator falls below ``EPS``: both tiny -> 1.0 (no evidence of
     deviation); numerator alive -> ``CAP`` (bounded exceeding-expectation).
-    Total on all finite inputs; never returns NaN or infinity.
+    Never NaN on finite inputs; a quotient past float64's range reads inf.
     """
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
     live = den >= EPS
-    out = np.where(live, num / np.where(live, den, 1.0), np.where(num < EPS, 1.0, CAP))
+    with np.errstate(over="ignore"):
+        out = np.where(live, num / np.where(live, den, 1.0), np.where(num < EPS, 1.0, CAP))
     return float(out) if out.ndim == 0 else out
 
 
@@ -131,16 +132,19 @@ def _trapezoid(values: np.ndarray, a: int, b: int) -> float:
     """Trapezoidal-rule area of ``values`` over indices ``a..b``; 0 when ``a == b``.
 
     Exact for piecewise-linear series with breakpoints on the tick grid.
+    An area past float64's range reads infinity.
     """
     span = values[a:b + 1]
-    return float(np.sum((span[:-1] + span[1:]) * 0.5))
+    with np.errstate(over="ignore"):
+        return float(np.sum((span[:-1] + span[1:]) * 0.5))
 
 
 def _area_ratio(pair: CurvePair, start: int, end: int) -> float:
     """Performance over reference area between ticks ``start`` and ``end`` (1.0 if they meet)."""
     a, b = start - pair.performance.t0, end - pair.performance.t0
-    return guarded_ratio(_trapezoid(pair.performance.values, a, b),
-                         _trapezoid(pair.reference.values, a, b))
+    den = _trapezoid(pair.reference.values, a, b)
+    return (guarded_ratio(_trapezoid(pair.performance.values, a, b), den)
+            if den < np.inf else np.nan)  # an overflowed reference area gives no quotient
 
 
 def summary_metric(pair: CurvePair, m: Milestones) -> EventResilience:
@@ -153,7 +157,7 @@ def summary_metric(pair: CurvePair, m: Milestones) -> EventResilience:
 
         J = (t_i' + F * dt_f + G * dt_r) / (t_i' + dt_f + dt_r)
 
-    Milestones outside the curves' ticks are refused.
+    Refused: milestones outside the curves' ticks, and a score past float64's range.
     """
     first = pair.performance.t0
     last = first + pair.horizon - 1
@@ -170,6 +174,9 @@ def summary_metric(pair: CurvePair, m: Milestones) -> EventResilience:
     f = _area_ratio(pair, m.t_i, m.t_f)
     g = _area_ratio(pair, m.t_f, m.t_r)
     j = (t_i_rel + f * dt_f + g * dt_r) / denom
+    if not np.isfinite((f, g, j)).all():
+        raise ValueError(f"event score at tick {m.t_i} exceeds the float64 range "
+                         f"(F = {f}, G = {g})")
     return EventResilience(j_value=j, f_profile=f, g_profile=g, milestones=m)
 
 

@@ -19,7 +19,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coopres.cli
@@ -29,6 +29,8 @@ import coopres.world
 from coopres.cli import main
 from coopres.disruptions import parse_schedule
 from coopres.harness import (
+    CONFIG_KEYS,
+    PRESETS,
     ExperimentGrid,
     ScenarioConfig,
     bots_preset,
@@ -197,6 +199,8 @@ class TestValidate:
         ("episodes = 2\n" + TINY_CONFIG, "{path}: line 1: a key before any [section] header"),
         (TINY_CONFIG + "[pipeline]\nh_max = 5\n", "{path}: line 7: repeated section [pipeline]"),
         (TINY_CONFIG + "episodes = 3\n", "{path}: line 7: repeated key 'episodes' in [pipeline]"),
+        (TINY_CONFIG + "indicators = hunger_index, apples_pc, apples_pc\n",
+         "repeated indicators: ['apples_pc']"),
         ("[world]\nmap = empty.txt\n" + TINY_CONFIG, "map: map is empty"),
         ("[pipeline]\nepisode_length = 60\nepisodes = 2\n",
          "scenario 'bad' has no events to score"),
@@ -212,7 +216,7 @@ class TestValidate:
          "map has 8 spawn points; 5 agents and up to 4 bots at once need 9"),
     ], ids=["regrowth_above_one", "one_tick_episode", "h_max_zero", "negative_trigger",
             "negative_bot_count", "line_without_equals", "key_before_any_section",
-            "repeated_section", "repeated_key", "empty_map", "no_events",
+            "repeated_section", "repeated_key", "repeated_indicator", "empty_map", "no_events",
             "row_buffer_over_memory_limit", "curves_over_memory_limit", "too_many_bots"])
     def test_boundary_rule_refused_before_any_episode(self, tmp_path, capsys, monkeypatch,
                                                        text, message):
@@ -323,6 +327,33 @@ class TestMeasure:
                      "--schedule", str(write_schedule(tmp_path, 20)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error:input: curves must be non-negative (positive-orientation indicators)\n")
+        assert not out.exists()
+
+    # Each once exited 0 with `Infinity` in its JSON (the first) or a wrong
+    # J (the last), or failed late on a NaN fold, with RuntimeWarnings on stderr.
+    @pytest.mark.parametrize("p, r, triggers, message", [
+        (["1e-8", "1e-8", "1e302", "1e302"], ["1e-8"] * 4, (1,),
+         "event score at tick 1 exceeds the float64 range (F = 1.0, G = inf)"),
+        (["1e-8", "1e302", "1e302"] * 2, ["1e-8"] * 6, (0, 3),
+         "event score at tick 0 exceeds the float64 range (F = 1.0, G = inf)"),
+        (["1e308"] + ["1.7e308"] * 3, ["1e308"] * 4, (1,),
+         "event score at tick 1 exceeds the float64 range (F = 1.0, G = nan)"),
+        (["0.8e308"] * 4, ["1.7e308"] * 4, (1,),
+         "event score at tick 1 exceeds the float64 range (F = 1.0, G = nan)"),
+    ], ids=["quotient_overflow", "quotient_overflow_of_two_events", "area_overflow",
+            "reference_area_overflow"])
+    def test_score_past_the_float64_range_refused(self, tmp_path, capsys, p, r, triggers,
+                                                  message):
+        p_path, r_path = write_curves(tmp_path, p, r)
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["measure", "--performance", str(p_path), "--reference", str(r_path),
+                         "--schedule", str(write_schedule(tmp_path, *triggers)),
+                         "--out", str(out)])
+        assert code == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error:input: {message}\n"
         assert not out.exists()
 
     def test_curves_starting_at_tick_5(self, tmp_path):
@@ -820,6 +851,122 @@ class TestRunNeverFailsLate:
             else:
                 assert code == 1 and err.getvalue().startswith("error:config:")
                 assert calls == [] and not out.exists()
+
+
+# Finite values at float64's ends and zeros of both signs.
+CURVE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-8, 1.0, 1e302, 1e308, 1.7e308]),
+                         st.floats(0.0, 2.0))
+
+
+@st.composite
+def curve_files(draw):
+    """Performance and reference CSV text on the same ticks, now and then one row short,
+    with blank lines among the rows; and a trigger file, or none."""
+    t0, n = draw(st.integers(0, 3)), draw(st.integers(0, 8))
+
+    def text(rows):
+        lines = ["tick,value"]
+        for t in range(t0, t0 + rows):
+            lines += [""] * draw(st.sampled_from([0, 0, 0, 1]))
+            lines.append(f"{t},{draw(CURVE_VALUES)!r}")
+        return "\n".join(lines) + "\n"
+
+    files = {"p.csv": text(n), "r.csv": text(n - draw(st.sampled_from([0] * 5 + [1])))}
+    if draw(st.booleans()):
+        files["s.txt"] = "".join(
+            (f"apple_vanish {t} 0.5\n" if draw(st.booleans()) else f"{t}\n")
+            for t in draw(st.lists(st.integers(t0 - 1, t0 + n), max_size=3)))
+    return files
+
+
+def measure_cases():
+    return curve_files().map(lambda files: (
+        ["measure", "--performance", "{dir}/p.csv", "--reference", "{dir}/r.csv",
+         *(["--schedule", "{dir}/s.txt"] if "s.txt" in files else []), "--out", "{dir}/o.json"],
+        files))
+
+
+# Per key of CONFIG_KEYS, values valid and not, extremes included.
+INTS = ["-1", "0", "1", "2", "60", "1000000000000", "9223372036854775808", "1e3", "x"]
+CONFIG_VALUES = {
+    ("world", "map"): ["default", "tiny.map", "missing.map"],
+    ("world", "regrowth_table"): ["0.0, 0.01, 0.05, 0.1", "0.0, 1.5", "5e-324", "1e308", "-0.0",
+                                  "nan", "x"],
+    ("agents", "policies"): ["greedy", "sustainable, greedy", "random, unsustainable_bot",
+                             "nobody", ""],
+    ("events", "schedule"): ["apple_vanish 30 0.5", "bot_intrusion 30 10 2", "apple_vanish 30 1",
+                             "apple_vanish 1e308 0.5", "apple_vanish 99999999999999999999 0.5",
+                             "bot_intrusion 30 99999999999999999999 1",
+                             "apple_vanish 30 5e-324 1e-300", ""],
+    ("events", "schedule_file"): ["missing.txt"],
+    ("pipeline", "scenario_id"): ["s", "", "a/b", "..", "\u00e9"],
+    **{("pipeline", key): INTS for key in ("episode_length", "episodes", "base_seed", "h_max")},
+    ("pipeline", "indicators"): ["apples_pc", "gini_equality, trees_pc", "nope", "",
+                                 "hunger_index, apples_pc, apples_pc"],
+}
+MAPS = ["#####\n#1S.#\n#####\n", "#####\n#.S.#\n#####\n", "", "#1\n#\n"]
+
+
+@st.composite
+def validate_cases(draw):
+    """``validate`` on INI text of keys from ``CONFIG_KEYS`` with drawn values, a schedule
+    among them."""
+    keys = [("events", "schedule"),
+            *draw(st.lists(st.sampled_from(sorted(set(CONFIG_VALUES) - {("events", "schedule")})),
+                           unique=True))]
+    sections: dict[str, list[str]] = {}
+    for section, key in keys:
+        sections.setdefault(section, []).append(
+            f"{key} = {draw(st.sampled_from(CONFIG_VALUES[section, key]))}")
+    text = "".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+                   for section, lines in sections.items())
+    return ["validate", "--config", "{dir}/s.ini"], {"s.ini": text,
+                                                     "tiny.map": draw(st.sampled_from(MAPS))}
+
+
+def preset_cases():
+    return st.lists(st.sampled_from([*sorted(PRESETS), "", "nope", "TABLE2"]), max_size=2).map(
+        lambda names: (["preset", *names], {}))
+
+
+def _no_constant(name):
+    raise AssertionError(f"JSON holds {name}")
+
+
+class TestNeverFailsLate:
+    @given(case=st.one_of(measure_cases(), validate_cases(), preset_cases()))
+    @settings(max_examples=200, deadline=None)
+    # Once exited 0 with "J_jl": Infinity in its JSON.
+    @example(case=(["measure", "--performance", "{dir}/p.csv", "--reference", "{dir}/r.csv",
+                    "--schedule", "{dir}/s.txt", "--out", "{dir}/o.json"],
+                   {"p.csv": "tick,value\n0,1e-8\n1,1e-8\n2,1e302\n3,1e302\n",
+                    "r.csv": "tick,value\n0,1e-8\n1,1e-8\n2,1e-8\n3,1e-8\n", "s.txt": "1\n"}))
+    def test_measure_validate_preset_score_or_refuse(self, case):
+        argv, files = case
+        calls = []
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+                warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("always")
+            mp.setattr(coopres.harness, "run_episode", lambda *args, **kw: calls.append(args))
+            for name, text in files.items():
+                (Path(tmp) / name).write_text(text)
+            out = Path(tmp) / "o.json"
+            code = main([arg.format(dir=tmp) for arg in argv])
+            assert caught == [] and calls == []
+            if code == 0:
+                assert err.getvalue() == ""
+                if argv[0] == "measure":
+                    report = json.loads(out.read_text(), parse_constant=_no_constant)
+                    assert 0.0 <= report["J"] <= 1.0
+            else:
+                prefixes = {1: ("error:config:", "error:cli:"), 2: ("error:input:",)}[code]
+                assert err.getvalue().startswith(prefixes)
+                assert len(err.getvalue().splitlines()) == 1 and not out.exists()
+
+    def test_every_config_key_is_drawn(self):
+        assert CONFIG_VALUES.keys() == CONFIG_KEYS.keys()
 
 
 class TestGrid:
