@@ -143,7 +143,7 @@ def check_formats(formats: Sequence[str]) -> None:
 
 def emit_report(result: GridResult, out_dir: str | Path,
                 formats: Sequence[str] = tuple(REPORTS)) -> None:
-    """Write ``run_grid``'s result into ``out_dir`` in the named formats, keys of ``REPORTS``."""
+    """Write ``run_grid``'s result into ``out_dir``, in the formats ``cli._formats`` checked."""
     for name in formats:
         filename, write = REPORTS[name]
         write(result, Path(out_dir) / filename)

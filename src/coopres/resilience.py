@@ -144,7 +144,7 @@ def _area_ratio(pair: CurvePair, start: int, end: int) -> float:
     a, b = start - pair.performance.t0, end - pair.performance.t0
     den = _trapezoid(pair.reference.values, a, b)
     return (guarded_ratio(_trapezoid(pair.performance.values, a, b), den)
-            if den < np.inf else np.nan)  # an overflowed reference area gives no quotient
+            if den < np.inf else np.nan)  # a finite area over an overflowed one would read 0
 
 
 def summary_metric(pair: CurvePair, m: Milestones) -> EventResilience:
