@@ -22,21 +22,7 @@ _EXPORTS = {name: module for module, names in {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CurvePair",
-    "EpisodeTrace",
-    "EventResilience",
-    "Milestones",
-    "ResilienceReport",
-    "TimeSeries",
-    "assemble_variables",
-    "compute_indicators",
-    "fold_events",
-    "guarded_ratio",
-    "resilience_pipeline",
-    "summary_metric",
-    "__version__",
-]
+__all__ = [*sorted(_EXPORTS), "__version__"]
 
 
 def __getattr__(name: str):

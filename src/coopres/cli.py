@@ -28,8 +28,7 @@ from .harness import (
     run_grid,
     run_scenario,
 )
-from .report import (REPORTS, check_formats, emit_report, export_indicators, report_json_dict,
-                     write_json)
+from .report import REPORTS, emit_report, export_indicators, report_json_dict, write_json
 from .resilience import CurvePair, detect_triggers, resilience_pipeline
 from .timeseries import TimeSeries
 
@@ -101,7 +100,9 @@ def _parse_trigger_file(path: str) -> list[int]:
 
 def _formats(args) -> list[str]:
     formats = [name.strip() for name in args.format.split(",")]
-    check_formats(formats)
+    for name in formats:
+        if name not in REPORTS:
+            raise ConfigError(f"unknown report format {name!r} (choose from {', '.join(REPORTS)})")
     return formats
 
 
@@ -195,7 +196,7 @@ def _cmd_preset(args) -> int:
     if args.name not in PRESETS:
         raise ConfigError(f"unknown preset {args.name!r} (choose from {sorted(PRESETS)})")
     grid = PRESETS[args.name]()
-    for (r, c), cfg in grid.sorted_cells():
+    for (r, c), cfg in sorted(grid.cells.items()):
         descr = []
         for event in cfg.schedule:
             if event.kind is EventKind.APPLE_VANISH:

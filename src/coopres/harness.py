@@ -392,7 +392,7 @@ class ExperimentGrid:
         if not self.cells:
             raise ConfigError("experiment grid has no cells")
         # Cells share their reference episodes, so all else must agree.
-        cells = self.sorted_cells()
+        cells = sorted(self.cells.items())
         first = cells[0][1]
         for cell, cfg in cells:
             if replace(cfg, scenario_id=first.scenario_id, schedule=first.schedule) != first:
@@ -409,9 +409,6 @@ class ExperimentGrid:
             if owners.setdefault(cfg.scenario_id, cell) != cell:
                 raise ConfigError(f"grid cells {owners[cfg.scenario_id]} and {cell} "
                                   f"have the same scenario id {cfg.scenario_id!r}")
-
-    def sorted_cells(self) -> list[tuple[tuple[int, int], ScenarioConfig]]:
-        return sorted(self.cells.items())
 
     @classmethod
     def single(cls, config: ScenarioConfig) -> ExperimentGrid:
@@ -454,7 +451,7 @@ def run_grid(grid: ExperimentGrid, sink: TraceSink | None = None) -> GridResult:
     if workers < 1:
         raise ConfigError(f"COOPRES_THREADS must be a positive integer, got {raw!r}")
     grid.validate()
-    cells = grid.sorted_cells()
+    cells = sorted(grid.cells.items())
     seeds = range(cells[0][1].episodes)
     run_seed = functools.partial(_run_seed, cells, sink=sink)
     workers = min(workers, len(seeds))

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .harness import ConfigError, GridResult
+from .harness import GridResult
 from .resilience import ResilienceReport
 from .world import BLOCK_TICKS, join_rows
 
@@ -131,14 +131,6 @@ REPORTS = {
     "svg": ("heatmap.svg", lambda result, path: path.write_text(_heatmap_svg(result))),
 }
 """Report format name -> (file name under the output directory, writer)."""
-
-
-def check_formats(formats: Sequence[str]) -> None:
-    """Refuse any name that is not a key of ``REPORTS``."""
-    for name in formats:
-        if name not in REPORTS:
-            raise ConfigError(
-                f"unknown report format {name!r} (choose from {', '.join(REPORTS)})")
 
 
 def emit_report(result: GridResult, out_dir: str | Path,

@@ -59,12 +59,9 @@ class Orientation(Enum):
     W = (0, -1)
 
 
-_ORIENT_ORDER = (Orientation.N, Orientation.E, Orientation.S, Orientation.W)
-
-
 def rotate(orientation: Orientation, clockwise: bool) -> Orientation:
-    i = _ORIENT_ORDER.index(orientation)
-    return _ORIENT_ORDER[(i + (1 if clockwise else -1)) % 4]
+    order = list(Orientation)  # clockwise, as the members are defined
+    return order[(order.index(orientation) + (1 if clockwise else -1)) % len(order)]
 
 
 class PolicyKind(Enum):
@@ -156,14 +153,13 @@ class GridMap:
         return self._bfs([s])
 
     def distance(self, a: Cell, b: Cell) -> int:
-        """Shortest walking distance between two floor cells (walls block).
+        """Shortest walking distance from ``a`` to floor cell ``b`` (walls block).
 
-        Only ``b``'s row is built, on first use: policies pass apple cells as ``b``.
+        Only ``b``'s row is built, on first use: policies pass apple cells as
+        ``b``, and ``load_map`` puts every apple cell on the floor.
         """
         row = self._dist_rows.get(b)
         if row is None:
-            if b not in self.moves:
-                return UNREACHABLE
             row = self._dist_rows[b] = self._build_distance_table(b)
         return row.get(a, UNREACHABLE)
 

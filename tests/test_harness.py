@@ -582,7 +582,7 @@ class TestGrids:
     def test_table2_preset_layout(self):
         grid = table2_preset()
         assert len(grid.cells) == 9
-        ids = [cfg.scenario_id for _, cfg in grid.sorted_cells()]
+        ids = [cfg.scenario_id for _, cfg in sorted(grid.cells.items())]
         assert ids == [f"E{i}" for i in range(1, 10)]
         e9 = grid.cells[(2, 2)]
         assert [e.trigger_tick for e in e9.schedule] == [50, 250, 400]
@@ -591,9 +591,9 @@ class TestGrids:
     def test_bots_preset_layout(self):
         grid = bots_preset()
         assert len(grid.cells) == 3
-        durations = [cfg.schedule.events[0].duration for _, cfg in grid.sorted_cells()]
+        durations = [cfg.schedule.events[0].duration for _, cfg in sorted(grid.cells.items())]
         assert durations == [25, 50, 75]
-        assert all(cfg.schedule.events[0].bot_count == 2 for _, cfg in grid.sorted_cells())
+        assert all(cfg.schedule.events[0].bot_count == 2 for _, cfg in sorted(grid.cells.items()))
 
     def test_cells_must_share_world(self):
         base = quick_config()

@@ -728,9 +728,11 @@ class TestDistanceRows:
         grid = load_map(text)  # no distance row built yet
         walls = [(r, c) for r in range(grid.height) for c in range(grid.width)
                  if grid.is_wall((r, c))]
-        cells = st.sampled_from(list(grid.moves) + walls[:4])
-        for a, b in data.draw(st.lists(st.tuples(cells, cells), min_size=1, max_size=30)):
-            expected = (UNREACHABLE if grid.is_wall(a) or grid.is_wall(b)
+        # ``distance`` takes a floor cell as its target, as every apple cell is.
+        sources = st.sampled_from(list(grid.moves) + walls[:4])
+        targets = st.sampled_from(list(grid.moves))
+        for a, b in data.draw(st.lists(st.tuples(sources, targets), min_size=1, max_size=30)):
+            expected = (UNREACHABLE if grid.is_wall(a)
                         else plain_distances(grid, a).get(b, UNREACHABLE))
             assert grid.distance(a, b) == expected
 
