@@ -95,6 +95,8 @@ def _parse_trigger_file(path: str) -> list[int]:
                             else parse_event(line).trigger_tick)
         except ValueError as exc:
             raise ValueError(f"{path}: schedule line {lineno}: {exc}") from None
+    if not triggers:
+        raise ValueError(f"{path}: no trigger ticks")
     return triggers
 
 

@@ -187,19 +187,17 @@ def _clamp01(x: float) -> float:
 def fold_events(j_values: Sequence[float]) -> float:
     """Combine per-event scores over time, rewarding improvement.
 
-    Left fold of ``acc <- clamp(((acc + j)/2) * (1 + (j - acc)))``: a drop
-    relative to the running score is penalized beyond the plain average, a
-    rise is rewarded, and each step saturates into [0, 1].
+    Each score is clamped into [0, 1], the first is the start, and then
+    the left fold ``acc <- clamp(((acc + j)/2) * (1 + (j - acc)))`` runs: a
+    drop relative to the running score is penalized beyond the plain
+    average, a rise is rewarded, and each step saturates into [0, 1].
     """
     if not j_values:
         raise ValueError("fold_events needs at least one event score")
     if any(v < 0 for v in j_values):
         raise ValueError("event scores must be non-negative")
-    acc = float(j_values[0])
-    if len(j_values) == 1:
-        return _clamp01(acc)
-    for nxt in j_values[1:]:
-        nxt = float(nxt)
+    acc, *rest = (_clamp01(float(v)) for v in j_values)
+    for nxt in rest:
         acc = _clamp01(((acc + nxt) / 2.0) * (1.0 + (nxt - acc)))
     return acc
 

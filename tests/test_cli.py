@@ -283,7 +283,9 @@ class TestMeasure:
         ("# triggers\n\nx\n", "schedule line 3: invalid literal for int() with base 10: 'x'"),
         ("bot_intrusion 50 10\n",
          "schedule line 1: expected: bot_intrusion <trigger> <duration> <bot_count> [p_s]"),
-    ], ids=["two_ticks", "p_s_out_of_range", "v_s_out_of_range", "not_a_tick", "short_event"])
+        ("# none\n", "no trigger ticks"),
+    ], ids=["two_ticks", "p_s_out_of_range", "v_s_out_of_range", "not_a_tick", "short_event",
+            "no_ticks"])
     def test_bad_schedule_line_rejected(self, tmp_path, capsys, body, message):
         p_path, r_path = write_curves(tmp_path, [1.0] * 50 + [0.5] * 50, [1.0] * 100)
         sched = tmp_path / "sched.txt"
@@ -547,14 +549,14 @@ episodes = 2
 """
 
 RUN_TRACES_DIGESTS = {
-    "heatmap.svg": "35804097e7644cf1198099f55949119dc579a71c2bea4077eb6298e7228ad3d7",
+    "heatmap.svg": "c3c1b0eccbe896113353fba1f0a2cda4548842c903a58da5bb506cba294ab078",
     "pin_performance.csv": "2607a1d4c77d883e6e3cb8bc3579c7e0084bfcc05d378782fe859b47b8be685f",
     "pin_performance_std.csv":
         "c2f99649289b9fd5b7ce8f6ea8aacc806e2ce79a7a79b46d1708ff2dcaf19748",
     "pin_reference.csv": "5f483693a9b35d9ac6c05a0848db2d692f0870d85d403e4d819c3d71488f9308",
     "pin_reference_std.csv": "793568009f9d09b166207b1b12715721251c274c414bd7b659a7d3de58f774b6",
-    "report.csv": "9e71980ed988e628a70a256cdcaae3b36481377a9988afd6bdc805db6bc0aa05",
-    "report.json": "67cc630abd37ab5e7d5a00557f2ad74aa5579b16d0cec510a808b0dd5a1b8ce5",
+    "report.csv": "8225e8e1c313c17140b35a22c69c3191757d29db98b9cc5665cadb5342503d9e",
+    "report.json": "4b4ced21c9b72173c5b28bf3eb1e6db50bd5afd875ad6d3bc2bf22f22fc542fb",
     "trace_performance_ep0.jsonl":
         "5c017be2b6fb2adca23475b12e01cb5dd8b9abf44dc0f6df91f5b34d08ca3a04",
     "trace_performance_ep1.jsonl":
@@ -933,6 +935,31 @@ def _no_constant(name):
     raise AssertionError(f"JSON holds {name}")
 
 
+class _EpisodeStarted(BaseException):
+    """Raised by the patched ``run_episode``: it passes ``main``'s ``except Exception``."""
+
+
+def _start_episode(*args, **kwargs):
+    raise _EpisodeStarted
+
+
+@st.composite
+def grid_cases(draw):
+    """``grid`` arguments and ``COOPRES_THREADS``, each valid or not, and whether all are."""
+    preset = draw(st.sampled_from([*sorted(PRESETS), "nope"]))
+    formats = draw(st.none() | st.lists(st.sampled_from(["csv", "json", "svg", "pdf"]),
+                                        min_size=1, max_size=3))
+    out = draw(st.sampled_from(["fresh", "a_file", "a_file/sub", ""]))
+    seed = draw(st.none() | st.integers(-3, 2 ** 64))
+    threads = draw(st.sampled_from([None, "1", "0", "-1", "abc", "1.5"]))
+    argv = ["grid", "--preset", preset, "--out", f"{{dir}}/{out}" if out else "",
+            *(["--format", ",".join(formats)] if formats is not None else []),
+            *(["--seed", str(seed)] if seed is not None else [])]
+    valid = (preset in PRESETS and "pdf" not in (formats or []) and out == "fresh"
+             and (seed is None or seed >= 0) and threads in (None, "1"))
+    return argv, threads, valid
+
+
 class TestNeverFailsLate:
     @given(case=st.one_of(measure_cases(), validate_cases(), preset_cases()))
     @settings(max_examples=200, deadline=None)
@@ -964,6 +991,31 @@ class TestNeverFailsLate:
                 prefixes = {1: ("error:config:", "error:cli:"), 2: ("error:input:",)}[code]
                 assert err.getvalue().startswith(prefixes)
                 assert len(err.getvalue().splitlines()) == 1 and not out.exists()
+
+    @given(case=grid_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_grid_starts_its_episodes_or_refuses(self, case):
+        argv, threads, valid = case
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            mp.setattr(coopres.harness, "run_episode", _start_episode)
+            if threads is None:
+                mp.delenv("COOPRES_THREADS", raising=False)
+            else:
+                mp.setenv("COOPRES_THREADS", threads)
+            (Path(tmp) / "a_file").write_text("")
+            try:
+                code = main([arg.format(dir=tmp) for arg in argv])
+            except _EpisodeStarted:
+                assert valid
+                return
+            assert not valid
+            prefixes = {1: ("error:config:", "error:cli:"), 2: ("error:input:",)}[code]
+            assert err.getvalue().startswith(prefixes)
+            assert len(err.getvalue().splitlines()) == 1
+            assert list(Path(tmp).rglob("*")) == [Path(tmp) / "a_file"]
+            assert (Path(tmp) / "a_file").read_text() == ""
 
     def test_every_config_key_is_drawn(self):
         assert CONFIG_VALUES.keys() == CONFIG_KEYS.keys()

@@ -4,12 +4,15 @@ Report formats live in ``report.py``: the metric and curve modules touch no
 file.  The row layout of a trace is read through ``EpisodeTrace`` alone:
 only ``indicators.py``, which defines it, and ``harness.py``, which fills
 the rows, read an attribute named ``rows``.  Modules import only from the
-modules before them in ``LAYERS``, so no import cycle can form.
+modules before them in ``LAYERS``, so no import cycle can form.  Outside the
+package they import only the standard library and numpy, the one runtime
+dependency.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,15 @@ def test_module_imports_only_earlier_layers(module):
             targets |= ({node.module.split(".")[0]} if node.module
                         else {alias.name for alias in node.names})
     assert targets <= set(LAYERS[:LAYERS.index(module)])
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SOURCES.glob("*.py")))
+def test_module_imports_only_stdlib_and_numpy(module):
+    tree = ast.parse((SOURCES / module).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    assert names - sys.stdlib_module_names <= {"numpy"}

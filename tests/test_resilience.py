@@ -92,11 +92,11 @@ def oracle_pipeline(performance, reference, triggers):
             t_f, t_r = t_i + ratios.index(min(ratios)), end - 1  # the first exact minimum
             events.append(((t_i, t_f, t_r, start),
                            oracle_event_score(p, r, start, t_i, t_f, t_r)))
-        # The first score enters the fold unclamped; a lone score is clamped.
-        acc = events[0][1]
-        for _, j in events[1:]:
+        # Every score is clamped into [0, 1] before it enters the fold.
+        acc, *rest = (frac_clamp(j) for _, j in events)
+        for j in rest:
             acc = frac_clamp((acc + j) / 2 * (1 + (j - acc)))
-        per_variable[name] = (frac_clamp(acc), events)
+        per_variable[name] = (acc, events)
     folded = [f for f, _ in per_variable.values()]
     j = 0 if 0 in folded else len(folded) / sum(1 / f for f in folded)
     return Fraction(j), per_variable
@@ -360,8 +360,9 @@ class TestFoldEvents:
         with pytest.raises(ValueError):
             fold_events([0.5, -0.1])
 
-    def test_first_of_several_scores_enters_unclamped(self):
-        assert fold_events([1.4, 1.0]) == pytest.approx(0.72, abs=1e-12)
+    def test_every_score_is_clamped_before_the_fold(self):
+        # Unclamped, a first score of 1.4 folded with 1.0 read 0.72.
+        assert fold_events([1.4, 1.0]) == 1.0
         assert fold_events([1.0, 1.0]) == 1.0
 
     def test_not_monotone_in_an_earlier_score(self):
