@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Cooperative-resilience measurement toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", parents=[], help="run one scenario from a config file")
+    run = sub.add_parser("run", help="run one scenario from a config file")
     run.add_argument("--config", required=True)
     run.add_argument("--out", required=True)
     run.add_argument("--seed", type=int, default=None,
@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="trigger ticks, one per line (optional; detected from the "
                               "curves when omitted)")
     measure.add_argument("--out", required=True, help="output JSON file")
-    measure.add_argument("--name", default="value", help="variable name in the report")
 
     grid = sub.add_parser("grid", help="run a named experiment grid")
     grid.add_argument("--preset", required=True, choices=sorted(PRESETS))
@@ -168,9 +167,8 @@ def _cmd_measure(args) -> int:
         triggers = detect_triggers(pair)
         if not triggers:
             raise ValueError("no disruption detected in the curves and no schedule given")
-    report = resilience_pipeline({args.name: pair}, triggers)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    report = resilience_pipeline({"value": pair}, triggers)  # named as the files' column
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_json(report_json_dict(report), out)
     print(f"J = {report.assembled:.6f} (L={report.event_count})")
     return EXIT_OK
@@ -182,7 +180,7 @@ def _cmd_grid(args) -> int:
     base = None if args.seed is None else ScenarioConfig(base_seed=args.seed)
     result = run_grid(PRESETS[args.preset](base))
     _write_outputs(result, out, formats)
-    for res in result.scenario_results():
+    for res in result.results.values():
         j = res.report.assembled
         print(f"{res.scenario_id}: " + (_unscored(res) if j is None else f"J = {j:.6f}"))
     return EXIT_OK

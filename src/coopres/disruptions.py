@@ -60,9 +60,6 @@ class EventSchedule:
     def __iter__(self):
         return iter(self.events)
 
-    def max_trigger(self) -> int:
-        return max((e.trigger_tick for e in self.events), default=-1)
-
 
 # What follows the trigger tick on each kind's schedule line, then an optional p_s.
 EVENT_FIELDS = {

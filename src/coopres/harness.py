@@ -99,14 +99,16 @@ class ScenarioConfig:
             raise ConfigError("at least one agent policy is required")
         if self.episode_length < 2:
             raise ConfigError("episode_length must be >= 2")
-        if self.schedule.events and self.episode_length <= self.schedule.max_trigger() + 1:
+        # The schedule's triggers rise strictly, so the last is the latest.
+        triggers = [e.trigger_tick for e in self.schedule]
+        if triggers and self.episode_length <= triggers[-1] + 1:
             raise ConfigError(
                 f"episode_length {self.episode_length} must exceed the last "
-                f"trigger + 1 ({self.schedule.max_trigger() + 1})")
+                f"trigger + 1 ({triggers[-1] + 1})")
         # Scoring windows the whole schedule; events that do not fire only
         # merge windows, so a layout that passes here passes for any subset.
         try:
-            partition_windows([e.trigger_tick for e in self.schedule], self.episode_length)
+            partition_windows(triggers, self.episode_length)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         never = [e.trigger_tick for e in self.schedule if e.p_s == 0.0]
@@ -421,10 +423,7 @@ class ExperimentGrid:
 class GridResult:
     grid: ExperimentGrid
     reference: dict[str, np.ndarray]
-    results: dict[tuple[int, int], ScenarioResult]
-
-    def scenario_results(self) -> list[ScenarioResult]:
-        return [res for _, res in sorted(self.results.items())]
+    results: dict[tuple[int, int], ScenarioResult]  # in cell order: sorted by (row, col)
 
 
 def run_scenario(config: ScenarioConfig, sink: TraceSink | None = None) -> GridResult:

@@ -28,7 +28,7 @@ def _write_csv(result: GridResult, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "variable", "event", "J_jl", "F", "G", "J_j", "J"])
-        for res in result.scenario_results():
+        for res in result.results.values():
             for name, vr in res.report.per_variable.items():
                 for l, ev in enumerate(vr.events, start=1):
                     writer.writerow([res.scenario_id, name, l, repr(ev.j_value),
@@ -59,7 +59,7 @@ def grid_json_dict(result: GridResult) -> dict:
         "cells": [
             {"row": r, "col": c, **report_json_dict(res.report),
              "scenario": res.scenario_id, "per_episode_J": res.per_episode_j}
-            for (r, c), res in sorted(result.results.items())
+            for (r, c), res in result.results.items()
         ],
     }
 
@@ -107,7 +107,7 @@ def _heatmap_svg(result: GridResult) -> str:
         parts.append(
             f'<text x="{left - 8}" y="{top + r * cell_h + cell_h / 2 + 4}" '
             f'text-anchor="end" font-family="sans-serif" font-size="12">{escape(label)}</text>')
-    for (r, c), res in sorted(result.results.items()):
+    for (r, c), res in result.results.items():
         x, y = left + c * cell_w, top + r * cell_h
         j = res.report.assembled
         fill, text = _heat_color(j)
@@ -173,7 +173,7 @@ def export_indicators(result: GridResult, out_dir: str | Path) -> None:
     so the first cell's reference files are written and the others copied.
     """
     out = Path(out_dir)
-    scenarios = result.scenario_results()
+    scenarios = list(result.results.values())
     first = scenarios[0].scenario_id
     for stem, episodes in [(f"{first}_reference", result.reference),
                            *((f"{s.scenario_id}_performance", s.performance) for s in scenarios)]:

@@ -180,25 +180,21 @@ def summary_metric(pair: CurvePair, m: Milestones) -> EventResilience:
     return EventResilience(j_value=j, f_profile=f, g_profile=g, milestones=m)
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-
-
 def fold_events(j_values: Sequence[float]) -> float:
     """Combine per-event scores over time, rewarding improvement.
 
-    Each score is clamped into [0, 1], the first is the start, and then
-    the left fold ``acc <- clamp(((acc + j)/2) * (1 + (j - acc)))`` runs: a
-    drop relative to the running score is penalized beyond the plain
-    average, a rise is rewarded, and each step saturates into [0, 1].
+    Each score is capped at 1 and the first is the start; then the left fold
+    ``acc <- min(((acc + j)/2) * (1 + (j - acc)), 1)`` penalizes a drop below
+    the running score beyond the plain average and rewards a rise.  Scores
+    below 0 are refused, and a step of two values in [0, 1] is never below 0.
     """
     if not j_values:
         raise ValueError("fold_events needs at least one event score")
     if any(v < 0 for v in j_values):
         raise ValueError("event scores must be non-negative")
-    acc, *rest = (_clamp01(float(v)) for v in j_values)
+    acc, *rest = (min(float(v), 1.0) for v in j_values)
     for nxt in rest:
-        acc = _clamp01(((acc + nxt) / 2.0) * (1.0 + (nxt - acc)))
+        acc = min(((acc + nxt) / 2.0) * (1.0 + (nxt - acc)), 1.0)
     return acc
 
 

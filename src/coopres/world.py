@@ -559,22 +559,20 @@ def write_trace_jsonl(trace: EpisodeTrace, path: str | Path) -> None:
     """
     n_trees, n, h = trace.apples_per_tree.shape[1], trace.n_agents, trace.horizon
     per_agent = np.dstack([trace.consumed, trace.hunger_ticks, trace.positions])
-    fields = np.column_stack([trace.apples_per_tree, per_agent.reshape(h, 4 * n)])
-    ticks, pieces = np.arange(h), _trace_record_pieces(n_trees, n)
-    # ``initial`` takes the ticks 0..horizon - 1 into the range.
-    strings = _int_strings(int(fields.min(initial=0)), int(fields.max(initial=len(ticks) - 1)),
-                           ticks.size + fields.size)
+    fields = np.column_stack([np.arange(h), trace.apples_per_tree, per_agent.reshape(h, 4 * n)])
+    pieces = _trace_record_pieces(n_trees, n)
+    # ``initial`` only serves a trace without ticks: the tick column holds 0.
+    strings = _int_strings(int(fields.min(initial=0)), int(fields.max(initial=0)), fields.size)
     with open(path, "w") as fh:
-        for start in range(0, len(ticks), BLOCK_TICKS):
+        for start in range(0, h, BLOCK_TICKS):
             block = slice(start, start + BLOCK_TICKS)
-            ends = np.full(len(ticks[block]), "", dtype=object)
+            ends = np.full(len(fields[block]), "", dtype=object)
             for i, bots in enumerate(trace.bot_records[block]):
                 if bots:
                     listed = [{"id": bid, "pos": [pos[0], pos[1]], "consumed": consumed}
                               for bid, pos, consumed in bots]
                     ends[i] = ', "bots": ' + json.dumps(listed)
-            fh.write(join_rows(pieces, np.column_stack(
-                [strings(ticks[block]), strings(fields[block]), ends])))
+            fh.write(join_rows(pieces, np.column_stack([strings(fields[block]), ends])))
 
 
 # The bundled 24x18 map: six 6-apple trees, eight spawn points.

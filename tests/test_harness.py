@@ -642,6 +642,20 @@ class TestGrids:
         assert list(result.results) == [(0, 0)]
         assert 0.0 <= result.results[(0, 0)].report.assembled <= 1.0
 
+    def test_results_and_reports_are_in_cell_order(self, tmp_path):
+        # The grid lists (0, 1) before (0, 0); results and report.json follow the cell order.
+        base = quick_config(episode_length=150, episodes=1)
+        cells = {(0, 1): replace(base, scenario_id="B",
+                                 schedule=EventSchedule(events=[vanish(90, 0.4)])),
+                 (0, 0): replace(base, scenario_id="A")}
+        result = run_grid(ExperimentGrid(grid_id="order", row_labels=["r"],
+                                         col_labels=["a", "b"], cells=cells))
+        assert list(result.results) == [(0, 0), (0, 1)]
+        emit_report(result, tmp_path, ["json"])
+        listed = json.loads((tmp_path / "report.json").read_text())["cells"]
+        assert [(cell["row"], cell["col"], cell["scenario"]) for cell in listed] == [
+            (0, 0, "A"), (0, 1, "B")]
+
     def test_cells_are_independent_of_execution_order(self):
         base = quick_config()
         cfg_a = replace(base, scenario_id="A")
