@@ -104,6 +104,9 @@ def _formats(args) -> list[str]:
     for name in formats:
         if name not in REPORTS:
             raise ConfigError(f"unknown report format {name!r} (choose from {', '.join(REPORTS)})")
+    repeated = sorted({name for name in formats if formats.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"repeated report formats: {repeated}")
     return formats
 
 

@@ -798,7 +798,7 @@ class TestRun:
         monkeypatch.setattr(coopres.harness, "run_episode",
                             lambda *args, **kwargs: episodes.append(args))
         for command in (["run", "--config", str(tiny_config)], ["grid", "--preset", "bots"]):
-            for formats in ("pdf", "csv,pdf"):
+            for formats in ("pdf", "csv,pdf", "csv,csv,json"):
                 code = main([*command, "--out", str(tmp_path / "o"), "--format", formats])
                 assert code == 1
                 assert capsys.readouterr().err.startswith("error:config:")
@@ -907,6 +907,33 @@ CONFIG_VALUES = {
                                  "hunger_index, apples_pc, apples_pc"],
 }
 MAPS = ["#####\n#1S.#\n#####\n", "#####\n#.S.#\n#####\n", "", "#1\n#\n"]
+# The legend's glyphs, tree labels among them, and glyphs that ``load_map`` refuses.
+LEGEND = "#.AS19"
+OFF_LEGEND = ["0", "x", "@", " ", "\t", "\u00e9"]
+NOW_AND_THEN = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def map_texts(draw):
+    """Map text of at most 8x8 legend glyphs: often without an apple cell or with fewer
+    spawn points than agents, and now and then with a tree walled off in its corner, a
+    glyph outside the legend, a ragged row or blank lines."""
+    height, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rows = [list(draw(st.text(st.sampled_from(LEGEND), min_size=width, max_size=width)))
+            for _ in range(height)]
+    if height >= 3 and width >= 3 and draw(st.booleans()):
+        for r, walled in enumerate(["###", "#1#", "###"]):
+            rows[r][:3] = walled
+    if draw(NOW_AND_THEN):
+        rows[draw(st.integers(0, height - 1))][draw(st.integers(0, width - 1))] = draw(
+            st.sampled_from(OFF_LEGEND))
+    lines = ["".join(row) for row in rows]
+    if draw(NOW_AND_THEN):
+        r = draw(st.integers(0, height - 1))
+        lines[r] = lines[r][:-1] if draw(st.booleans()) else lines[r] + "."
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   "])))
+    return "".join(f"{line}\n" for line in lines)
 
 
 @st.composite
@@ -922,8 +949,19 @@ def validate_cases(draw):
             f"{key} = {draw(st.sampled_from(CONFIG_VALUES[section, key]))}")
     text = "".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
                    for section, lines in sections.items())
-    return ["validate", "--config", "{dir}/s.ini"], {"s.ini": text,
-                                                     "tiny.map": draw(st.sampled_from(MAPS))}
+    return ["validate", "--config", "{dir}/s.ini"], {
+        "s.ini": text, "tiny.map": draw(st.sampled_from(MAPS) | map_texts())}
+
+
+@st.composite
+def map_cases(draw):
+    """``validate`` on a config that reads a drawn map, with 1-6 agents and one event."""
+    policies = ", ".join(["greedy"] * draw(st.integers(1, 6)))
+    event = draw(st.sampled_from(["apple_vanish 30 0.5", "bot_intrusion 30 10 2"]))
+    text = (f"[world]\nmap = tiny.map\n[agents]\npolicies = {policies}\n"
+            f"[events]\nschedule = {event}\n")
+    return ["validate", "--config", "{dir}/s.ini"], {
+        "s.ini": text, "tiny.map": draw(st.sampled_from(MAPS) | map_texts())}
 
 
 def preset_cases():
@@ -955,13 +993,14 @@ def grid_cases(draw):
     argv = ["grid", "--preset", preset, "--out", f"{{dir}}/{out}" if out else "",
             *(["--format", ",".join(formats)] if formats is not None else []),
             *(["--seed", str(seed)] if seed is not None else [])]
-    valid = (preset in PRESETS and "pdf" not in (formats or []) and out == "fresh"
+    valid = (preset in PRESETS and "pdf" not in (formats or [])
+             and len(set(formats or [])) == len(formats or []) and out == "fresh"
              and (seed is None or seed >= 0) and threads in (None, "1"))
     return argv, threads, valid
 
 
 class TestNeverFailsLate:
-    @given(case=st.one_of(measure_cases(), validate_cases(), preset_cases()))
+    @given(case=st.one_of(measure_cases(), validate_cases(), map_cases(), preset_cases()))
     @settings(max_examples=200, deadline=None)
     # Once exited 0 with "J_jl": Infinity in its JSON.
     @example(case=(["measure", "--performance", "{dir}/p.csv", "--reference", "{dir}/r.csv",

@@ -365,6 +365,10 @@ class TestFoldEvents:
         assert fold_events([1.4, 1.0]) == 1.0
         assert fold_events([1.0, 1.0]) == 1.0
 
+    def test_a_fold_of_dipped_scores_can_read_one(self):
+        # table2's E8 at seed 7: apples_pc dipped at all three events, yet folds to 1.0.
+        assert fold_events([0.8977, 0.8259, 0.946]) == 1.0
+
     def test_not_monotone_in_an_earlier_score(self):
         assert fold_events([0.9, 0.9]) == pytest.approx(0.9, abs=1e-12)
         assert fold_events([0.95, 0.9]) == pytest.approx(0.87875, abs=1e-12)
@@ -412,6 +416,10 @@ class TestDetectTriggers:
         p = [1.0] * 30 + [0.5] * 30
         r = [1.0] * 60
         assert detect_triggers(pair_from(p, r)) == [30]
+
+    def test_a_ratio_at_the_threshold_is_no_incident(self):
+        # 0.95 / 1.0 is TRIGGER_THRESHOLD itself: only the drop to 0.9 lies below it.
+        assert detect_triggers(pair_from([1.0, 0.95, 0.95, 0.9], [1.0] * 4)) == [3]
 
     def test_quiet_curves_have_no_triggers(self):
         assert detect_triggers(flat_pair(50)) == []
