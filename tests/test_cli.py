@@ -936,6 +936,9 @@ def map_texts(draw):
     return "".join(f"{line}\n" for line in lines)
 
 
+ANY_MAP = st.sampled_from(MAPS) | map_texts()
+
+
 @st.composite
 def validate_cases(draw):
     """``validate`` on INI text of keys from ``CONFIG_KEYS`` with drawn values, a schedule
@@ -949,8 +952,7 @@ def validate_cases(draw):
             f"{key} = {draw(st.sampled_from(CONFIG_VALUES[section, key]))}")
     text = "".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
                    for section, lines in sections.items())
-    return ["validate", "--config", "{dir}/s.ini"], {
-        "s.ini": text, "tiny.map": draw(st.sampled_from(MAPS) | map_texts())}
+    return ["validate", "--config", "{dir}/s.ini"], {"s.ini": text, "tiny.map": draw(ANY_MAP)}
 
 
 @st.composite
@@ -960,8 +962,7 @@ def map_cases(draw):
     event = draw(st.sampled_from(["apple_vanish 30 0.5", "bot_intrusion 30 10 2"]))
     text = (f"[world]\nmap = tiny.map\n[agents]\npolicies = {policies}\n"
             f"[events]\nschedule = {event}\n")
-    return ["validate", "--config", "{dir}/s.ini"], {
-        "s.ini": text, "tiny.map": draw(st.sampled_from(MAPS) | map_texts())}
+    return ["validate", "--config", "{dir}/s.ini"], {"s.ini": text, "tiny.map": draw(ANY_MAP)}
 
 
 def preset_cases():
