@@ -199,7 +199,7 @@ def _cmd_preset(args) -> int:
     if args.name not in PRESETS:
         raise ConfigError(f"unknown preset {args.name!r} (choose from {sorted(PRESETS)})")
     grid = PRESETS[args.name]()
-    for (r, c), cfg in sorted(grid.cells.items()):
+    for (r, c), cfg in grid.cells.items():
         descr = []
         for event in cfg.schedule:
             if event.kind is EventKind.APPLE_VANISH:

@@ -11,9 +11,9 @@ from another, so two episodes agree tick for tick until the first trigger
 past the longest prefix their schedules share.  The reference (the empty
 schedule) is simulated once per seed and shared by every cell of a grid;
 each performance episode continues from a snapshot of the episode, run
-before it, with the longest prefix in common, or reuses it outright if
-the schedules are equal.  Traces are reduced to indicator curves as soon
-as they are simulated, and passed to the trace sink, if any, as their seed ends.
+before it, with the longest prefix in common.  Traces are reduced to
+indicator curves as soon as they are simulated, and passed to the trace
+sink, if any, as their seed ends.
 """
 
 from __future__ import annotations
@@ -311,8 +311,7 @@ def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
     Cells differ only in their schedules.  Each performance episode forks
     from the episode run before it (the reference first) that shares the
     longest prefix of its schedule, the first such on a tie, at
-    ``_fork_tick``, or reuses it outright when the schedules are equal.
-    Snapshots are held until the seed ends.
+    ``_fork_tick``.  Snapshots are held until the seed ends.
     A failure raises ``RuntimeError`` naming the cell being run (the first
     while the reference runs; configs are validated before).  Then
     ``sink``, if given, gets each cell's traces; what it raises passes through.
@@ -325,13 +324,14 @@ def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
 
     # Episode 0 is the reference, i > 0 cell i - 1's.  Sorted by their events'
     # reprs, each schedule runs before those it is a prefix of, so that they
-    # can fork from it.  forks[i] = (tick, j) continues i from j.
+    # can fork from it.  forks[i] = (tick, j) continues i from j.  A schedule
+    # equal to j's gets tick h, at which no snapshot is stored: it runs from 0.
     schedules = [()] + [tuple(cfg.schedule) for _, cfg in cells]
     order = sorted(range(len(schedules)), key=lambda i: [repr(e) for e in schedules[i]])
     forks = {i: max(((_fork_tick(schedules[j], schedules[i], h), j) for j in order[:n]),
                     key=lambda fork: fork[0]) for n, i in enumerate(order) if n}
     snapshots: list[dict[int, Snapshot | None]] = [
-        {tick: None for tick, j in forks.values() if j == i and tick < h}
+        {tick: None for tick, j in forks.values() if j == i}
         for i in range(len(schedules))]
     episodes: dict[int, _Episode] = {}
     traces: dict[int, EpisodeTrace | None] = {}  # kept only for the sink
@@ -339,9 +339,6 @@ def _run_seed(cells: list[tuple[tuple[int, int], ScenarioConfig]], k: int,
         for n, i in enumerate(order):
             cell, cfg = cells[max(i - 1, 0)]
             fork = forks.get(i)  # None for the reference, which runs first
-            if fork is not None and fork[0] == h:
-                episodes[i], traces[i] = episodes[fork[1]], traces[fork[1]]
-                continue
             start = None if fork is None else snapshots[fork[1]][fork[0]]
             trace = run_episode(cfg, seed, with_events=n > 0, snapshots=snapshots[i], start=start)
             episodes[i] = _Episode(curves(trace), trace.fired_triggers)
@@ -394,9 +391,8 @@ class ExperimentGrid:
         if not self.cells:
             raise ConfigError("experiment grid has no cells")
         # Cells share their reference episodes, so all else must agree.
-        cells = sorted(self.cells.items())
-        first = cells[0][1]
-        for cell, cfg in cells:
+        first = next(iter(self.cells.values()))
+        for cell, cfg in self.cells.items():
             if replace(cfg, scenario_id=first.scenario_id, schedule=first.schedule) != first:
                 raise ConfigError(
                     f"grid cell {cell} must share every setting with the others; "
@@ -407,7 +403,7 @@ class ExperimentGrid:
                 raise ConfigError(f"scenario {cfg.scenario_id!r} has no events to score")
         # A cell's id names its output files.
         owners: dict[str, tuple[int, int]] = {}
-        for cell, cfg in cells:
+        for cell, cfg in self.cells.items():
             if owners.setdefault(cfg.scenario_id, cell) != cell:
                 raise ConfigError(f"grid cells {owners[cfg.scenario_id]} and {cell} "
                                   f"have the same scenario id {cfg.scenario_id!r}")

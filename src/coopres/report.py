@@ -133,8 +133,7 @@ REPORTS = {
 """Report format name -> (file name under the output directory, writer)."""
 
 
-def emit_report(result: GridResult, out_dir: str | Path,
-                formats: Sequence[str] = tuple(REPORTS)) -> None:
+def emit_report(result: GridResult, out_dir: str | Path, formats: Sequence[str]) -> None:
     """Write ``run_grid``'s result into ``out_dir``, in the formats ``cli._formats`` checked."""
     for name in formats:
         filename, write = REPORTS[name]
