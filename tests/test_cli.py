@@ -393,7 +393,26 @@ class TestMeasure:
         code = main(["measure", "--performance", str(p_path), "--reference", str(r_path),
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error:input:")
+        assert capsys.readouterr().err == (
+            "error:input: no disruption detected in the curves and no schedule given\n")
+
+    # Without the grid check these scored J = 0.756410 (L=1) and exited 0.
+    def test_curves_on_shifted_ticks_refused(self, tmp_path, capsys):
+        p_path = write_raw_curve(tmp_path / "p.csv", [1.0] * 20 + [0.5] * 20)
+        r_path = write_raw_curve(tmp_path / "r.csv", [1.0] * 40, t0=1)
+        out = tmp_path / "report.json"
+        assert main(["measure", "--performance", str(p_path), "--reference", str(r_path),
+                     "--schedule", str(write_schedule(tmp_path, 20)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error:input: performance and reference curves must share the grid\n")
+        assert not out.exists()
+
+    def test_out_in_a_new_directory(self, tmp_path):
+        p_path, r_path = write_curves(tmp_path, [1.0] * 20 + [0.5] * 20, [1.0] * 40)
+        out = tmp_path / "new" / "dir" / "r.json"
+        assert main(["measure", "--performance", str(p_path), "--reference", str(r_path),
+                     "--schedule", str(write_schedule(tmp_path, 20)), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["L"] == 1
 
     # A window of one tick has no failure-recovery span: refused while the
     # windows are laid out, before any event is scored.
@@ -1110,8 +1129,26 @@ class TestPreset:
 
     def test_show_table2(self, capsys):
         assert main(["preset", "table2"]) == 0
-        out = capsys.readouterr().out
-        assert "E9" in out and "v_s=0.7" in out
+        assert capsys.readouterr().out == (
+            "E1 [1 event | v_s=0.3]: apple_vanish@250 v_s=0.3\n"
+            "E2 [1 event | v_s=0.5]: apple_vanish@250 v_s=0.5\n"
+            "E3 [1 event | v_s=0.7]: apple_vanish@250 v_s=0.7\n"
+            "E4 [2 events | v_s=0.3]: apple_vanish@50 v_s=0.3; apple_vanish@250 v_s=0.3\n"
+            "E5 [2 events | v_s=0.5]: apple_vanish@50 v_s=0.5; apple_vanish@250 v_s=0.5\n"
+            "E6 [2 events | v_s=0.7]: apple_vanish@50 v_s=0.7; apple_vanish@250 v_s=0.7\n"
+            "E7 [3 events | v_s=0.3]: apple_vanish@50 v_s=0.3; apple_vanish@250 v_s=0.3; "
+            "apple_vanish@400 v_s=0.3\n"
+            "E8 [3 events | v_s=0.5]: apple_vanish@50 v_s=0.5; apple_vanish@250 v_s=0.5; "
+            "apple_vanish@400 v_s=0.5\n"
+            "E9 [3 events | v_s=0.7]: apple_vanish@50 v_s=0.7; apple_vanish@250 v_s=0.7; "
+            "apple_vanish@400 v_s=0.7\n")
+
+    def test_show_bots(self, capsys):
+        assert main(["preset", "bots"]) == 0
+        assert capsys.readouterr().out == (
+            "E1 [2 bots | 25 ticks]: bots@100 x2 for 25\n"
+            "E2 [2 bots | 50 ticks]: bots@100 x2 for 50\n"
+            "E3 [2 bots | 75 ticks]: bots@100 x2 for 75\n")
 
     def test_unknown_preset(self, capsys):
         assert main(["preset", "meteor"]) == 1

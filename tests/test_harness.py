@@ -98,6 +98,10 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             quick_config(indicators=("apples_pc", "mood")).validate()
 
+    def test_no_policy_rejected(self):
+        with pytest.raises(ConfigError, match="^at least one agent policy is required$"):
+            quick_config(policies=()).validate()
+
     def test_no_indicator_rejected(self):
         with pytest.raises(ConfigError, match="at least one indicator"):
             quick_config(indicators=()).validate()
@@ -594,6 +598,11 @@ class TestGrids:
         durations = [cfg.schedule.events[0].duration for _, cfg in sorted(grid.cells.items())]
         assert durations == [25, 50, 75]
         assert all(cfg.schedule.events[0].bot_count == 2 for _, cfg in sorted(grid.cells.items()))
+
+    def test_grid_without_cells_refused(self):
+        grid = ExperimentGrid(grid_id="empty", row_labels=[], col_labels=[], cells={})
+        with pytest.raises(ConfigError, match="^experiment grid has no cells$"):
+            grid.validate()
 
     def test_cells_must_share_world(self):
         base = quick_config()

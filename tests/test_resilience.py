@@ -276,6 +276,11 @@ class TestSummaryMetric:
         assert ev.g_profile == pytest.approx(0.8)
         assert ev.j_value == pytest.approx(0.68)
 
+    def test_milestones_out_of_order_refused(self):
+        with pytest.raises(ValueError, match="^milestones must be ordered: window_start=0 "
+                                             "t_i=5 t_f=3 t_r=9$"):
+            Milestones(t_i=5, t_f=3, t_r=9, window_start=0)
+
     def test_degenerate_window_rejected(self):
         m = Milestones(t_i=5, t_f=5, t_r=5, window_start=5)
         with pytest.raises(ValueError, match="degenerate"):
@@ -355,9 +360,9 @@ class TestFoldEvents:
         assert fold_events([1.0, 0.0]) == 0.0  # 0.5 * (1 - 1) = 0
 
     def test_rejects_empty_and_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fold_events needs at least one event score$"):
             fold_events([])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^event scores must be non-negative$"):
             fold_events([0.5, -0.1])
 
     def test_every_score_is_clamped_before_the_fold(self):
@@ -492,6 +497,10 @@ class TestPipeline:
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError, match="no disruptive events"):
             resilience_pipeline({"v": flat_pair(100)}, [])
+
+    def test_no_variable_rejected(self):
+        with pytest.raises(ValueError, match="^resilience_pipeline needs at least one variable$"):
+            resilience_pipeline({}, [5])
 
     def test_mismatched_horizons_rejected(self):
         with pytest.raises(ValueError, match="horizon"):

@@ -86,6 +86,10 @@ class TestLoadMap:
         grid = load_map("A.\n.A")
         assert len(grid.trees) == 2
 
+    @pytest.mark.parametrize("text", ["2.1", "A.1"])
+    def test_trees_listed_in_map_order(self, text):
+        assert load_map(text).trees == [((0, 0),), ((0, 2),)]
+
     def test_digit_labels_group_disconnected_cells(self):
         grid = load_map("1.1\n...\n2.2")
         assert len(grid.trees) == 2
@@ -221,6 +225,18 @@ class TestStepWorld:
         step_world(state, {0: Action.ZAP, 1: Action.NOOP}, random.Random(0))
         assert state.agents[1].position == (1, 11)
 
+    def test_zap_stops_at_a_wall(self):
+        grid = load_map("#########\n"
+                        "#A.S#S..#\n"
+                        "#.......#\n"
+                        "#########")
+        state = make_world(grid, 2, NO_REGROWTH)
+        state.agents[0].orientation = Orientation.E  # agent 1 sits 2 cells east, past a wall
+        step_world(state, {0: Action.ZAP}, random.Random(0))
+        assert state.agents[1].position == (1, 5)
+        assert state.agents[0].zap_cooldown == ZAP_COOLDOWN
+        assert state.occupied == {(1, 3): 0, (1, 5): 1}
+
     @pytest.mark.parametrize("cooling", [0, 3])
     def test_nobody_acting_steps_like_every_agent_noop(self, cooling):
         state = make_world(load_map(DEFAULT_MAP), 5, (0.0, 0.3, 0.3, 0.3))
@@ -301,10 +317,12 @@ class TestRegrow:
 
     def test_zero_probability_table_is_inert(self):
         state, _ = self._one_tree_state((0.0, 0.0, 0.0, 0.0), live_cells=3)
-        before = dict(state.live_apples)
-        regrow(state, random.Random(0))
+        before, rng = dict(state.live_apples), random.Random(0)
+        drawn = rng.getstate()
+        regrow(state, rng)
         assert state.live_apples == before
         assert state.total_regrown == 0
+        assert rng.getstate() == drawn  # a tree with p = 0 draws nothing
 
     def test_revival_frequency_matches_table(self):
         # 3 live apples -> per-dead-cell revival probability table[3] = 0.025
